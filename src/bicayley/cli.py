@@ -44,6 +44,17 @@ def _report(instances: list[dict], passed: bool) -> dict:
     }
 
 
+def _refuse_empty(args) -> int:
+    """A bound that selects no instance checks nothing, so it cannot pass."""
+    if args.json:
+        _emit(_report([], False), args, [])
+    print(
+        f"bicayley {args.command}: no instances within --max-vertices {args.max_vertices}",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def cmd_build(args) -> int:
     spec = parse_spec(args.spec)
     bigraph = build(spec)
@@ -110,6 +121,8 @@ def cmd_analyze(args) -> int:
 
 def _cmd_table(args, which: int) -> int:
     instances = (table1_instances if which == 1 else table2_instances)(args.max_vertices)
+    if not instances:
+        return _refuse_empty(args)
     records = [verify_instance(inst) for inst in instances]
     passed = all(rec["ok"] for rec in records)
     lines = [
@@ -146,6 +159,8 @@ def cmd_theorem_a(args) -> int:
 
 def cmd_theorem_b(args) -> int:
     results = theorem_b_verify(args.max_vertices)
+    if not results:
+        return _refuse_empty(args)
     passed = all(rec["is_bci"] for rec in results)
     lines = [
         f"{rec['description']}: n={rec['vertices']} bci={rec['is_bci']} "
@@ -293,7 +308,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_negative_controls)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # bad input or a bound it exceeds; RuntimeError (a failed check) propagates
+        print(f"bicayley {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ algorithm see only the integer vertices and the edge set.
 
 from __future__ import annotations
 
+import base64
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -163,23 +164,29 @@ def _encode_size(n: int) -> str:
     raise ValueError(f"graph too large for this codec: n={n}")
 
 
+# base64 digit d -> graph6 byte d + 63
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
+
+
 def encode_graph6(g: Graph) -> str:
     """Standard graph6: size header, then the upper triangle column-major."""
-    bits = []
+    bits = bytearray(b"0" * (g.n * (g.n - 1) // 2))
     for j in range(1, g.n):
-        row = g.adjacency[j]
-        row_set = set(row)
-        for i in range(j):
-            bits.append(1 if i in row_set else 0)
-    out = [_encode_size(g.n)]
-    for i in range(0, len(bits), 6):
-        chunk = bits[i : i + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+        base = j * (j - 1) // 2
+        for i in g.adjacency[j]:
+            if i < j:
+                bits[base + i] = ord("1")
+    nchars = (len(bits) + 5) // 6
+    if not nchars:
+        return _encode_size(g.n)
+    # padded to whole 24-bit groups, base64 packs six bits per character
+    bits += b"0" * (-len(bits) % 24)
+    packed = int(bits, 2).to_bytes(len(bits) // 8, "big")
+    data = base64.b64encode(packed).translate(_BASE64_TO_GRAPH6)[:nchars]
+    return _encode_size(g.n) + data.decode("ascii")
 
 
 def decode_graph6(text: str) -> Graph:

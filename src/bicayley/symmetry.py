@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 
 from bicayley.abelian import AbelianGroup, make_group
 from bicayley.graphs import Graph, encode_graph6, is_connected
@@ -48,6 +49,11 @@ def max_enumeration_bound() -> int:
     return int(raw) if raw else _DEFAULT_MAX_ENUM
 
 
+@lru_cache(maxsize=None)
+def _identity_images(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of 0..n-1; composition acts left-to-right (v^(pq) = (v^p)^q)."""
@@ -56,7 +62,7 @@ class Permutation:
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
+        return Permutation(_identity_images(n))
 
     @property
     def degree(self) -> int:
@@ -64,7 +70,7 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def __call__(self, v: int) -> int:
         return self.images[v]
@@ -72,8 +78,9 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if len(self.images) != len(other.images):
             raise ValueError("permutations of different degrees")
-        o = other.images
-        return Permutation(tuple(o[v] for v in self.images))
+        if len(self.images) < 2:
+            return other  # the identity is the only permutation of degree < 2
+        return Permutation(itemgetter(*self.images)(other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -131,6 +138,7 @@ class _ChainLevel:
     point: int
     gens: list[Permutation]
     transversal: dict[int, Permutation]
+    inverses: dict[int, Permutation]
 
 
 def _build_chain(gens, degree: int) -> list[_ChainLevel]:
@@ -159,17 +167,19 @@ def _build_chain(gens, degree: int) -> list[_ChainLevel]:
             break
         beta = min(best_orbit)
         trans = _orbit_transversal(beta, current, degree)
+        inverses = {q: t.inverse() for q, t in trans.items()}
         schreier: list[Permutation] = []
         seen: set[tuple[int, ...]] = set()
+        identity = _identity_images(degree)
         for p in sorted(trans):
-            rep = trans[p]
+            after_rep = itemgetter(*trans[p].images)
             for s in current:
-                q = s.images[p]
-                sg = rep * s * trans[q].inverse()
-                if not sg.is_identity and sg.images not in seen:
-                    seen.add(sg.images)
-                    schreier.append(sg)
-        levels.append(_ChainLevel(beta, current, trans))
+                # images of the Schreier generator trans[p] * s * trans[s(p)]^-1
+                sg = itemgetter(*after_rep(s.images))(inverses[s.images[p]].images)
+                if sg != identity and sg not in seen:
+                    seen.add(sg)
+                    schreier.append(Permutation(sg))
+        levels.append(_ChainLevel(beta, current, trans, inverses))
         current = schreier
     return levels
 
@@ -224,7 +234,7 @@ class PermGroup:
             q = p.images[level.point]
             if q not in level.transversal:
                 return False
-            p = p * level.transversal[q].inverse()
+            p = p * level.inverses[q]
         return p.is_identity
 
     def elements(self) -> list[Permutation]:
@@ -320,7 +330,7 @@ class _Search:
 
     The ordered-partition refinement is relabeling-equivariant: cells split by
     neighbor counts against a splitter cell, fragments ordered by count, and
-    the splitter worklist is a FIFO seeded in partition order.  Branching
+    the splitter worklist is a FIFO of every new fragment.  Branching
     explores the first non-singleton cell, skipping vertices equivalent to an
     explored sibling under automorphisms that fix the branch prefix.
     """
@@ -336,46 +346,98 @@ class _Search:
         if self.n == 0:
             self.best = (b"", [])
             return
-        cells = self.refine([list(range(self.n))])
+        cells = self.refine([list(range(self.n))], 0)
         self.descend(cells, [])
 
-    def refine(self, cells: list[list[int]]) -> list[list[int]]:
-        cells = [sorted(c) for c in cells]
-        queue = deque(cells)
-        live = {id(c) for c in cells}
-        cnt = [0] * self.n
-        while queue:
-            splitter = queue.popleft()
-            if id(splitter) not in live:
+    def refine(self, cells: list[list[int]], seed: int) -> list[list[int]]:
+        """Coarsest equitable refinement, each cell sorted.
+
+        Every cell but ``cells[seed]`` must split no cell once ``cells[seed]``
+        has been split against: true of the whole vertex set, and of an
+        equitable partition whose cell ``seed`` is a just-individualized
+        vertex.  So only that cell starts the queue; the others, popped, would
+        split nothing.
+
+        Cells are ranges of ``order``.  A splitting cell keeps its start, so
+        no other cell moves, and a splitter visits only the cells its
+        neighbors lie in, right to left.  Cells only shrink, so a queued
+        ``(start, stop)`` that has since split no longer matches ``end``.
+        """
+        n = self.n
+        adj = self.adj
+        order = [v for c in cells for v in c]
+        pos = sorted(range(n), key=order.__getitem__)  # pos[v]: index of v in order
+        cell_at = [0] * n
+        end = [0] * n
+        queue: deque[tuple[int, int]] = deque()
+        start = 0
+        for i, c in enumerate(cells):
+            end[start] = stop = start + len(c)
+            cell_at[start:stop] = [start] * len(c)
+            if i == seed:
+                queue.append((start, stop))
+            start = stop
+        ncells = len(cells)
+        cnt = [0] * n
+        while queue and ncells < n:
+            start, stop = queue.popleft()
+            if end[start] != stop:
                 continue
             touched: list[int] = []
-            for w in splitter:
-                for v in self.adj[w]:
+            for w in order[start:stop]:
+                for v in adj[w]:
                     if cnt[v] == 0:
                         touched.append(v)
                     cnt[v] += 1
-            for idx in range(len(cells) - 1, -1, -1):
-                cell = cells[idx]
-                if len(cell) == 1:
+            hit: dict[int, list[int]] = {}
+            for v in touched:
+                s = cell_at[pos[v]]
+                if end[s] - s > 1:
+                    hit.setdefault(s, []).append(v)
+            for s in sorted(hit, reverse=True):
+                mine = hit[s]
+                mine.sort(key=cnt.__getitem__)
+                e = end[s]
+                back = e - len(mine)
+                if back == s and cnt[mine[0]] == cnt[mine[-1]]:
                     continue
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault(cnt[v], []).append(v)
-                if len(groups) == 1:
-                    continue
-                fragments = [groups[c] for c in sorted(groups)]
-                live.discard(id(cell))
-                cells[idx : idx + 1] = fragments
-                for frag in fragments:
-                    live.add(id(frag))
-                    queue.append(frag)
+                # untouched vertices (count 0) fill [s, back), touched ones
+                # [back, e) by ascending count: the fragment order of the split
+                holes = [pos[v] for v in mine if pos[v] < back]
+                movers = [u for u in order[back:e] if cnt[u] == 0]
+                for i, u in zip(holes, movers):
+                    order[i] = u
+                    pos[u] = i
+                order[back:e] = mine
+                for i, v in enumerate(mine, back):
+                    pos[v] = i
+                cuts = [back] if back > s else []
+                cuts += [
+                    back + i
+                    for i in range(1, len(mine))
+                    if cnt[mine[i]] != cnt[mine[i - 1]]
+                ]
+                cuts.append(e)
+                ncells += len(cuts) - 1
+                p = s
+                for q in cuts:
+                    if p > s:
+                        cell_at[p:q] = [p] * (q - p)
+                    end[p] = q
+                    queue.append((p, q))
+                    p = q
             for v in touched:
                 cnt[v] = 0
-        return cells
+        out = []
+        start = 0
+        while start < n:
+            out.append(sorted(order[start : end[start]]))
+            start = end[start]
+        return out
 
     def individualize(self, cells: list[list[int]], tc: int, v: int) -> list[list[int]]:
         rest = [u for u in cells[tc] if u != v]
-        return self.refine(cells[:tc] + [[v], rest] + cells[tc + 1 :])
+        return self.refine(cells[:tc] + [[v], rest] + cells[tc + 1 :], tc)
 
     def leaf_certificate(self, cells: list[list[int]]) -> tuple[bytes, list[int]]:
         position = [0] * self.n
@@ -398,30 +460,31 @@ class _Search:
             self.handle_leaf(cells)
             return
         done: list[int] = []
+        reach: set[int] | None = set()
         for v in cells[tc]:
-            if self.equivalent_to_done(v, done, prefix):
+            if reach is None:
+                reach = self.orbit_fixing(done, prefix)
+            if v in reach:
                 continue
             done.append(v)
             self.descend(self.individualize(cells, tc, v), prefix + [v])
+            reach = None  # the branch may have found automorphisms
 
-    def equivalent_to_done(self, v: int, done: list[int], prefix: list[int]) -> bool:
-        if not done:
-            return False
-        fixing = [a for a in self.autos if all(a.images[p] == p for p in prefix)]
-        if not fixing:
-            return False
-        reach = set(done)
-        queue = deque(done)
+    def orbit_fixing(self, points: list[int], prefix: list[int]) -> set[int]:
+        """Orbit of ``points`` under the automorphisms found that fix ``prefix``."""
+        fixing = [a.images for a in self.autos]
+        for p in prefix:
+            fixing = [a for a in fixing if a[p] == p]
+        reach = set(points)
+        queue = deque(points)
         while queue:
             u = queue.popleft()
             for a in fixing:
-                w = a.images[u]
-                if w == v:
-                    return True
+                w = a[u]
                 if w not in reach:
                     reach.add(w)
                     queue.append(w)
-        return False
+        return reach
 
     def handle_leaf(self, cells: list[list[int]]) -> None:
         cert, position = self.leaf_certificate(cells)
@@ -504,12 +567,14 @@ def k_arcs(graph: Graph, k: int) -> list[tuple[int, ...]]:
 
 
 def _tuple_orbit_size(group: PermGroup, start: tuple[int, ...]) -> int:
+    """Orbit length of a tuple of at least two points."""
+    gens = [s.images for s in group.generators]
     seen = {start}
     queue = deque([start])
     while queue:
-        t = queue.popleft()
-        for s in group.generators:
-            img = tuple(s.images[v] for v in t)
+        images_of = itemgetter(*queue.popleft())
+        for g in gens:
+            img = images_of(g)
             if img not in seen:
                 seen.add(img)
                 queue.append(img)

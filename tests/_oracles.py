@@ -2,13 +2,17 @@
 
 Nothing here calls into the package beyond the Graph container: automorphisms
 by filtering all vertex bijections, girth by exhaustive path search, graph6 by
-direct bit-string packing, and the classical LCF and Kneser constructions.
+direct bit-string packing, and the classical LCF and Kneser constructions.  The
+exception is the straightforward refinement and branching of the
+individualization-refinement search, written as methods to patch into
+``bicayley.symmetry._Search`` in place of the fast ones.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from itertools import combinations, permutations
 
 from bicayley.graphs import Graph
@@ -124,3 +128,77 @@ def small_corpus(count: int, max_n: int = 8, seed: int = 2024) -> list[Graph]:
         n = rng.randint(4, max_n)
         graphs.append(random_graph(rng, n, rng.uniform(0.15, 0.7)))
     return graphs
+
+
+def reference_refine(search, cells: list[list[int]], seed: int) -> list[list[int]]:
+    """Refinement that re-scans every cell against every splitter.
+
+    Every cell starts the splitter queue, so ``seed`` (the one cell the fast
+    refinement starts from) is not needed.  Each splitter counts neighbors,
+    then every non-singleton cell, right to left, splits into fragments by
+    ascending count; the fragments replace it and join the queue.
+    """
+    cells = [sorted(c) for c in cells]
+    queue = deque(cells)
+    live = {id(c) for c in cells}
+    cnt = [0] * search.n
+    while queue:
+        splitter = queue.popleft()
+        if id(splitter) not in live:
+            continue
+        touched: list[int] = []
+        for w in splitter:
+            for v in search.adj[w]:
+                if cnt[v] == 0:
+                    touched.append(v)
+                cnt[v] += 1
+        for idx in range(len(cells) - 1, -1, -1):
+            cell = cells[idx]
+            if len(cell) == 1:
+                continue
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                groups.setdefault(cnt[v], []).append(v)
+            if len(groups) == 1:
+                continue
+            fragments = [groups[c] for c in sorted(groups)]
+            live.discard(id(cell))
+            cells[idx : idx + 1] = fragments
+            for frag in fragments:
+                live.add(id(frag))
+                queue.append(frag)
+        for v in touched:
+            cnt[v] = 0
+    return cells
+
+
+def reference_descend(search, cells: list[list[int]], prefix: list[int]) -> None:
+    """Branching that recomputes the pruning orbit for every candidate vertex."""
+
+    def equivalent_to_done(v: int, done: list[int]) -> bool:
+        if not done:
+            return False
+        fixing = [a for a in search.autos if all(a.images[p] == p for p in prefix)]
+        reach = set(done)
+        queue = deque(done)
+        while queue:
+            u = queue.popleft()
+            for a in fixing:
+                w = a.images[u]
+                if w == v:
+                    return True
+                if w not in reach:
+                    reach.add(w)
+                    queue.append(w)
+        return False
+
+    tc = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+    if tc is None:
+        search.handle_leaf(cells)
+        return
+    done: list[int] = []
+    for v in cells[tc]:
+        if equivalent_to_done(v, done):
+            continue
+        done.append(v)
+        search.descend(search.individualize(cells, tc, v), prefix + [v])

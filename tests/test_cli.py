@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bicayley import cli
 from bicayley.cli import main
 from bicayley.construction import build, parse_spec
 from bicayley.graphs import decode_graph6
@@ -101,3 +102,42 @@ def test_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
     assert "usage" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("command", ["table1", "table2", "theorem-b"])
+def test_empty_selection_fails(capsys, command):
+    assert main([command, "--max-vertices", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"bicayley {command}: no instances within --max-vertices 5"
+    code, payload = run_json(capsys, [command, "--max-vertices", "5"])
+    assert code == 2
+    assert payload["pass"] is False and payload["instances"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "H=3; S={0,1"], "bad connection set"),
+        (["analyze", "H=300; S={0,1,2}"], "exceeds the search bound 512"),
+        (["bci", "H=17; S={0,1,3}", "--method", "oracle"], "oracle is limited to groups"),
+        (["voltage-fig1", "--orders", "0"], "voltage group order must be positive"),
+        (["voltage-fig1", "--orders", "3,x"], "invalid literal"),
+    ],
+)
+def test_user_errors_are_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"bicayley {argv[0]}: ")
+    assert message in lines[0]
+    assert captured.out == ""
+
+
+def test_failures_still_raise(monkeypatch):
+    def disagree(args):
+        raise RuntimeError("criterion and oracle disagree")
+
+    monkeypatch.setattr(cli, "cmd_theorem_b", disagree)
+    with pytest.raises(RuntimeError):
+        main(["theorem-b"])

@@ -130,7 +130,7 @@ def test_graph6_matches_reference_packer():
     assert encode_graph6(k4) == "C~"
     assert encode_graph6(Graph.from_edges(1, [])) == "@"
     rng = random.Random(31)
-    for n in (0, 1, 2, 5, 8, 62, 63, 100):
+    for n in (0, 1, 2, 3, 4, 5, 8, 62, 63, 100, 256):
         g = random_graph(rng, n, 0.2)
         assert encode_graph6(g) == graph6_reference(g)
 

@@ -12,12 +12,16 @@ from _oracles import (
     kneser_petersen,
     lcf_graph,
     random_graph,
+    reference_descend,
+    reference_refine,
     small_corpus,
 )
+from bicayley import census
 from bicayley.abelian import make_group
 from bicayley.construction import BiCayleySpec, build, generalized_petersen, iota
-from bicayley.graphs import Graph
+from bicayley.graphs import Graph, encode_graph6
 from bicayley.symmetry import (
+    _Search,
     PermGroup,
     Permutation,
     are_conjugate,
@@ -59,6 +63,71 @@ def test_permutation_algebra():
     assert repr(p) == "(0 1 2)"
     with pytest.raises(ValueError):
         p * Permutation((0, 1, 2))
+
+
+def _random_permutation(rng: random.Random, n: int) -> Permutation:
+    images = list(range(n))
+    rng.shuffle(images)
+    return Permutation(tuple(images))
+
+
+def test_permutation_kernels_match_definitions():
+    rng = random.Random(41)
+    for n in (0, 1, 2, 3, 7, 64, 256):
+        ident = Permutation(tuple(range(n)))
+        assert ident.is_identity and Permutation.identity(n) == ident
+        if n >= 2:
+            swap = list(range(n))
+            swap[-2:] = [n - 1, n - 2]
+            assert not Permutation(tuple(swap)).is_identity
+        for _ in range(20):
+            p, q = _random_permutation(rng, n), _random_permutation(rng, n)
+            assert (p * q).images == tuple(q.images[p.images[v]] for v in range(n))
+            inv = p.inverse().images
+            assert sorted(inv) == list(range(n))
+            assert all(inv[p.images[v]] == v for v in range(n))
+            assert p.is_identity == all(p.images[v] == v for v in range(n))
+            assert (p * ident) == p == (ident * p)
+            assert (p * p.inverse()).is_identity and (p.inverse() * p).is_identity
+
+
+def _search_outcome(graph: Graph):
+    search = _Search(graph)
+    search.run()
+    labeling = search.best[1]
+    return [a.images for a in search.autos], labeling, encode_graph6(graph.relabel(labeling))
+
+
+def _relabeled(graphs, seed: int, copies: int) -> list[Graph]:
+    rng = random.Random(seed)
+    out = []
+    for g in graphs:
+        out.append(g)
+        for _ in range(copies):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            out.append(g.relabel(perm))
+    return out
+
+
+@pytest.mark.parametrize("patched", [("refine",), ("descend",), ("refine", "descend")])
+def test_search_matches_reference_refinement_and_branching(monkeypatch, patched):
+    members = census.table1_instances(128) + census.table2_instances(128)
+    graphs = _relabeled(small_corpus(40), 3, 2)
+    graphs += _relabeled([inst.bigraph.graph for inst in members], 4, 1)
+    fast = [_search_outcome(g) for g in graphs]
+    references = {"refine": reference_refine, "descend": reference_descend}
+    for name in patched:
+        monkeypatch.setattr(_Search, name, references[name])
+    assert [_search_outcome(g) for g in graphs] == fast
+
+
+def test_chain_inverses_invert_the_transversal():
+    group = automorphism_group(generalized_petersen(10, 3).graph)
+    for level in group.chain():
+        assert level.inverses.keys() == level.transversal.keys()
+        for q, rep in level.transversal.items():
+            assert (rep * level.inverses[q]).is_identity
 
 
 def test_perm_group_order_matches_naive_closure():
