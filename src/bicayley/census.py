@@ -16,7 +16,6 @@ from itertools import combinations
 from bicayley.abelian import (
     AbelianGroup,
     GroupElement,
-    automorphism_group_of,
     make_group,
     quotient_group,
     subgroup_generated,
@@ -30,7 +29,7 @@ from bicayley.construction import (
     generalized_petersen,
 )
 from bicayley.graphs import girth, is_connected
-from bicayley.symmetry import automorphism_group, certificate, k_arc_regularity
+from bicayley.symmetry import _arc_type, automorphism_group, certificate, k_arc_regularity
 
 __all__ = [
     "CensusInstance",
@@ -275,8 +274,9 @@ def verify_instance(inst: CensusInstance) -> dict:
     g = inst.bigraph.graph
     connected = is_connected(g)
     cubic = g.is_regular(3)
-    k, regular = k_arc_regularity(g) if connected and cubic else (None, False)
-    aut_order = automorphism_group(g).order()
+    aut = automorphism_group(g)
+    k, regular = _arc_type(g, aut) if connected and cubic else (None, False)
+    aut_order = aut.order()
     formula_ok = k is not None and aut_order == g.n * 3 * 2 ** (k - 1)
     # exact k-regularity implies transitivity on all shorter arcs
     claim_ok = k is not None and k >= inst.claimed_k
@@ -314,42 +314,31 @@ def _abelian_groups_up_to(max_order: int) -> list[AbelianGroup]:
     return [make_group(t) for t in abelian_isomorphism_types(max_order)]
 
 
-def theorem_a_search(max_group_order: int = 24, dedup: bool = True) -> list[dict]:
+def theorem_a_search(max_group_order: int = 24) -> list[dict]:
     """Exhaustive search for connected arc-transitive one-matching graphs with
     single right and left connection elements.
 
     Scans every abelian group up to the order bound, every pair of involutions
     (r, s) and every t != 1 with <r, s, t> the whole group, builds the graph
-    with R = {r}, L = {l}, S = {1, t}, and groups the outcomes by canonical
-    certificate.  With ``dedup`` the triples are first reduced modulo group
-    automorphisms and the (r, s) swap, which cannot change the graph.
+    with R = {r}, L = {s}, S = {1, t}, and groups the outcomes by canonical
+    certificate.  Two isomorphisms exist in every abelian group: exchanging the
+    halves maps (r, s, t) to (s, r, t^-1), and the automorphism h -> h^-1 fixes
+    the involutions r and s and maps (r, s, t) to (r, s, t^-1).  The scan
+    therefore keeps only r <= s and t <= t^-1; the first triple of each class in
+    scan order satisfies both, so every certificate keeps the example the full
+    scan would store first.
     """
     by_cert: dict[str, BiCayleySpec] = {}
     for group in _abelian_groups_up_to(max_group_order):
         elems = group.elements()
         involutions = [x for x in elems if not x.is_identity and (x * x).is_identity]
-        if not involutions:
-            continue
-        autos = automorphism_group_of(group) if dedup else []
-        seen: set = set()
-        for r in involutions:
-            for s in involutions:
+        for i, r in enumerate(involutions):
+            for s in involutions[i:]:
                 for t in elems:
-                    if t.is_identity:
+                    if t.is_identity or t.inverse() < t:
                         continue
                     if not subgroup_generated(group, [r, s, t]).is_whole_group:
                         continue
-                    if dedup:
-                        key = min(
-                            min(
-                                (sig(r).exponents, sig(s).exponents, sig(t).exponents),
-                                (sig(s).exponents, sig(r).exponents, sig(t).exponents),
-                            )
-                            for sig in autos
-                        )
-                        if key in seen:
-                            continue
-                        seen.add(key)
                     spec = BiCayleySpec.create(group, (r,), (s,), (group.identity, t))
                     cert = certificate(build(spec).graph)
                     by_cert.setdefault(cert, spec)

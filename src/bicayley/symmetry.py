@@ -513,7 +513,11 @@ class _Search:
 
 
 @lru_cache(maxsize=4096)
-def _analyzed(graph: Graph) -> tuple[tuple[Permutation, ...], Permutation, str]:
+def _analyzed(
+    adjacency: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[Permutation, ...], Permutation, str]:
+    # keyed on the edges alone, so the cache holds no vertex labels
+    graph = Graph(len(adjacency), adjacency)
     if graph.n > _MAX_SEARCH_VERTICES:
         raise ValueError(
             f"graph on {graph.n} vertices exceeds the search bound {_MAX_SEARCH_VERTICES}"
@@ -528,7 +532,7 @@ def _analyzed(graph: Graph) -> tuple[tuple[Permutation, ...], Permutation, str]:
 
 def automorphism_group(graph: Graph) -> PermGroup:
     """Full automorphism group of the graph."""
-    autos, _, _ = _analyzed(graph)
+    autos, _, _ = _analyzed(graph.adjacency)
     return PermGroup(graph.n, autos)
 
 
@@ -538,12 +542,12 @@ def canonical_form(graph: Graph) -> tuple[Permutation, str]:
     Isomorphic graphs receive equal certificates; the labeling maps each
     vertex to its canonical position.
     """
-    _, labeling, cert = _analyzed(graph)
+    _, labeling, cert = _analyzed(graph.adjacency)
     return labeling, cert
 
 
 def certificate(graph: Graph) -> str:
-    return _analyzed(graph)[2]
+    return _analyzed(graph.adjacency)[2]
 
 
 # --- k-arc machinery ---------------------------------------------------------
@@ -593,7 +597,11 @@ def k_arc_regularity(graph: Graph) -> tuple[int | None, bool]:
         raise ValueError("k-arc-regularity analysis requires a cubic graph")
     if not is_connected(graph):
         raise ValueError("k-arc-regularity analysis requires a connected graph")
-    aut = automorphism_group(graph)
+    return _arc_type(graph, automorphism_group(graph))
+
+
+def _arc_type(graph: Graph, aut: PermGroup) -> tuple[int | None, bool]:
+    """k_arc_regularity for a connected cubic graph with automorphism group aut."""
     one_arcs = k_arcs(graph, 1)
     if _tuple_orbit_size(aut, one_arcs[0]) != len(one_arcs):
         return None, False

@@ -3,9 +3,10 @@
 Nothing here calls into the package beyond the Graph container: automorphisms
 by filtering all vertex bijections, girth by exhaustive path search, graph6 by
 direct bit-string packing, and the classical LCF and Kneser constructions.  The
-exception is the straightforward refinement and branching of the
+exceptions are the straightforward refinement and branching of the
 individualization-refinement search, written as methods to patch into
-``bicayley.symmetry._Search`` in place of the fast ones.
+``bicayley.symmetry._Search`` in place of the fast ones, and the unreduced
+Theorem A scan, which builds and certifies graphs through the package.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import random
 from collections import deque
 from itertools import combinations, permutations
 
+from bicayley.abelian import abelian_isomorphism_types, make_group, subgroup_generated
+from bicayley.construction import BiCayleySpec, build
 from bicayley.graphs import Graph
+from bicayley.symmetry import certificate
 
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -202,3 +206,27 @@ def reference_descend(search, cells: list[list[int]], prefix: list[int]) -> None
             continue
         done.append(v)
         search.descend(search.individualize(cells, tc, v), prefix + [v])
+
+
+def reference_theorem_a_scan(max_group_order: int) -> dict:
+    """Certificate -> first spec of the Theorem A scan with no reduction.
+
+    Every abelian group up to the bound, every ordered pair of involutions
+    (r, s) and every t != 1 with <r, s, t> the whole group, in the order the
+    groups, involutions and elements are listed.
+    """
+    by_cert = {}
+    for orders in abelian_isomorphism_types(max_group_order):
+        group = make_group(orders)
+        elems = group.elements()
+        involutions = [x for x in elems if not x.is_identity and (x * x).is_identity]
+        for r in involutions:
+            for s in involutions:
+                for t in elems:
+                    if t.is_identity:
+                        continue
+                    if not subgroup_generated(group, [r, s, t]).is_whole_group:
+                        continue
+                    spec = BiCayleySpec.create(group, (r,), (s,), (group.identity, t))
+                    by_cert.setdefault(certificate(build(spec).graph), spec)
+    return by_cert

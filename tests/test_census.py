@@ -1,5 +1,5 @@
 """Census generation: instance selection under a vertex bound, row metadata,
-and the two exhaustive searches at small bounds."""
+and the two exhaustive searches, at small bounds and Theorem A at order 48."""
 
 import re
 
@@ -13,9 +13,11 @@ from bicayley.census import (
     theorem_b_verify,
     verify_instance,
 )
-from bicayley.construction import build, parse_spec
+from bicayley.construction import build, format_spec, parse_spec
 from bicayley.graphs import bipartition, girth
-from bicayley.symmetry import certificate
+from bicayley.symmetry import certificate, k_arc_regularity
+
+from _oracles import reference_theorem_a_scan
 
 
 def test_table1_within_64():
@@ -150,11 +152,31 @@ def test_theorem_a_search_small_bound():
         rebuilt = build(parse_spec(rec["example"])).graph
         assert rec["vertices"] == rebuilt.n
         assert certificate(rebuilt) == rec["certificate"]
-    # symmetry reduction must not change the outcome
-    raw = theorem_a_search(8, dedup=False)
-    assert sorted(rec["certificate"] for rec in raw) == sorted(
-        rec["certificate"] for rec in results
-    )
+
+
+def test_theorem_a_search_matches_unreduced_scan():
+    # the swap and inversion reductions keep every graph and its first example
+    for bound in (8, 12):
+        reference = reference_theorem_a_scan(bound)
+        expected = sorted(
+            cert
+            for cert, spec in reference.items()
+            if k_arc_regularity(build(spec).graph)[1]
+        )
+        results = theorem_a_search(bound)
+        assert sorted(rec["certificate"] for rec in results) == expected
+        for rec in results:
+            assert rec["example"] == format_spec(reference[rec["certificate"]])
+
+
+def test_theorem_a_search_order_48():
+    results = theorem_a_search(48)
+    assert [(rec["name"], rec["vertices"], rec["arc_type"]) for rec in results] == [
+        ("K_4", 4, 2),
+        ("Q_3", 8, 2),
+        ("GP(8,3)", 16, 2),
+        ("GP(12,5)", 24, 2),
+    ]
 
 
 def test_theorem_b_small_bound():
