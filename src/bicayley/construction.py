@@ -29,7 +29,6 @@ __all__ = [
     "right_translation",
     "right_translations",
     "iota",
-    "tau_for",
     "generalized_petersen",
     "quotient_bicayley",
     "classify_type",
@@ -77,10 +76,6 @@ class BiCayleySpec:
                         f"{g.inverse().exponents}"
                     )
         return BiCayleySpec(group, right, left, spokes)
-
-    @staticmethod
-    def zero_type(group: AbelianGroup, spokes) -> "BiCayleySpec":
-        return BiCayleySpec.create(group, (), (), spokes)
 
     @property
     def degree(self) -> int:
@@ -198,17 +193,6 @@ def iota(b: BiCayleyGraph) -> Permutation:
         x, part = b.element_at(v)
         images[v] = b.vertex(x.inverse(), 1 - part)
     return Permutation(tuple(images))
-
-
-def tau_for(b: BiCayleyGraph) -> Permutation:
-    """The part-swapping involution normalizing every right translation.
-
-    Defined for 0-type graphs only; conjugation satisfies
-    tau^-1 R(y) tau = R(y^-1).
-    """
-    if classify_type(b.spec) != 0:
-        raise ValueError("tau is defined for 0-type bi-Cayley graphs only")
-    return iota(b)
 
 
 def generalized_petersen(n: int, k: int) -> BiCayleyGraph:

@@ -3,9 +3,9 @@
 The automorphism and canonical-form engine is a backtracking search over
 equitable ordered partitions (individualization-refinement).  Group order and
 membership go through a deterministic Schreier-Sims stabilizer chain;
-subgroup-level operations (cores, normalizers, conjugacy, semiregular
-enumeration) work by explicit element enumeration, bounded by
-BICAYLEY_MAX_AUT (default 100000).
+subgroup-level operations (normalizers, conjugacy, semiregular enumeration)
+work by explicit element enumeration, bounded by BICAYLEY_MAX_AUT (default
+100000).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from functools import lru_cache
 from math import lcm
 from operator import itemgetter
 
-from bicayley.abelian import AbelianGroup, make_group
 from bicayley.graphs import Graph, encode_graph6, is_connected
 
 __all__ = [
@@ -28,12 +27,7 @@ __all__ = [
     "certificate",
     "k_arcs",
     "k_arc_regularity",
-    "core_of",
     "normalizer",
-    "setwise_stabilizer",
-    "block_system_and_kernel",
-    "regular_normal_subgroups",
-    "is_generalized_dihedral",
     "enumerate_semiregular",
     "are_conjugate",
     "max_enumeration_bound",
@@ -265,12 +259,11 @@ class PermGroup:
                     queue.append(q)
         return frozenset(orb)
 
-    def orbits(self, points=None) -> list[frozenset[int]]:
+    def orbits(self) -> list[frozenset[int]]:
         """Orbit partition, ordered by least point."""
-        domain = range(self.degree) if points is None else sorted(points)
         seen: set[int] = set()
         out = []
-        for v in domain:
+        for v in range(self.degree):
             if v not in seen:
                 orb = self.orbit(v)
                 seen |= orb
@@ -283,10 +276,10 @@ class PermGroup:
             return True
         return points <= self.orbit(min(points))
 
-    def is_semiregular(self, points=None) -> bool:
+    def is_semiregular(self) -> bool:
         """True when only the identity fixes a point (all orbits of full size)."""
         o = self.order()
-        return all(len(orb) == o for orb in self.orbits(points))
+        return all(len(orb) == o for orb in self.orbits())
 
     def semiregular_with_orbits(self, parts) -> bool:
         """Semiregular with orbit partition exactly ``parts``."""
@@ -302,11 +295,11 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
-def _mul_close(perms, degree: int, limit: int | None = None) -> set[Permutation] | None:
-    """Closure under multiplication; None when ``limit`` is exceeded."""
+def _mul_close(perms, degree: int, limit: int) -> set[Permutation] | None:
+    """Closure under multiplication; None when it exceeds ``limit`` elements."""
     closed = {Permutation.identity(degree)}
     closed.update(perms)
-    if limit is not None and len(closed) > limit:
+    if len(closed) > limit:
         return None
     frontier = list(closed)
     gens = [p for p in perms if not p.is_identity]
@@ -315,7 +308,7 @@ def _mul_close(perms, degree: int, limit: int | None = None) -> set[Permutation]
         for s in gens:
             y = x * s
             if y not in closed:
-                if limit is not None and len(closed) >= limit:
+                if len(closed) >= limit:
                     return None
                 closed.add(y)
                 frontier.append(y)
@@ -625,22 +618,6 @@ def _arc_type(graph: Graph, aut: PermGroup) -> tuple[int | None, bool]:
 # --- subgroup-level operations ----------------------------------------------
 
 
-def core_of(sub: PermGroup, group: PermGroup) -> PermGroup:
-    """Largest subgroup of ``sub`` normal in ``group``.
-
-    Fixed point of intersecting with conjugates under the generators; only
-    ``sub`` is enumerated.
-    """
-    current = set(sub.elements())
-    gens = group.generators
-    while True:
-        kept = {h for h in current if all(s.inverse() * h * s in current for s in gens)}
-        if len(kept) == len(current):
-            break
-        current = kept
-    return PermGroup.from_elements(sub.degree, current)
-
-
 def normalizer(sub: PermGroup, group: PermGroup) -> PermGroup:
     """Elements of ``group`` whose conjugation preserves ``sub``."""
     sub_elems = frozenset(p.images for p in sub.elements())
@@ -651,198 +628,6 @@ def normalizer(sub: PermGroup, group: PermGroup) -> PermGroup:
         if all((x.inverse() * h * x).images in sub_elems for h in sub_gens)
     ]
     return PermGroup.from_elements(group.degree, keep)
-
-
-def setwise_stabilizer(group: PermGroup, points) -> PermGroup:
-    """Subgroup of ``group`` preserving the point set."""
-    target = frozenset(points)
-    keep = [x for x in group.elements() if {x.images[v] for v in target} == target]
-    return PermGroup.from_elements(group.degree, keep)
-
-
-def block_system_and_kernel(
-    group: PermGroup, normal_sub: PermGroup
-) -> tuple[list[frozenset[int]], PermGroup]:
-    """Orbits of a normal subgroup as blocks, plus the kernel of the block action."""
-    blocks = normal_sub.orbits()
-    if len(blocks) < 2:
-        raise ValueError("subgroup is transitive; its orbits form no proper block system")
-    kernel = [
-        x for x in group.elements() if all({x.images[v] for v in b} == b for b in blocks)
-    ]
-    return blocks, PermGroup.from_elements(group.degree, kernel)
-
-
-def _conjugacy_classes(elements, gens) -> list[list[Permutation]]:
-    remaining = {p.images: p for p in elements}
-    classes = []
-    inv_pairs = [(s, s.inverse()) for s in gens]
-    while remaining:
-        start = remaining.pop(min(remaining))
-        cls = [start]
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for s, s_inv in inv_pairs:
-                y = s_inv * x * s
-                if y.images in remaining:
-                    del remaining[y.images]
-                    cls.append(y)
-                    queue.append(y)
-        classes.append(cls)
-    return classes
-
-
-def regular_normal_subgroups(group: PermGroup) -> list[PermGroup]:
-    """All normal subgroups acting regularly on the whole domain.
-
-    Every normal subgroup is a join of normal closures of conjugacy classes,
-    so the join-closure of those closures is the full normal subgroup lattice.
-    """
-    degree = group.degree
-    elems = group.elements()
-    classes = _conjugacy_classes(elems, group.generators)
-    closures = []
-    for cls in classes:
-        closed = _mul_close(cls, degree)
-        assert closed is not None
-        closures.append(frozenset(closed))
-    normals: set[frozenset[Permutation]] = {frozenset({Permutation.identity(degree)})}
-    frontier = list(normals)
-    while frontier:
-        cur = frontier.pop()
-        for clo in closures:
-            if clo <= cur:
-                continue
-            joined = _mul_close(cur | clo, degree)
-            assert joined is not None
-            fs = frozenset(joined)
-            if fs not in normals:
-                normals.add(fs)
-                frontier.append(fs)
-    out = []
-    for nset in normals:
-        if len(nset) != degree:
-            continue
-        cand = PermGroup.from_elements(degree, nset)
-        if cand.is_transitive_on(range(degree)) and cand.is_semiregular():
-            out.append(cand)
-    out.sort(key=lambda g: sorted(p.images for p in g.elements()))
-    return out
-
-
-def _abelian_type_from_elements(elements) -> AbelianGroup:
-    """Invariant factors of an abelian permutation group from element orders."""
-    size = len(elements)
-    orders = [p.order() for p in elements]
-    primes = []
-    s = size
-    d = 2
-    while d * d <= s:
-        if s % d == 0:
-            primes.append(d)
-            while s % d == 0:
-                s //= d
-        d += 1
-    if s > 1:
-        primes.append(s)
-
-    per_prime: list[tuple[int, list[int]]] = []
-    for p in primes:
-        # sigma_j = log_p #{x : order(x) divides p^j}; the differences are the
-        # conjugate partition of the exponent multiset of the p-part
-        sigmas = [0]
-        j = 1
-        while True:
-            count = sum(1 for o in orders if p**j % o == 0)
-            sigma = 0
-            c = count
-            while c > 1:
-                c //= p
-                sigma += 1
-            sigmas.append(sigma)
-            if sigmas[j] == sigmas[j - 1]:
-                sigmas.pop()
-                break
-            j += 1
-        counts_ge = [sigmas[i] - sigmas[i - 1] for i in range(1, len(sigmas))]
-        part = []
-        for e in range(1, len(counts_ge) + 1):
-            nxt = counts_ge[e] if e < len(counts_ge) else 0
-            part.extend([e] * (counts_ge[e - 1] - nxt))
-        part.sort(reverse=True)
-        per_prime.append((p, part))
-
-    depth = max((len(part) for _, part in per_prime), default=0)
-    if depth == 0:
-        return make_group([1])
-    factors = []
-    for i in range(depth):
-        f = 1
-        for p, part in per_prime:
-            if i < len(part):
-                f *= p ** part[i]
-        factors.append(f)
-    return make_group(factors)
-
-
-def is_generalized_dihedral(group: PermGroup) -> AbelianGroup | None:
-    """The abelian index-2 subgroup inverted by outside elements, or None.
-
-    Only non-abelian groups qualify: the degenerate "dihedral over an
-    elementary abelian 2-group" (which is abelian) reports None.
-    """
-    elems = group.elements()
-    n = len(elems)
-    if n % 2 != 0:
-        return None
-    if all(a * b == b * a for i, a in enumerate(elems) for b in elems[i + 1 :]):
-        return None
-    degree = group.degree
-    # every index-2 subgroup contains <squares, commutators>
-    seeds = [x * x for x in elems]
-    seeds += [
-        a.inverse() * b.inverse() * a * b
-        for a in group.generators
-        for b in group.generators
-    ]
-    base = _mul_close(seeds, degree)
-    assert base is not None
-    if len(base) * 2 > n:
-        return None
-    base_set = frozenset(base)
-    # greedy F2-basis of the (elementary abelian) coset group
-    basis: list[Permutation] = []
-    span = set(base_set)
-    for x in sorted(elems, key=lambda p: p.images):
-        if len(span) == n:
-            break
-        if x not in span:
-            basis.append(x)
-            grown = _mul_close(span | {x}, degree)
-            assert grown is not None
-            span = grown
-    r = len(basis)
-    for mask in range(1, 2**r):
-        # kernel of the functional sending basis[i] to bit i of mask
-        gens = list(base_set)
-        ones = [basis[i] for i in range(r) if (mask >> i) & 1]
-        zeros = [basis[i] for i in range(r) if not (mask >> i) & 1]
-        gens.extend(zeros)
-        gens.extend(ones[i] * ones[j] for i in range(len(ones)) for j in range(i + 1, len(ones)))
-        kernel = _mul_close(gens, degree)
-        assert kernel is not None
-        if len(kernel) * 2 != n:
-            continue
-        sub = sorted(kernel, key=lambda p: p.images)
-        if not all(a * b == b * a for i, a in enumerate(sub) for b in sub[i + 1 :]):
-            continue
-        kernel_set = frozenset(kernel)
-        eta = next(x for x in sorted(elems, key=lambda p: p.images) if x not in kernel_set)
-        eta_inv = eta.inverse()
-        if all(eta_inv * x * eta == x.inverse() for x in sub):
-            return _abelian_type_from_elements(sub)
-    return None
 
 
 def enumerate_semiregular(group: PermGroup, parts, m: int) -> list[PermGroup]:
@@ -878,7 +663,7 @@ def enumerate_semiregular(group: PermGroup, parts, m: int) -> list[PermGroup]:
         for x in candidates:
             if x in cur:
                 continue
-            closed = _mul_close(cur | {x}, degree, limit=m)
+            closed = _mul_close(cur | {x}, degree, m)
             if closed is None:
                 continue
             fs = frozenset(closed)

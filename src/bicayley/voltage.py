@@ -210,14 +210,6 @@ def circuit_voltage(va: VoltageAssignment, circuit: BaseCircuit) -> GroupElement
     return acc
 
 
-def _fiber_index(group: AbelianGroup) -> dict[GroupElement, int]:
-    return {g: i for i, g in enumerate(group.elements())}
-
-
-def derived_vertex(va: VoltageAssignment, w: int, k: GroupElement) -> int:
-    return w * va.group.size + _fiber_index(va.group)[k]
-
-
 def derive(va: VoltageAssignment) -> Graph:
     """The covering graph: vertices (w, k), edges {(w,k), (w', zeta(w,w')k)}."""
     kelems = va.group.elements()

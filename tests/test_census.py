@@ -1,8 +1,12 @@
 """Census generation: instance selection under a vertex bound, row metadata,
 and the two exhaustive searches, at small bounds and Theorem A at order 48."""
 
+import dataclasses
 import re
 
+import pytest
+
+from bicayley import bci
 from bicayley.abelian import invariant_factors
 from bicayley.census import (
     SCOPE_NOTE,
@@ -190,6 +194,31 @@ def test_theorem_b_small_bound():
         g = build(parse_spec(rec["spec"])).graph
         assert g.n == rec["vertices"]
         assert bipartition(g) is not None
+
+
+def test_theorem_b_oracle_runs_exactly_up_to_its_limit():
+    results = theorem_b_verify(20, oracle_limit=7)
+    checked = [rec["oracle_checked"] for rec in results]
+    assert checked == [rec["vertices"] // 2 <= 7 for rec in results]
+    assert checked == [False, True, True, False, True]
+
+
+def test_theorem_b_refuses_a_limit_the_oracle_cannot_meet():
+    for max_vertices in (20, 0):  # at 0 no member is selected: the call refuses up front
+        with pytest.raises(ValueError, match="16"):
+            theorem_b_verify(max_vertices, oracle_limit=17)
+
+
+def test_theorem_b_raises_when_criterion_and_oracle_disagree(monkeypatch):
+    real = bci.bci_oracle
+
+    def flipped(b):
+        verdict = real(b)
+        return dataclasses.replace(verdict, is_bci=not verdict.is_bci)
+
+    monkeypatch.setattr(bci, "bci_oracle", flipped)
+    with pytest.raises(RuntimeError, match="disagree"):
+        theorem_b_verify(20)
 
 
 def test_negative_controls():

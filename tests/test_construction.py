@@ -19,7 +19,6 @@ from bicayley.construction import (
     quotient_bicayley,
     right_translation,
     right_translations,
-    tau_for,
 )
 from bicayley.graphs import is_connected, quotient_by_partition
 from bicayley.symmetry import PermGroup, certificate
@@ -48,7 +47,7 @@ def test_spec_validation():
 
 def test_classify_type():
     z4 = make_group([4])
-    assert classify_type(BiCayleySpec.zero_type(z4, (z4.identity,))) == 0
+    assert classify_type(BiCayleySpec.create(z4, (), (), (z4.identity,))) == 0
     assert classify_type(generalized_petersen(5, 2).spec) == 2
     lopsided = BiCayleySpec.create(z4, (z4.element(2),), (), (z4.identity,))
     assert classify_type(lopsided) is None
@@ -181,14 +180,12 @@ def test_iota_is_an_automorphism_exactly_when_sets_match():
 
 def test_tau_swaps_parts_and_inverts_translations():
     heawood = _zero_type([7], [0, 1, 3])
-    tau = tau_for(heawood)
+    tau = iota(heawood)
     for y in heawood.group.elements():
         left = tau.inverse() * right_translation(heawood, y) * tau
         assert left == right_translation(heawood, y.inverse())
     joined = PermGroup(14, list(right_translations(heawood).generators) + [tau])
     assert joined.is_transitive_on(range(14))
-    with pytest.raises(ValueError):
-        tau_for(generalized_petersen(5, 2))
 
 
 def test_one_type_instance_is_gp_12_5():

@@ -26,18 +26,13 @@ from bicayley.symmetry import (
     Permutation,
     are_conjugate,
     automorphism_group,
-    block_system_and_kernel,
     canonical_form,
     certificate,
-    core_of,
     enumerate_semiregular,
-    is_generalized_dihedral,
     k_arc_regularity,
     k_arcs,
     max_enumeration_bound,
     normalizer,
-    regular_normal_subgroups,
-    setwise_stabilizer,
 )
 
 K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -245,23 +240,6 @@ def test_k_arc_regularity_frozen_values():
         k_arc_regularity(two_k4)
 
 
-def test_core_matches_element_filter():
-    s4 = automorphism_group(K4)
-    stab = setwise_stabilizer(s4, {0})
-    klein = PermGroup(4, [Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))])
-    for sub in (stab, klein, s4):
-        got = core_of(sub, s4)
-        sub_set = set(sub.elements())
-        expected = {
-            h
-            for h in sub.elements()
-            if all(g.inverse() * h * g in sub_set for g in s4.elements())
-        }
-        assert set(got.elements()) == expected
-    assert core_of(stab, s4).order() == 1
-    assert set(core_of(klein, s4).elements()) == set(klein.elements())
-
-
 def test_normalizer_matches_element_filter():
     s4 = automorphism_group(K4)
     swap = PermGroup(4, [Permutation((1, 0, 2, 3))])
@@ -275,88 +253,6 @@ def test_normalizer_matches_element_filter():
     assert set(got.elements()) == expected
     assert normalizer(s4, s4).order() == 24
     assert normalizer(PermGroup.trivial(4), s4).order() == 24
-
-
-def test_setwise_stabilizer_matches_element_filter():
-    d6 = automorphism_group(C6)
-    for points in ({0}, {0, 3}, {0, 1}, set(), set(range(6))):
-        got = setwise_stabilizer(d6, points)
-        expected = {
-            g for g in d6.elements() if {g.images[v] for v in points} == points
-        }
-        assert set(got.elements()) == expected
-    assert setwise_stabilizer(d6, set()).order() == d6.order()
-    # part-0 stabilizer has index 2 in the census bipartite graphs
-    for b in (_zero_type([3], [0, 1, 2]), _zero_type([7], [0, 1, 3])):
-        aut = automorphism_group(b.graph)
-        stab = setwise_stabilizer(aut, b.parts[0])
-        assert aut.order() == 2 * stab.order()
-
-
-def test_block_system_and_kernel():
-    d6 = automorphism_group(C6)
-    rot2 = PermGroup(6, [Permutation((2, 3, 4, 5, 0, 1))])
-    blocks, kernel = block_system_and_kernel(d6, rot2)
-    assert blocks == [frozenset({0, 2, 4}), frozenset({1, 3, 5})]
-    expected = {
-        g
-        for g in d6.elements()
-        if all({g.images[v] for v in b} == b for b in blocks)
-    }
-    assert set(kernel.elements()) == expected
-    # trivial subgroup: singleton blocks, trivial kernel
-    blocks, kernel = block_system_and_kernel(d6, PermGroup.trivial(6))
-    assert len(blocks) == 6 and kernel.order() == 1
-    with pytest.raises(ValueError):
-        block_system_and_kernel(d6, d6)
-
-
-def test_block_kernel_of_characteristic_subgroup_is_translation_group():
-    # the order-4 characteristic subgroup 2(Z_4^2) in the 32-point square
-    # instance: the block kernel is exactly its translation group
-    from bicayley.abelian import subgroup_generated
-    from bicayley.construction import right_translation
-
-    z44 = make_group([4, 4])
-    b = build(
-        BiCayleySpec.create(
-            z44, (), (), (z44.identity, z44.element((1, 0)), z44.element((0, 1)))
-        )
-    )
-    aut = automorphism_group(b.graph)
-    k = subgroup_generated(z44, [z44.element((2, 0)), z44.element((0, 2))])
-    rk = PermGroup(32, [right_translation(b, g) for g in k.sorted_elements()])
-    blocks, kernel = block_system_and_kernel(aut, rk)
-    assert len(blocks) == 8
-    assert frozenset(p.images for p in kernel.elements()) == frozenset(
-        p.images for p in rk.elements()
-    )
-
-
-def test_regular_normal_subgroups():
-    subs = regular_normal_subgroups(automorphism_group(K4))
-    assert len(subs) == 1 and subs[0].order() == 4
-    assert subs[0].is_semiregular() and subs[0].is_transitive_on(range(4))
-    subs5 = regular_normal_subgroups(automorphism_group(C5))
-    assert len(subs5) == 1 and subs5[0].order() == 5
-    for sub in subs + subs5:
-        full = automorphism_group(K4 if sub.degree == 4 else C5)
-        for g in full.generators:
-            for h in sub.generators:
-                assert sub.contains(g.inverse() * h * g)
-
-
-def test_generalized_dihedral_recognition():
-    d5 = automorphism_group(C5)
-    assert is_generalized_dihedral(d5).orders == (5,)
-    rot = PermGroup(5, [Permutation((1, 2, 3, 4, 0))])
-    assert is_generalized_dihedral(rot) is None  # abelian groups do not count
-    assert is_generalized_dihedral(automorphism_group(K4)) is None
-    # the 26-point arc-regular graph has a regular normal Dih(Z_13)
-    f26 = lcf_graph([-7, 7], 13)
-    regs = regular_normal_subgroups(automorphism_group(f26))
-    assert len(regs) == 1 and regs[0].order() == 26
-    assert is_generalized_dihedral(regs[0]).orders == (13,)
 
 
 def test_enumerate_semiregular():
