@@ -4,7 +4,8 @@ A graph built from spokes alone has the CI-style property when every other
 spoke set giving an isomorphic graph differs from it only by a group
 automorphism followed by a translation.  Two independent deciders are
 provided: a group-theoretic criterion on the automorphism group, and a
-brute-force scan over all candidate spoke sets for small groups.
+brute-force scan over the candidate spoke sets, one translate of each, for
+small groups.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from bicayley.abelian import automorphism_group_of, element_order
+from bicayley.abelian import AbelianGroup, automorphism_group_of
 from bicayley.construction import (
     BiCayleyGraph,
     BiCayleySpec,
@@ -66,13 +67,7 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
     norm = normalizer(trans, aut)
     transitive = norm.is_transitive_on(range(b.graph.n))
 
-    histogram = sorted(element_order(x) for x in group.elements())
-    members = []
-    for sub in enumerate_semiregular(aut, b.parts, group.size):
-        if not sub.is_abelian():
-            continue
-        if sorted(p.order() for p in sub.elements()) == histogram:
-            members.append(sub)
+    members = enumerate_semiregular(aut, b.parts, group.orders)
     if not any(
         frozenset(p.images for p in sub.elements())
         == frozenset(p.images for p in trans.elements())
@@ -100,9 +95,32 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
     )
 
 
+def _identity_spoke_sets(group: AbelianGroup, k: int):
+    """The k-subsets of the group that contain the identity, in scan order.
+
+    BC(H, T) is isomorphic to BC(H, hT) for every h, so these meet every
+    translation class of k-subsets: a scan for a graph isomorphic to a given
+    one finds a match among them iff it finds one among all k-subsets.  The
+    identity comes first in ``group.elements()``, so the subsets containing it
+    open the full lexicographic scan, and the first match is the same.
+    """
+    if k == 0:
+        return  # no 0-subset contains the identity
+    identity, *others = group.elements()
+    for rest in combinations(others, k - 1):
+        yield (identity, *rest)
+
+
 def bci_oracle(b: BiCayleyGraph) -> BciVerdict:
-    """Scan every spoke set of the same size; each one giving an isomorphic
-    graph must be a translate of an automorphic image of the original."""
+    """Scan the spoke sets of the same size; each one giving an isomorphic
+    graph must be a translate of an automorphic image of the original.
+
+    The admissible family {hS^sigma} is closed under translation, so T is a
+    counterexample iff its translate T t^-1 (t in T) is one, and only the sets
+    containing the identity are scanned (``_identity_spoke_sets``); the first
+    counterexample is the one the full scan reports.  An empty S is its own
+    only candidate, and admissible.
+    """
     _require_spoke_only(b)
     group = b.spec.group
     if group.size > _ORACLE_LIMIT:
@@ -120,7 +138,7 @@ def bci_oracle(b: BiCayleyGraph) -> BciVerdict:
             admissible.add(frozenset(h * x for x in image))
 
     counterexample = None
-    for raw in combinations(group.elements(), len(spokes)):
+    for raw in _identity_spoke_sets(group, len(spokes)):
         candidate = frozenset(raw)
         if candidate in admissible:
             continue

@@ -91,10 +91,11 @@ def cmd_analyze(args) -> int:
     connected = is_connected(g)
     aut = automorphism_group(g)
     k, regular = _arc_type(g, aut) if connected and g.is_regular(3) else (None, False)
+    shortest = girth(g)
     payload = {
         "spec": args.spec,
         "vertices": g.n,
-        "girth": None if girth(g) == float("inf") else girth(g),
+        "girth": None if shortest == float("inf") else shortest,
         "bipartite": bipartition(g) is not None,
         "connected": connected,
         "aut_order": aut.order(),

@@ -14,7 +14,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter
 
 from bicayley.graphs import Graph, encode_graph6, is_connected
@@ -287,32 +287,8 @@ class PermGroup:
         have = sorted(self.orbits(), key=min)
         return want == have and self.is_semiregular()
 
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1 :])
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
-
-
-def _mul_close(perms, degree: int, limit: int) -> set[Permutation] | None:
-    """Closure under multiplication; None when it exceeds ``limit`` elements."""
-    closed = {Permutation.identity(degree)}
-    closed.update(perms)
-    if len(closed) > limit:
-        return None
-    frontier = list(closed)
-    gens = [p for p in perms if not p.is_identity]
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = x * s
-            if y not in closed:
-                if len(closed) >= limit:
-                    return None
-                closed.add(y)
-                frontier.append(y)
-    return closed
 
 
 # --- individualization-refinement search ------------------------------------
@@ -630,20 +606,30 @@ def normalizer(sub: PermGroup, group: PermGroup) -> PermGroup:
     return PermGroup.from_elements(group.degree, keep)
 
 
-def enumerate_semiregular(group: PermGroup, parts, m: int) -> list[PermGroup]:
-    """Subgroups of order m, semiregular, whose orbits are exactly the two parts.
+def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
+    """Subgroups isomorphic to H = Z_d1 x ... x Z_dr (``orders``), semiregular,
+    whose orbits are exactly the two parts.
 
     Candidate elements must preserve both parts and be fixed-point-free; a
-    group of such elements is semiregular, and at order m = |part| its orbits
-    are forced to be the parts themselves.
+    group of such elements is semiregular, and at order m = |H| = |part| its
+    orbits are forced to be the parts themselves.  The subgroups are built from
+    generator tuples (g_1, ..., g_r): g_i has order exactly d_i and commutes
+    with the earlier picks, and every coset P g_i^j (0 < j < d_i) of the
+    partial subgroup P they generate consists of candidates, so it misses P,
+    which holds the identity.  The cosets are then pairwise disjoint and
+    |<P, g_i>| = |P| d_i.  A completed tuple generates an abelian group of
+    order |H| on generators of orders d_i: a quotient of H of the same size,
+    so isomorphic to H.  Conversely the images of H's standard generators
+    under an isomorphism form such a tuple, so every subgroup isomorphic to H
+    is found.  Tuples generating the same partial subgroup are merged.
     """
+    m = prod(orders)
     part0, part1 = (frozenset(p) for p in parts)
     if len(part0) != m or len(part1) != m:
         raise ValueError(
             f"parts of sizes {len(part0)},{len(part1)} cannot be the orbits of an order-{m} group"
         )
     degree = group.degree
-    ident = Permutation.identity(degree)
     candidates = []
     for x in group.elements():
         if x.is_identity:
@@ -654,33 +640,37 @@ def enumerate_semiregular(group: PermGroup, parts, m: int) -> list[PermGroup]:
             continue
         candidates.append(x)
     cand_set = frozenset(candidates)
-    start = frozenset({ident})
-    seen: set[frozenset[Permutation]] = {start}
-    frontier = [start]
-    found: set[frozenset[Permutation]] = set()
-    while frontier:
-        cur = frontier.pop()
-        for x in candidates:
-            if x in cur:
-                continue
-            closed = _mul_close(cur | {x}, degree, m)
-            if closed is None:
-                continue
-            fs = frozenset(closed)
-            if fs in seen:
-                continue
-            seen.add(fs)
-            if any(p not in cand_set for p in fs if not p.is_identity):
-                continue
-            if len(fs) == m:
-                found.add(fs)
-            else:
-                frontier.append(fs)
-    out = [
+    cyclic: dict[int, list[tuple[Permutation, list[Permutation]]]] = {}
+    for x in candidates:
+        d = x.order()
+        if d in orders:
+            powers = [x]
+            while len(powers) < d - 1:
+                powers.append(powers[-1] * x)
+            cyclic.setdefault(d, []).append((x, powers))
+    # partial subgroup -> the generators of the first tuple reaching it
+    layer = {frozenset({Permutation.identity(degree)}): ()}
+    for d in orders:
+        if d == 1:
+            continue  # the identity generates an order-1 factor
+        grown_layer: dict[frozenset[Permutation], tuple[Permutation, ...]] = {}
+        for sub, picks in layer.items():
+            for g, powers in cyclic.get(d, ()):
+                if any(g * p != p * g for p in picks):
+                    continue
+                grown = set(sub)
+                for power in powers:
+                    coset = [h * power for h in sub]
+                    if not cand_set.issuperset(coset):
+                        break
+                    grown.update(coset)
+                else:
+                    grown_layer.setdefault(frozenset(grown), picks + (g,))
+        layer = grown_layer
+    return [
         PermGroup.from_elements(degree, s)
-        for s in sorted(found, key=lambda s: sorted(p.images for p in s))
+        for s in sorted(layer, key=lambda s: sorted(p.images for p in s))
     ]
-    return out
 
 
 def are_conjugate(group: PermGroup, a: PermGroup, b: PermGroup) -> Permutation | None:

@@ -5,8 +5,10 @@ by filtering all vertex bijections, girth by exhaustive path search, graph6 by
 direct bit-string packing, and the classical LCF and Kneser constructions.  The
 exceptions are the straightforward refinement and branching of the
 individualization-refinement search, written as methods to patch into
-``bicayley.symmetry._Search`` in place of the fast ones, and the unreduced
-Theorem A scan, which builds and certifies graphs through the package.
+``bicayley.symmetry._Search`` in place of the fast ones, the unreduced
+Theorem A scan and the full-scan BCI oracle, which build and certify graphs
+through the package, and the subgroup-lattice enumeration of semiregular
+subgroups, which works on the package's permutations.
 """
 
 from __future__ import annotations
@@ -16,10 +18,16 @@ import random
 from collections import deque
 from itertools import combinations, permutations
 
-from bicayley.abelian import abelian_isomorphism_types, make_group, subgroup_generated
+from bicayley.abelian import (
+    abelian_isomorphism_types,
+    automorphism_group_of,
+    element_order,
+    make_group,
+    subgroup_generated,
+)
 from bicayley.construction import BiCayleySpec, build
 from bicayley.graphs import Graph
-from bicayley.symmetry import certificate
+from bicayley.symmetry import Permutation, PermGroup, certificate
 
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -230,3 +238,99 @@ def reference_theorem_a_scan(max_group_order: int) -> dict:
                     spec = BiCayleySpec.create(group, (r,), (s,), (group.identity, t))
                     by_cert.setdefault(certificate(build(spec).graph), spec)
     return by_cert
+
+
+def _mul_close(perms, degree: int, limit: int):
+    """Closure under multiplication; None when it exceeds ``limit`` elements."""
+    closed = {Permutation.identity(degree)}
+    closed.update(perms)
+    if len(closed) > limit:
+        return None
+    frontier = list(closed)
+    gens = [p for p in perms if not p.is_identity]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = x * s
+            if y not in closed:
+                if len(closed) >= limit:
+                    return None
+                closed.add(y)
+                frontier.append(y)
+    return closed
+
+
+def reference_semiregular_members(aut: PermGroup, parts, group) -> list[PermGroup]:
+    """Semiregular subgroups of ``aut`` isomorphic to ``group``, orbits the parts.
+
+    Breadth-first search of the subgroup lattice: close every subgroup found
+    so far with one more candidate (non-identity, fixed-point-free, preserving
+    the parts), keep the closures of order |group| made of candidates, then
+    keep the abelian ones whose element-order histogram is the group's.
+    """
+    m = group.size
+    part0 = frozenset(parts[0])
+    degree = aut.degree
+    candidates = [
+        x
+        for x in aut.elements()
+        if not x.is_identity
+        and all(x.images[v] != v for v in range(degree))
+        and all(x.images[v] in part0 for v in part0)
+    ]
+    cand_set = frozenset(candidates)
+    start = frozenset({Permutation.identity(degree)})
+    seen = {start}
+    frontier = [start]
+    found = set()
+    while frontier:
+        cur = frontier.pop()
+        for x in candidates:
+            if x in cur:
+                continue
+            closed = _mul_close(cur | {x}, degree, m)
+            if closed is None:
+                continue
+            fs = frozenset(closed)
+            if fs in seen:
+                continue
+            seen.add(fs)
+            if any(p not in cand_set for p in fs if not p.is_identity):
+                continue
+            if len(fs) == m:
+                found.add(fs)
+            else:
+                frontier.append(fs)
+    histogram = sorted(element_order(x) for x in group.elements())
+    members = []
+    for fs in sorted(found, key=lambda s: sorted(p.images for p in s)):
+        sub = PermGroup.from_elements(degree, fs)
+        gens = sub.generators
+        if any(a * b != b * a for i, a in enumerate(gens) for b in gens[i + 1 :]):
+            continue
+        if sorted(p.order() for p in fs) == histogram:
+            members.append(sub)
+    return members
+
+
+def reference_bci_oracle(b) -> tuple[bool, tuple | None]:
+    """(is_bci, first counterexample) from every spoke set of the same size.
+
+    A spoke set is a counterexample when its graph is isomorphic to b's but it
+    is not h * S^sigma for a translation h and a group automorphism sigma.
+    """
+    group = b.spec.group
+    spokes = b.spec.spokes
+    target = certificate(b.graph)
+    admissible = {
+        frozenset(h * sigma(s) for s in spokes)
+        for sigma in automorphism_group_of(group)
+        for h in group.elements()
+    }
+    for raw in combinations(group.elements(), len(spokes)):
+        if frozenset(raw) in admissible:
+            continue
+        spec = BiCayleySpec.create(group, (), (), raw)
+        if certificate(build(spec).graph) == target:
+            return False, tuple(sorted(x.exponents for x in raw))
+    return True, None

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from _oracles import reference_bci_oracle
 from bicayley.abelian import abelian_isomorphism_types, automorphism_group_of, make_group
 from bicayley.bci import bci_by_criterion, bci_oracle, cross_check, verdict_payload
 from bicayley.construction import (
@@ -101,8 +102,30 @@ def test_criterion_matches_oracle_on_all_small_triples():
     assert total == 66
 
 
+def test_oracle_matches_full_scan():
+    # The oracle scans one translate per spoke set; the full scan must give the
+    # same verdict and the same first counterexample, connected or not.
+    cases = [(orders, 3) for orders in ([5], [6], [7], [8], [9], [2, 2])] + [([8], 4)]
+    non_bci = []
+    for orders, k in cases:
+        group = make_group(orders)
+        rest = [x for x in group.elements() if not x.is_identity]
+        for others in combinations(rest, k - 1):
+            spokes = (group.identity,) + others
+            b = build(BiCayleySpec.create(group, (), (), spokes))
+            v = bci_oracle(b)
+            assert (v.is_bci, v.counterexample) == reference_bci_oracle(b), spokes
+            if not v.is_bci:
+                non_bci.append(tuple(x.exponents for x in spokes))
+    assert ((0,), (1,), (2,), (5,)) in non_bci
+    empty = spoke_graph([3], ())
+    assert bci_oracle(empty).is_bci and reference_bci_oracle(empty) == (True, None)
+
+
 def test_cross_check_oracle_limit():
     assert cross_check(spoke_graph([3], (0, 1, 2))).is_bci
+    # the trivial group: K_2 is its own translation group's only class
+    assert cross_check(spoke_graph([1], (0,))).conjugacy_class_count == 1
     assert not cross_check(spoke_graph([8], (0, 1, 2, 5))).is_bci
     # past the oracle bound only the criterion runs
     big = spoke_graph([18], (0, 1, 3))

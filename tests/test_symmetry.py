@@ -14,11 +14,18 @@ from _oracles import (
     random_graph,
     reference_descend,
     reference_refine,
+    reference_semiregular_members,
     small_corpus,
 )
 from bicayley import census
 from bicayley.abelian import make_group
-from bicayley.construction import BiCayleySpec, build, generalized_petersen, iota
+from bicayley.construction import (
+    BiCayleySpec,
+    build,
+    generalized_petersen,
+    iota,
+    predicted_connected,
+)
 from bicayley.graphs import Graph, encode_graph6
 from bicayley.symmetry import (
     _Search,
@@ -258,7 +265,7 @@ def test_normalizer_matches_element_filter():
 def test_enumerate_semiregular():
     heawood = _zero_type([7], [0, 1, 3])
     aut = automorphism_group(heawood.graph)
-    subs = enumerate_semiregular(aut, heawood.parts, 7)
+    subs = enumerate_semiregular(aut, heawood.parts, (7,))
     assert len(subs) == 8
     for sub in subs:
         assert sub.order() == 7
@@ -272,9 +279,54 @@ def test_enumerate_semiregular():
         assert image == frozenset(p.images for p in sub.elements())
 
     k33 = _zero_type([3], [0, 1, 2])
-    assert len(enumerate_semiregular(automorphism_group(k33.graph), k33.parts, 3)) == 2
+    assert len(enumerate_semiregular(automorphism_group(k33.graph), k33.parts, (3,))) == 2
     with pytest.raises(ValueError):
-        enumerate_semiregular(aut, heawood.parts, 5)
+        enumerate_semiregular(aut, heawood.parts, (5,))
+
+
+def _element_sets(subs):
+    return [frozenset(p.images for p in sub.elements()) for sub in subs]
+
+
+def test_enumerate_semiregular_matches_lattice_search():
+    graphs = [inst.bigraph for inst in census.table1_instances(64)]  # every spoke-only member
+    assert len(graphs) == 14
+    rng = random.Random(5)
+    for orders in ([6], [8], [4, 2], [2, 2, 2], [9], [3, 3], [10], [12], [6, 2]):
+        group = make_group(orders)
+        rest = [x for x in group.elements() if not x.is_identity]
+        for _ in range(3):
+            spec = BiCayleySpec.create(group, (), (), (group.identity, *rng.sample(rest, 2)))
+            if predicted_connected(spec):
+                graphs.append(build(spec))
+    assert len(graphs) > 30
+    for b in graphs:
+        aut = automorphism_group(b.graph)
+        got = enumerate_semiregular(aut, b.parts, b.spec.group.orders)
+        want = reference_semiregular_members(aut, b.parts, b.spec.group)
+        assert _element_sets(got) == _element_sets(want), b.spec
+
+
+def test_enumerate_semiregular_returns_one_isomorphism_type():
+    # The lattice search also reaches a quaternion group on the Moebius-Kantor
+    # graph (row 2, Z_8), three cyclic groups on the cube (row 3, m=2) and three
+    # non-abelian groups with elements of order 8 on row 3, m=4 (Z_4^2); the
+    # tuple shape alone must select the isomorphism type.
+    by_row = {inst.description: inst.bigraph for inst in census.table1_instances(32)}
+    for description, shapes, counts in (
+        ("row 2, Z_8", ((8,), (4, 2), (2, 2, 2)), [3, 0, 0]),
+        ("row 3, m=2", ((4,), (2, 2)), [3, 1]),
+        ("row 3, m=4", ((4, 4), (8, 2), (16,)), [1, 0, 0]),
+    ):
+        b = by_row[description]
+        aut = automorphism_group(b.graph)
+        found = []
+        for orders in shapes:
+            got = enumerate_semiregular(aut, b.parts, orders)
+            want = reference_semiregular_members(aut, b.parts, make_group(orders))
+            assert _element_sets(got) == _element_sets(want), (description, orders)
+            found.append(len(got))
+        assert found == counts
 
 
 def test_iota_alone_is_semiregular_but_misses_the_parts():
