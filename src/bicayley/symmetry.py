@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 _DEFAULT_MAX_ENUM = 100_000
-_MAX_SEARCH_VERTICES = 512
+_MAX_SEARCH_VERTICES = 1024
 
 
 def max_enumeration_bound() -> int:
@@ -302,6 +302,15 @@ class _Search:
     the splitter worklist is a FIFO of every new fragment.  Branching
     explores the first non-singleton cell, skipping vertices equivalent to an
     explored sibling under automorphisms that fix the branch prefix.
+
+    First-path return (McKay 1981): a leaf whose automorphism g onto the first
+    leaf maps first_path[:i+1] onto its prefix, i the first index where the
+    two differ, returns search to depth i.  Target cell, refinement and
+    individualization are equivariant, so g maps the explored subtree of
+    first_path[:i+1] onto the current one, whose other leaves repeat seen
+    certificates and generated automorphisms.  The best leaf, the first in
+    tree order with the least certificate, is never skipped: labelings and
+    certificates are those of the exhaustive search.
     """
 
     def __init__(self, graph: Graph):
@@ -309,6 +318,7 @@ class _Search:
         self.adj = graph.adjacency
         self.autos: list[Permutation] = []
         self.first: tuple[bytes, list[int]] | None = None
+        self.first_path: list[int] = []
         self.best: tuple[bytes, list[int]] | None = None
 
     def run(self) -> None:
@@ -423,11 +433,11 @@ class _Search:
         nbits = self.n * (self.n - 1) // 2
         return mask.to_bytes((nbits + 7) // 8 or 1, "big"), position
 
-    def descend(self, cells: list[list[int]], prefix: list[int]) -> None:
+    def descend(self, cells: list[list[int]], prefix: list[int]) -> int | None:
+        """Search below ``prefix``; a depth to return to, or None when done."""
         tc = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if tc is None:
-            self.handle_leaf(cells)
-            return
+            return self.handle_leaf(cells, prefix)
         done: list[int] = []
         reach: set[int] | None = set()
         for v in cells[tc]:
@@ -436,8 +446,11 @@ class _Search:
             if v in reach:
                 continue
             done.append(v)
-            self.descend(self.individualize(cells, tc, v), prefix + [v])
+            level = self.descend(self.individualize(cells, tc, v), prefix + [v])
+            if level is not None and level < len(prefix):
+                return level
             reach = None  # the branch may have found automorphisms
+        return None
 
     def orbit_fixing(self, points: list[int], prefix: list[int]) -> set[int]:
         """Orbit of ``points`` under the automorphisms found that fix ``prefix``."""
@@ -455,22 +468,28 @@ class _Search:
                     queue.append(w)
         return reach
 
-    def handle_leaf(self, cells: list[list[int]]) -> None:
+    def handle_leaf(self, cells: list[list[int]], prefix: list[int]) -> int | None:
         cert, position = self.leaf_certificate(cells)
         if self.first is None:
-            self.first = (cert, position)
-            self.best = (cert, position)
-            return
-        self.record_if_automorphism(cert, position, self.first)
+            self.first = self.best = (cert, position)
+            self.first_path = prefix
+            return None
+        gamma = self.record_if_automorphism(cert, position, self.first)
         assert self.best is not None
         if cert < self.best[0]:
             self.best = (cert, position)
         elif self.best is not self.first:
             self.record_if_automorphism(cert, position, self.best)
+        if gamma is not None:
+            i = next(j for j, u in enumerate(self.first_path) if u != prefix[j])
+            if all(gamma[u] == w for u, w in zip(self.first_path[: i + 1], prefix)):
+                return i
+        return None
 
-    def record_if_automorphism(self, cert: bytes, position: list[int], other) -> None:
+    def record_if_automorphism(self, cert: bytes, position: list[int], other):
+        """Keep the automorphism from ``other``'s leaf to this one; return its images."""
         if cert != other[0]:
-            return
+            return None
         # two labelings onto the same canonical graph compose to an automorphism
         opos = other[1]
         inv = [0] * self.n
@@ -479,6 +498,7 @@ class _Search:
         perm = Permutation(tuple(inv[opos[v]] for v in range(self.n)))
         if not perm.is_identity and perm not in self.autos:
             self.autos.append(perm)
+        return perm.images
 
 
 @lru_cache(maxsize=4096)
@@ -598,11 +618,11 @@ def normalizer(sub: PermGroup, group: PermGroup) -> PermGroup:
     """Elements of ``group`` whose conjugation preserves ``sub``."""
     sub_elems = frozenset(p.images for p in sub.elements())
     sub_gens = sub.generators if sub.generators else (Permutation.identity(sub.degree),)
-    keep = [
-        x
-        for x in group.elements()
-        if all((x.inverse() * h * x).images in sub_elems for h in sub_gens)
-    ]
+    keep = []
+    for x in group.elements():
+        x_inv = x.inverse()
+        if all((x_inv * h * x).images in sub_elems for h in sub_gens):
+            keep.append(x)
     return PermGroup.from_elements(group.degree, keep)
 
 

@@ -185,7 +185,11 @@ def reference_refine(search, cells: list[list[int]], seed: int) -> list[list[int
 
 
 def reference_descend(search, cells: list[list[int]], prefix: list[int]) -> None:
-    """Branching that recomputes the pruning orbit for every candidate vertex."""
+    """Branching that recomputes the pruning orbit for every candidate vertex.
+
+    It ignores the depth a leaf asks to return to, so every sibling that no
+    kept automorphism prunes is explored in full.
+    """
 
     def equivalent_to_done(v: int, done: list[int]) -> bool:
         if not done:
@@ -206,7 +210,7 @@ def reference_descend(search, cells: list[list[int]], prefix: list[int]) -> None
 
     tc = next((i for i, c in enumerate(cells) if len(c) > 1), None)
     if tc is None:
-        search.handle_leaf(cells)
+        search.handle_leaf(cells, prefix)
         return
     done: list[int] = []
     for v in cells[tc]:

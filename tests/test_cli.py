@@ -119,7 +119,7 @@ def test_empty_selection_fails(capsys, command):
     "argv, message",
     [
         (["build", "H=3; S={0,1"], "bad connection set"),
-        (["analyze", "H=300; S={0,1,2}"], "exceeds the search bound 512"),
+        (["analyze", "H=600; S={0,1,2}"], "exceeds the search bound 1024"),
         (["bci", "H=17; S={0,1,3}", "--method", "oracle"], "oracle is limited to groups"),
         (["voltage-fig1", "--orders", "0"], "voltage group order must be positive"),
         (["voltage-fig1", "--orders", "3,x"], "invalid literal"),

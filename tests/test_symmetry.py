@@ -1,6 +1,7 @@
 """The symmetry engine vs brute force: automorphisms by filtering all vertex
 bijections, subgroup operations by explicit element scans."""
 
+import math
 import random
 
 import pytest
@@ -112,6 +113,16 @@ def _relabeled(graphs, seed: int, copies: int) -> list[Graph]:
     return out
 
 
+def _same_group(n: int, gens_a, gens_b) -> bool:
+    a = PermGroup(n, [Permutation(g) for g in gens_a])
+    b = PermGroup(n, [Permutation(g) for g in gens_b])
+    return (
+        a.order() == b.order()
+        and all(b.contains(g) for g in a.generators)
+        and all(a.contains(g) for g in b.generators)
+    )
+
+
 @pytest.mark.parametrize("patched", [("refine",), ("descend",), ("refine", "descend")])
 def test_search_matches_reference_refinement_and_branching(monkeypatch, patched):
     members = census.table1_instances(128) + census.table2_instances(128)
@@ -121,7 +132,35 @@ def test_search_matches_reference_refinement_and_branching(monkeypatch, patched)
     references = {"refine": reference_refine, "descend": reference_descend}
     for name in patched:
         monkeypatch.setattr(_Search, name, references[name])
-    assert [_search_outcome(g) for g in graphs] == fast
+    slow = [_search_outcome(g) for g in graphs]
+    if "descend" not in patched:
+        assert slow == fast
+        return
+    # the exhaustive branching keeps more automorphisms of the same group
+    for g, (autos, labeling, cert), (ref_autos, ref_labeling, ref_cert) in zip(
+        graphs, fast, slow
+    ):
+        assert (labeling, cert) == (ref_labeling, ref_cert)
+        assert _same_group(g.n, autos, ref_autos)
+
+
+def _hypercube(d: int) -> Graph:
+    n = 1 << d
+    edges = [(x, x | 1 << b) for x in range(n) for b in range(d) if not x >> b & 1]
+    return Graph.from_edges(n, edges)
+
+
+def test_chain_stays_small_on_large_groups():
+    k14 = Graph.from_edges(28, [(i, 14 + j) for i in range(14) for j in range(14)])
+    for graph, order in (
+        (_hypercube(7), 645_120),
+        (_hypercube(9), 185_794_560),
+        (k14, 2 * math.factorial(14) ** 2),
+    ):
+        group = automorphism_group(graph)
+        assert group.order() == order
+        assert max(len(level.gens) for level in group.chain()) <= 50
+    assert len(automorphism_group(k14).generators) <= 40
 
 
 def test_chain_inverses_invert_the_transversal():
@@ -194,13 +233,20 @@ def test_certificates_are_relabeling_invariant():
         labeling, cert2 = canonical_form(g)
         assert cert2 == cert
         # the canonical labeling actually produces the certificate graph
-        from bicayley.graphs import encode_graph6
-
         assert encode_graph6(g.relabel(labeling.images)) == cert
         for _ in range(3):
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert certificate(g.relabel(perm)) == cert
+    for inst in census.table1_instances(128) + census.table2_instances(128):
+        g = inst.bigraph.graph
+        cert, order = certificate(g), automorphism_group(g).order()
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            copy = g.relabel(perm)
+            assert certificate(copy) == cert, inst.description
+            assert automorphism_group(copy).order() == order, inst.description
 
 
 def test_certificates_separate_nonisomorphic_graphs():
