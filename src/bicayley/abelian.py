@@ -149,9 +149,6 @@ class Subgroup:
     def is_whole_group(self) -> bool:
         return len(self.elements) == self.parent.size
 
-    def sorted_elements(self) -> list[GroupElement]:
-        return sorted(self.elements, key=lambda g: g.exponents)
-
     def __contains__(self, g: GroupElement) -> bool:
         return g in self.elements
 

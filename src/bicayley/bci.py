@@ -21,11 +21,11 @@ from bicayley.construction import (
     right_translations,
 )
 from bicayley.symmetry import (
-    are_conjugate,
+    PermGroup,
+    _conjugates,
     automorphism_group,
     certificate,
     enumerate_semiregular,
-    normalizer,
 )
 
 __all__ = ["BciVerdict", "bci_by_criterion", "bci_oracle", "cross_check", "verdict_payload"]
@@ -63,27 +63,21 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
     _require_spoke_only(b)
     group = b.spec.group
     aut = automorphism_group(b.graph)
-    trans = right_translations(b)
-    norm = normalizer(trans, aut)
-    transitive = norm.is_transitive_on(range(b.graph.n))
-
     members = enumerate_semiregular(aut, b.parts, group.orders)
-    if not any(
-        frozenset(p.images for p in sub.elements())
-        == frozenset(p.images for p in trans.elements())
-        for sub in members
-    ):
+    trans = right_translations(b)
+    reached, schreier = _conjugates(aut, trans)
+    keys = [frozenset(sub.elements()) for sub in members]
+    if frozenset(trans.elements()) not in keys:
         raise RuntimeError("internal error: translation group missing from its own class")
+    transitive = PermGroup(b.graph.n, schreier).is_transitive_on(range(b.graph.n))
 
-    classes = []
-    for sub in members:
-        for rep in classes:
-            if are_conjugate(aut, rep, sub) is not None:
-                break
-        else:
-            classes.append(sub)
+    classes = 1  # the translation group's; its orbit also gave the normalizer
+    for sub, key in zip(members, keys):
+        if key not in reached:
+            classes += 1
+            reached.update(_conjugates(aut, sub)[0])
 
-    verdict = transitive and len(classes) == 1
+    verdict = transitive and classes == 1
     return BciVerdict(
         group_orders=group.orders,
         spokes=_spoke_exponents(b),
@@ -91,7 +85,7 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
         method="criterion",
         normalizer_transitive=transitive,
         semiregular_count=len(members),
-        conjugacy_class_count=len(classes),
+        conjugacy_class_count=classes,
     )
 
 

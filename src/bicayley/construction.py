@@ -31,7 +31,6 @@ __all__ = [
     "iota",
     "generalized_petersen",
     "quotient_bicayley",
-    "classify_type",
     "predicted_connected",
     "parse_spec",
     "format_spec",
@@ -80,13 +79,6 @@ class BiCayleySpec:
     @property
     def degree(self) -> int:
         return len(self.right) + len(self.spokes)
-
-
-def classify_type(spec: BiCayleySpec) -> int | None:
-    """s for an s-type spec (|R| = |L| = s); None when the sizes differ."""
-    if len(spec.right) == len(spec.left):
-        return len(spec.right)
-    return None
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 The automorphism and canonical-form engine is a backtracking search over
 equitable ordered partitions (individualization-refinement).  Group order and
-membership go through a deterministic Schreier-Sims stabilizer chain;
-subgroup-level operations (normalizers, conjugacy, semiregular enumeration)
-work by explicit element enumeration, bounded by BICAYLEY_MAX_AUT (default
-100000).
+membership go through a deterministic Schreier-Sims stabilizer chain.
+Normalizers and conjugacy come from the orbit of a subgroup under conjugation
+by the group's generators; only semiregular enumeration lists the group's
+elements, bounded by BICAYLEY_MAX_AUT (default 100000).
 """
 
 from __future__ import annotations
@@ -40,7 +40,12 @@ _MAX_SEARCH_VERTICES = 1024
 def max_enumeration_bound() -> int:
     """Element-enumeration cutoff; override with the BICAYLEY_MAX_AUT env var."""
     raw = os.environ.get("BICAYLEY_MAX_AUT", "")
-    return int(raw) if raw else _DEFAULT_MAX_ENUM
+    if not raw:
+        return _DEFAULT_MAX_ENUM
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"BICAYLEY_MAX_AUT must be an integer, got {raw!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -195,21 +200,6 @@ class PermGroup:
         self._chain: list[_ChainLevel] | None = None
         self._elements: list[Permutation] | None = None
 
-    @staticmethod
-    def trivial(degree: int) -> "PermGroup":
-        return PermGroup(degree, ())
-
-    @staticmethod
-    def from_elements(degree: int, elements) -> "PermGroup":
-        """Group generated by the given elements, with a thinned generating set."""
-        group = PermGroup.trivial(degree)
-        gens: list[Permutation] = []
-        for e in sorted(elements, key=lambda p: p.images):
-            if not group.contains(e):
-                gens.append(e)
-                group = PermGroup(degree, gens)
-        return group
-
     def chain(self) -> list[_ChainLevel]:
         if self._chain is None:
             self._chain = _build_chain(self.generators, self.degree)
@@ -236,7 +226,7 @@ class PermGroup:
         if self._elements is None:
             bound = max_enumeration_bound()
             if self.order() > bound:
-                raise RuntimeError(
+                raise ValueError(
                     f"group of order {self.order()} exceeds the enumeration bound "
                     f"{bound}; raise BICAYLEY_MAX_AUT to override"
                 )
@@ -614,16 +604,35 @@ def _arc_type(graph: Graph, aut: PermGroup) -> tuple[int | None, bool]:
 # --- subgroup-level operations ----------------------------------------------
 
 
+def _conjugates(group: PermGroup, sub: PermGroup):
+    """The conjugates of ``sub`` in ``group``, and generators of its normalizer.
+
+    Breadth-first search over the element sets x^-1 sub x under the generators
+    of ``group``; each conjugate maps to an x reaching it.  By Schreier's lemma
+    the elements x s y^-1, for x reaching a conjugate C, s a generator and y
+    reaching s^-1 C s, generate the stabilizer of ``sub``: N_group(sub).
+    """
+    gens = [(s, s.inverse()) for s in group.generators]
+    start = frozenset(sub.elements())
+    reach = {start: Permutation.identity(group.degree)}
+    queue = deque([start])
+    schreier = []
+    while queue:
+        conj = queue.popleft()
+        x = reach[conj]
+        for s, s_inv in gens:
+            image = frozenset(s_inv * h * s for h in conj)
+            if image in reach:
+                schreier.append(x * s * reach[image].inverse())
+            else:
+                reach[image] = x * s
+                queue.append(image)
+    return reach, schreier
+
+
 def normalizer(sub: PermGroup, group: PermGroup) -> PermGroup:
     """Elements of ``group`` whose conjugation preserves ``sub``."""
-    sub_elems = frozenset(p.images for p in sub.elements())
-    sub_gens = sub.generators if sub.generators else (Permutation.identity(sub.degree),)
-    keep = []
-    for x in group.elements():
-        x_inv = x.inverse()
-        if all((x_inv * h * x).images in sub_elems for h in sub_gens):
-            keep.append(x)
-    return PermGroup.from_elements(group.degree, keep)
+    return PermGroup(group.degree, _conjugates(group, sub)[1])
 
 
 def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
@@ -688,20 +697,11 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
                     grown_layer.setdefault(frozenset(grown), picks + (g,))
         layer = grown_layer
     return [
-        PermGroup.from_elements(degree, s)
+        PermGroup(degree, layer[s])
         for s in sorted(layer, key=lambda s: sorted(p.images for p in s))
     ]
 
 
 def are_conjugate(group: PermGroup, a: PermGroup, b: PermGroup) -> Permutation | None:
-    """A conjugating element of ``group`` mapping subgroup a onto b, or None."""
-    a_elems = frozenset(p.images for p in a.elements())
-    b_elems = frozenset(p.images for p in b.elements())
-    if len(a_elems) != len(b_elems):
-        return None
-    a_gens = a.generators if a.generators else (Permutation.identity(a.degree),)
-    for x in group.elements():
-        x_inv = x.inverse()
-        if all((x_inv * h * x).images in b_elems for h in a_gens):
-            return x
-    return None
+    """A conjugating element x of ``group`` with x^-1 a x = b, or None."""
+    return _conjugates(group, a)[0].get(frozenset(b.elements()))

@@ -34,7 +34,6 @@ __all__ = [
     "fig_base",
     "fig_assignment",
     "fig_alpha",
-    "assignment_payload",
 ]
 
 
@@ -381,17 +380,3 @@ def fig_alpha() -> Permutation:
     for a, b, c in ((1, 7, 4), (5, 3, 6)):
         images[a], images[b], images[c] = b, c, a
     return Permutation(tuple(images))
-
-
-def assignment_payload(va: VoltageAssignment) -> dict:
-    """JSON-ready description: base graph6, group orders, charged cotree arcs."""
-    from bicayley.graphs import encode_graph6
-
-    return {
-        "base": encode_graph6(va.base),
-        "group": list(va.group.orders),
-        "tree": sorted(list(e) for e in va.tree),
-        "voltages": [
-            [u, v, list(va.voltages[(u, v)].exponents)] for u, v in va.cotree_arcs()
-        ],
-    }

@@ -8,7 +8,8 @@ individualization-refinement search, written as methods to patch into
 ``bicayley.symmetry._Search`` in place of the fast ones, the unreduced
 Theorem A scan and the full-scan BCI oracle, which build and certify graphs
 through the package, and the subgroup-lattice enumeration of semiregular
-subgroups, which works on the package's permutations.
+subgroups and the element scans for normalizers and conjugacy, which work on
+the package's permutations.
 """
 
 from __future__ import annotations
@@ -308,13 +309,51 @@ def reference_semiregular_members(aut: PermGroup, parts, group) -> list[PermGrou
     histogram = sorted(element_order(x) for x in group.elements())
     members = []
     for fs in sorted(found, key=lambda s: sorted(p.images for p in s)):
-        sub = PermGroup.from_elements(degree, fs)
+        sub = PermGroup(degree, fs)
         gens = sub.generators
         if any(a * b != b * a for i, a in enumerate(gens) for b in gens[i + 1 :]):
             continue
         if sorted(p.order() for p in fs) == histogram:
             members.append(sub)
     return members
+
+
+def _element_set(sub: PermGroup) -> frozenset[tuple[int, ...]]:
+    return frozenset(p.images for p in sub.elements())
+
+
+def reference_normalizer(sub: PermGroup, group: PermGroup) -> list[Permutation]:
+    """Every element x of ``group`` with x^-1 sub x = sub, by scanning them all."""
+    sub_elems = _element_set(sub)
+    sub_gens = sub.generators or (Permutation.identity(sub.degree),)
+    keep = []
+    for x in group.elements():
+        x_inv = x.inverse()
+        if all((x_inv * h * x).images in sub_elems for h in sub_gens):
+            keep.append(x)
+    return keep
+
+
+def reference_are_conjugate(group: PermGroup, a: PermGroup, b: PermGroup):
+    """The first element x of ``group`` with x^-1 a x = b, or None."""
+    b_elems = _element_set(b)
+    if len(_element_set(a)) != len(b_elems):
+        return None
+    a_gens = a.generators or (Permutation.identity(a.degree),)
+    for x in group.elements():
+        x_inv = x.inverse()
+        if all((x_inv * h * x).images in b_elems for h in a_gens):
+            return x
+    return None
+
+
+def reference_conjugacy_class_count(group: PermGroup, subs) -> int:
+    """Classes of ``subs`` under conjugation in ``group``, compared pairwise."""
+    classes: list[PermGroup] = []
+    for sub in subs:
+        if all(reference_are_conjugate(group, rep, sub) is None for rep in classes):
+            classes.append(sub)
+    return len(classes)
 
 
 def reference_bci_oracle(b) -> tuple[bool, tuple | None]:

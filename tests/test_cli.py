@@ -123,6 +123,7 @@ def test_empty_selection_fails(capsys, command):
         (["bci", "H=17; S={0,1,3}", "--method", "oracle"], "oracle is limited to groups"),
         (["voltage-fig1", "--orders", "0"], "voltage group order must be positive"),
         (["voltage-fig1", "--orders", "3,x"], "invalid literal"),
+        (["bci", "H=9; S={0,3,6}"], "exceeds the enumeration bound 100000"),
     ],
 )
 def test_user_errors_are_one_line(capsys, argv, message):

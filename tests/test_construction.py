@@ -10,7 +10,6 @@ from bicayley.abelian import element_order, make_group, subgroup_generated
 from bicayley.construction import (
     BiCayleySpec,
     build,
-    classify_type,
     format_spec,
     generalized_petersen,
     iota,
@@ -43,14 +42,6 @@ def test_spec_validation():
         BiCayleySpec.create(z5, spokes=(make_group([7]).element(1),))
     spec = BiCayleySpec.create(z5, (z5.element(1), z5.element(4)), (), (z5.identity,))
     assert spec.degree == 3
-
-
-def test_classify_type():
-    z4 = make_group([4])
-    assert classify_type(BiCayleySpec.create(z4, (), (), (z4.identity,))) == 0
-    assert classify_type(generalized_petersen(5, 2).spec) == 2
-    lopsided = BiCayleySpec.create(z4, (z4.element(2),), (), (z4.identity,))
-    assert classify_type(lopsided) is None
 
 
 def test_vertex_indexing_round_trip():
@@ -198,7 +189,7 @@ def test_one_type_instance_is_gp_12_5():
     assert q.graph.n == 8
     assert certificate(q.graph) == certificate(hypercube())
     # the connection-set quotient agrees with contracting the R(N) orbits
-    rn = PermGroup(24, [right_translation(b, g) for g in n.sorted_elements()])
+    rn = PermGroup(24, [right_translation(b, g) for g in n.elements])
     contracted = quotient_by_partition(b.graph, rn.orbits())
     assert certificate(contracted) == certificate(q.graph)
 

@@ -13,19 +13,24 @@ from _oracles import (
     kneser_petersen,
     lcf_graph,
     random_graph,
+    reference_are_conjugate,
+    reference_conjugacy_class_count,
     reference_descend,
+    reference_normalizer,
     reference_refine,
     reference_semiregular_members,
     small_corpus,
 )
 from bicayley import census
 from bicayley.abelian import make_group
+from bicayley.bci import bci_by_criterion
 from bicayley.construction import (
     BiCayleySpec,
     build,
     generalized_petersen,
     iota,
     predicted_connected,
+    right_translations,
 )
 from bicayley.graphs import Graph, encode_graph6
 from bicayley.symmetry import (
@@ -293,6 +298,13 @@ def test_k_arc_regularity_frozen_values():
         k_arc_regularity(two_k4)
 
 
+def _criterion_inputs():
+    """Every spoke-only census member to 64 vertices, a two-class input and a
+    disconnected one whose bipartition is not unique."""
+    graphs = [inst.bigraph for inst in census.table1_instances(64)]
+    return graphs + [_zero_type([8], [0, 1, 2, 5]), _zero_type([6], [0, 2, 4])]
+
+
 def test_normalizer_matches_element_filter():
     s4 = automorphism_group(K4)
     swap = PermGroup(4, [Permutation((1, 0, 2, 3))])
@@ -305,7 +317,12 @@ def test_normalizer_matches_element_filter():
     }
     assert set(got.elements()) == expected
     assert normalizer(s4, s4).order() == 24
-    assert normalizer(PermGroup.trivial(4), s4).order() == 24
+    assert normalizer(PermGroup(4), s4).order() == 24
+    for b in _criterion_inputs():
+        aut = automorphism_group(b.graph)
+        trans = right_translations(b)
+        want = set(reference_normalizer(trans, aut))
+        assert set(normalizer(trans, aut).elements()) == want, b.spec
 
 
 def test_enumerate_semiregular():
@@ -394,13 +411,29 @@ def test_are_conjugate():
     assert are_conjugate(s4, a, a) is not None
     three = PermGroup(4, [Permutation((1, 2, 0, 3))])
     assert are_conjugate(s4, a, three) is None
+    for b in _criterion_inputs():
+        aut = automorphism_group(b.graph)
+        trans = right_translations(b)
+        members = enumerate_semiregular(aut, b.parts, b.spec.group.orders)
+        for sub in members:
+            x = are_conjugate(aut, trans, sub)
+            assert (x is None) == (reference_are_conjugate(aut, trans, sub) is None), b.spec
+            if x is not None:
+                assert aut.contains(x)
+                image = frozenset((x.inverse() * h * x).images for h in trans.elements())
+                assert image == frozenset(p.images for p in sub.elements())
+        want = reference_conjugacy_class_count(aut, members)
+        assert bci_by_criterion(b).conjugacy_class_count == want, b.spec
 
 
 def test_enumeration_bound_env_override(monkeypatch):
     monkeypatch.setenv("BICAYLEY_MAX_AUT", "5")
     assert max_enumeration_bound() == 5
     group = automorphism_group(C6)  # order 12
-    with pytest.raises(RuntimeError, match="enumeration bound"):
+    with pytest.raises(ValueError, match="enumeration bound"):
         group.elements()
     monkeypatch.setenv("BICAYLEY_MAX_AUT", "100")
     assert len(group.elements()) == 12
+    monkeypatch.setenv("BICAYLEY_MAX_AUT", "1e5")
+    with pytest.raises(ValueError, match="BICAYLEY_MAX_AUT must be an integer"):
+        max_enumeration_bound()

@@ -1,7 +1,6 @@
 """Voltage covers vs direct construction, and the lift decision vs an
 exhaustive scan over all voltage-group automorphisms."""
 
-import json
 import random
 
 import pytest
@@ -18,7 +17,6 @@ from bicayley.symmetry import (
 )
 from bicayley.voltage import (
     VoltageAssignment,
-    assignment_payload,
     base_circuits,
     circuit_voltage,
     derive,
@@ -287,13 +285,3 @@ def test_projection_requires_normalizing_the_fibers():
     )
     with pytest.raises(ValueError, match="normalize"):
         projection(va, stray)
-
-
-def test_assignment_payload_is_json_ready():
-    va = fig_assignment(3)
-    payload = assignment_payload(va)
-    assert set(payload) == {"base", "group", "tree", "voltages"}
-    assert payload["group"] == [3]
-    assert len(payload["tree"]) == 7
-    assert len(payload["voltages"]) == 5
-    json.dumps(payload)
