@@ -4,8 +4,8 @@ A graph built from spokes alone has the CI-style property when every other
 spoke set giving an isomorphic graph differs from it only by a group
 automorphism followed by a translation.  Two independent deciders are
 provided: a group-theoretic criterion on the automorphism group, and a
-brute-force scan over the candidate spoke sets, one translate of each, for
-small groups.
+brute-force scan over the candidate spoke sets, one per class under group
+automorphisms and translations, for small groups.
 """
 
 from __future__ import annotations
@@ -89,29 +89,46 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
     )
 
 
-def _identity_spoke_sets(group: AbelianGroup, k: int):
-    """The k-subsets of the group that contain the identity, in scan order.
+def _identity_translates(spokes, autos) -> set[frozenset]:
+    """The identity-containing members of the class {h T^sigma} of ``spokes``."""
+    members = set()
+    for sigma in autos:
+        image = [sigma(s) for s in spokes]
+        for t in image:
+            t_inv = t.inverse()
+            members.add(frozenset(t_inv * x for x in image))
+    return members
 
-    BC(H, T) is isomorphic to BC(H, hT) for every h, so these meet every
-    translation class of k-subsets: a scan for a graph isomorphic to a given
-    one finds a match among them iff it finds one among all k-subsets.  The
-    identity comes first in ``group.elements()``, so the subsets containing it
-    open the full lexicographic scan, and the first match is the same.
-    """
+
+def _spoke_set_classes(group: AbelianGroup, k: int, skip=()):
+    """The first identity-containing k-subset of each Aut(H) x| H class in
+    scan order, passing over the class of ``skip``.
+
+    BC(H, T) is isomorphic to BC(H, h T^sigma), so the graphs of a class are
+    all isomorphic to a given graph or none is.  Every class meets the sets
+    containing the identity, which open the lexicographic scan of all
+    k-subsets (the identity comes first in ``group.elements()``): a scan for a
+    graph finds the same first match among these representatives."""
     if k == 0:
         return  # no 0-subset contains the identity
+    autos = automorphism_group_of(group)
+    marked = _identity_translates(skip, autos) if skip else set()
     identity, *others = group.elements()
     for rest in combinations(others, k - 1):
-        yield (identity, *rest)
+        raw = (identity, *rest)
+        if frozenset(raw) not in marked:
+            marked |= _identity_translates(raw, autos)
+            yield raw
 
 
 def bci_oracle(b: BiCayleyGraph) -> BciVerdict:
     """Scan the spoke sets of the same size; each one giving an isomorphic
     graph must be a translate of an automorphic image of the original.
 
-    The admissible family {hS^sigma} is closed under translation, so T is a
-    counterexample iff its translate T t^-1 (t in T) is one, and only the sets
-    containing the identity are scanned (``_identity_spoke_sets``); the first
+    The admissible family {hS^sigma} is one Aut(H) x| H class, and the graphs
+    of a class are isomorphic, so T is a counterexample iff every set in its
+    class is one.  One set per class is certified, the first identity-containing
+    one in scan order, skipping S's class (``_spoke_set_classes``): the first
     counterexample is the one the full scan reports.  An empty S is its own
     only candidate, and admissible.
     """
@@ -123,22 +140,11 @@ def bci_oracle(b: BiCayleyGraph) -> BciVerdict:
         )
     spokes = set(b.spec.spokes)
     target = certificate(b.graph)
-    autos = automorphism_group_of(group)
-    # precompute the admissible images h * S^sigma as frozensets
-    admissible = set()
-    for sigma in autos:
-        image = [sigma(s) for s in spokes]
-        for h in group.elements():
-            admissible.add(frozenset(h * x for x in image))
-
     counterexample = None
-    for raw in _identity_spoke_sets(group, len(spokes)):
-        candidate = frozenset(raw)
-        if candidate in admissible:
-            continue
-        spec = BiCayleySpec.create(group, (), (), tuple(raw))
+    for raw in _spoke_set_classes(group, len(spokes), skip=spokes):
+        spec = BiCayleySpec.create(group, (), (), raw)
         if certificate(build(spec).graph) == target:
-            counterexample = tuple(sorted(x.exponents for x in candidate))
+            counterexample = tuple(sorted(x.exponents for x in raw))
             break
 
     return BciVerdict(

@@ -19,7 +19,7 @@ from bicayley.abelian import (
     quotient_group,
     subgroup_generated,
 )
-from bicayley.bci import _ORACLE_LIMIT, _identity_spoke_sets, bci_by_criterion, cross_check
+from bicayley.bci import _ORACLE_LIMIT, _spoke_set_classes, bci_by_criterion, cross_check
 from bicayley.construction import (
     BiCayleyGraph,
     BiCayleySpec,
@@ -401,14 +401,14 @@ def negative_controls() -> dict:
     """Checks that separate the census from its nearby non-members.
 
     GP(10,3) is one-matching but must not match any spoke-only graph over the
-    one abelian group of order 10 (scanned one translate per spoke set, as in
-    ``bci_oracle``); GP(7,2) and GP(9,2) are cubic but not arc-transitive;
-    GP(10,2) is the positive control.
+    one abelian group of order 10 (isomorphic within an Aut(Z_10) x| Z_10 class,
+    so one spoke set per class is scanned, as in ``bci_oracle``); GP(7,2) and
+    GP(9,2) are cubic but not arc-transitive; GP(10,2) is the positive control.
     """
     desargues = certificate(generalized_petersen(10, 3).graph)
     z10 = make_group([10])
     clash = None
-    for raw in _identity_spoke_sets(z10, 3):
+    for raw in _spoke_set_classes(z10, 3):
         spec = BiCayleySpec.create(z10, (), (), raw)
         if certificate(build(spec).graph) == desargues:
             clash = format_spec(spec)

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from bicayley.graphs import Graph, encode_graph6, is_connected
 
@@ -249,33 +249,11 @@ class PermGroup:
                     queue.append(q)
         return frozenset(orb)
 
-    def orbits(self) -> list[frozenset[int]]:
-        """Orbit partition, ordered by least point."""
-        seen: set[int] = set()
-        out = []
-        for v in range(self.degree):
-            if v not in seen:
-                orb = self.orbit(v)
-                seen |= orb
-                out.append(orb)
-        return out
-
     def is_transitive_on(self, points) -> bool:
         points = frozenset(points)
         if not points:
             return True
         return points <= self.orbit(min(points))
-
-    def is_semiregular(self) -> bool:
-        """True when only the identity fixes a point (all orbits of full size)."""
-        o = self.order()
-        return all(len(orb) == o for orb in self.orbits())
-
-    def semiregular_with_orbits(self, parts) -> bool:
-        """Semiregular with orbit partition exactly ``parts``."""
-        want = sorted((frozenset(p) for p in parts), key=min)
-        have = sorted(self.orbits(), key=min)
-        return want == have and self.is_semiregular()
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
@@ -635,6 +613,27 @@ def normalizer(sub: PermGroup, group: PermGroup) -> PermGroup:
     return PermGroup(group.degree, _conjugates(group, sub)[1])
 
 
+def _grow(sub, orbit, v0: int, g: Permutation, d: int, cand_set):
+    """<sub, g>, g of order d commuting with sub, if every coset sub g^j
+    (0 < j < d) is made of candidates, else None.  A g^j mapping v0 into sub's
+    ``orbit`` of it maps the orbit into itself, so h g^j fixes v0 for some h
+    in sub: that coset is rejected before any product permutation is built."""
+    w = v0
+    for _ in range(d - 1):
+        w = g.images[w]
+        if w in orbit:
+            return None
+    grown = set(sub)
+    power = g
+    for _ in range(d - 1):
+        coset = [h * power for h in sub]
+        if not cand_set.issuperset(coset):
+            return None
+        grown.update(coset)
+        power = power * g
+    return grown
+
+
 def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
     """Subgroups isomorphic to H = Z_d1 x ... x Z_dr (``orders``), semiregular,
     whose orbits are exactly the two parts.
@@ -650,7 +649,9 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
     order |H| on generators of orders d_i: a quotient of H of the same size,
     so isomorphic to H.  Conversely the images of H's standard generators
     under an isomorphism form such a tuple, so every subgroup isomorphic to H
-    is found.  Tuples generating the same partial subgroup are merged.
+    is found.  Tuples generating the same partial subgroup are merged: P grows
+    once per group it reaches, since a g inside a group already grown from P
+    would grow it to that same group, whose earlier tuple is kept.
     """
     m = prod(orders)
     part0, part1 = (frozenset(p) for p in parts)
@@ -659,24 +660,19 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
             f"parts of sizes {len(part0)},{len(part1)} cannot be the orbits of an order-{m} group"
         )
     degree = group.degree
-    candidates = []
-    for x in group.elements():
-        if x.is_identity:
-            continue
-        if any(x.images[v] == v for v in range(degree)):
-            continue
-        if any(x.images[v] not in part0 for v in part0):
-            continue
-        candidates.append(x)
+    candidates = [
+        x
+        for x in group.elements()
+        if not any(map(eq, x.images, range(degree)))  # the identity fixes every point
+        and all(x.images[v] in part0 for v in part0)
+    ]
     cand_set = frozenset(candidates)
-    cyclic: dict[int, list[tuple[Permutation, list[Permutation]]]] = {}
+    cyclic: dict[int, list[Permutation]] = {}
     for x in candidates:
         d = x.order()
         if d in orders:
-            powers = [x]
-            while len(powers) < d - 1:
-                powers.append(powers[-1] * x)
-            cyclic.setdefault(d, []).append((x, powers))
+            cyclic.setdefault(d, []).append(x)
+    v0 = min(part0)
     # partial subgroup -> the generators of the first tuple reaching it
     layer = {frozenset({Permutation.identity(degree)}): ()}
     for d in orders:
@@ -684,16 +680,14 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
             continue  # the identity generates an order-1 factor
         grown_layer: dict[frozenset[Permutation], tuple[Permutation, ...]] = {}
         for sub, picks in layer.items():
-            for g, powers in cyclic.get(d, ()):
-                if any(g * p != p * g for p in picks):
+            orbit = {h.images[v0] for h in sub}
+            covered: set[Permutation] = set()  # the groups grown from sub so far
+            for g in cyclic.get(d, ()):
+                if g in covered or any(g * p != p * g for p in picks):
                     continue
-                grown = set(sub)
-                for power in powers:
-                    coset = [h * power for h in sub]
-                    if not cand_set.issuperset(coset):
-                        break
-                    grown.update(coset)
-                else:
+                grown = _grow(sub, orbit, v0, g, d, cand_set)
+                if grown is not None:
+                    covered |= grown
                     grown_layer.setdefault(frozenset(grown), picks + (g,))
         layer = grown_layer
     return [

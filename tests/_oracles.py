@@ -7,9 +7,10 @@ exceptions are the straightforward refinement and branching of the
 individualization-refinement search, written as methods to patch into
 ``bicayley.symmetry._Search`` in place of the fast ones, the unreduced
 Theorem A scan and the full-scan BCI oracle, which build and certify graphs
-through the package, and the subgroup-lattice enumeration of semiregular
-subgroups and the element scans for normalizers and conjugacy, which work on
-the package's permutations.
+through the package, and the orbit and semiregularity tests, the
+subgroup-lattice and coset-by-coset enumerations of semiregular subgroups and
+the element scans for normalizers and conjugacy, which work on the package's
+permutations.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from bicayley.abelian import (
@@ -245,6 +247,31 @@ def reference_theorem_a_scan(max_group_order: int) -> dict:
     return by_cert
 
 
+def orbits(group: PermGroup) -> list[frozenset[int]]:
+    """Orbit partition, ordered by least point."""
+    seen: set[int] = set()
+    out = []
+    for v in range(group.degree):
+        if v not in seen:
+            orb = group.orbit(v)
+            seen |= orb
+            out.append(orb)
+    return out
+
+
+def is_semiregular(group: PermGroup) -> bool:
+    """True when only the identity fixes a point (all orbits of full size)."""
+    o = group.order()
+    return all(len(orb) == o for orb in orbits(group))
+
+
+def semiregular_with_orbits(group: PermGroup, parts) -> bool:
+    """Semiregular with orbit partition exactly ``parts``."""
+    want = sorted((frozenset(p) for p in parts), key=min)
+    have = sorted(orbits(group), key=min)
+    return want == have and is_semiregular(group)
+
+
 def _mul_close(perms, degree: int, limit: int):
     """Closure under multiplication; None when it exceeds ``limit`` elements."""
     closed = {Permutation.identity(degree)}
@@ -318,6 +345,64 @@ def reference_semiregular_members(aut: PermGroup, parts, group) -> list[PermGrou
     return members
 
 
+def reference_enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
+    """``enumerate_semiregular`` growing every partial subgroup by every
+    candidate generator and building every coset before testing it.
+
+    Candidates are the non-identity, fixed-point-free, part-preserving
+    elements.  A partial subgroup P grows by a candidate g of order d that
+    commutes with the earlier picks when every coset P g^j (0 < j < d) consists
+    of candidates; the first tuple reaching each group is kept.
+    """
+    m = math.prod(orders)
+    part0, part1 = (frozenset(p) for p in parts)
+    if len(part0) != m or len(part1) != m:
+        raise ValueError(
+            f"parts of sizes {len(part0)},{len(part1)} cannot be the orbits of an order-{m} group"
+        )
+    degree = group.degree
+    candidates = []
+    for x in group.elements():
+        if x.is_identity:
+            continue
+        if any(x.images[v] == v for v in range(degree)):
+            continue
+        if any(x.images[v] not in part0 for v in part0):
+            continue
+        candidates.append(x)
+    cand_set = frozenset(candidates)
+    cyclic: dict[int, list[tuple[Permutation, list[Permutation]]]] = {}
+    for x in candidates:
+        d = x.order()
+        if d in orders:
+            powers = [x]
+            while len(powers) < d - 1:
+                powers.append(powers[-1] * x)
+            cyclic.setdefault(d, []).append((x, powers))
+    layer = {frozenset({Permutation.identity(degree)}): ()}
+    for d in orders:
+        if d == 1:
+            continue
+        grown_layer: dict[frozenset[Permutation], tuple[Permutation, ...]] = {}
+        for sub, picks in layer.items():
+            for g, powers in cyclic.get(d, ()):
+                if any(g * p != p * g for p in picks):
+                    continue
+                grown = set(sub)
+                for power in powers:
+                    coset = [h * power for h in sub]
+                    if not cand_set.issuperset(coset):
+                        break
+                    grown.update(coset)
+                else:
+                    grown_layer.setdefault(frozenset(grown), picks + (g,))
+        layer = grown_layer
+    return [
+        PermGroup(degree, layer[s])
+        for s in sorted(layer, key=lambda s: sorted(p.images for p in s))
+    ]
+
+
 def _element_set(sub: PermGroup) -> frozenset[tuple[int, ...]]:
     return frozenset(p.images for p in sub.elements())
 
@@ -365,15 +450,24 @@ def reference_bci_oracle(b) -> tuple[bool, tuple | None]:
     group = b.spec.group
     spokes = b.spec.spokes
     target = certificate(b.graph)
-    admissible = {
-        frozenset(h * sigma(s) for s in spokes)
-        for sigma in automorphism_group_of(group)
-        for h in group.elements()
-    }
+    admissible = set()
+    for sigma in _automorphisms(group):
+        image = [sigma(s) for s in spokes]
+        admissible.update(frozenset(h * x for x in image) for h in group.elements())
     for raw in combinations(group.elements(), len(spokes)):
         if frozenset(raw) in admissible:
             continue
-        spec = BiCayleySpec.create(group, (), (), raw)
-        if certificate(build(spec).graph) == target:
+        if _spoke_set_certificate(group, raw) == target:
             return False, tuple(sorted(x.exponents for x in raw))
     return True, None
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(group) -> tuple:
+    return tuple(automorphism_group_of(group))
+
+
+@lru_cache(maxsize=4096)
+def _spoke_set_certificate(group, spokes) -> str:
+    # many inputs over one group scan the same spoke sets
+    return certificate(build(BiCayleySpec.create(group, (), (), spokes)).graph)

@@ -135,6 +135,20 @@ def test_criterion_4_bci_at_128_vertices():
     _verdict(4, "every spoke-only census member within 128 vertices is BCI", problems)
 
 
+def test_criterion_4_bci_at_256_vertices():
+    problems = []
+    results = theorem_b_verify(256)
+    if len(results) != 46:
+        problems.append(f"expected 46 results, got {len(results)}")
+    for rec in results:
+        if not rec["is_bci"]:
+            problems.append(f"{rec['description']}: not BCI: {rec}")
+    checked = sum(1 for rec in results if rec["oracle_checked"])
+    if checked != 8:
+        problems.append(f"oracle confirmed {checked} members, expected 8")
+    _verdict(4, "every spoke-only census member within 256 vertices is BCI", problems)
+
+
 def test_criterion_5_voltage_cover_and_lift():
     start = time.monotonic()
     problems = []

@@ -6,8 +6,10 @@ from itertools import combinations
 import pytest
 
 from _oracles import reference_bci_oracle
+from bicayley import bci
 from bicayley.abelian import abelian_isomorphism_types, automorphism_group_of, make_group
 from bicayley.bci import bci_by_criterion, bci_oracle, cross_check, verdict_payload
+from bicayley.census import table1_instances
 from bicayley.construction import (
     BiCayleySpec,
     build,
@@ -103,9 +105,11 @@ def test_criterion_matches_oracle_on_all_small_triples():
 
 
 def test_oracle_matches_full_scan():
-    # The oracle scans one translate per spoke set; the full scan must give the
-    # same verdict and the same first counterexample, connected or not.
-    cases = [(orders, 3) for orders in ([5], [6], [7], [8], [9], [2, 2])] + [([8], 4)]
+    # The oracle certifies one spoke set per class under automorphisms and
+    # translations; the full scan must give the same verdict and the same
+    # first counterexample, connected or not.
+    shapes = ([5], [6], [7], [8], [9], [2, 2], [12], [6, 2])
+    cases = [(orders, 3) for orders in shapes] + [([8], 4)]
     non_bci = []
     for orders, k in cases:
         group = make_group(orders)
@@ -118,8 +122,38 @@ def test_oracle_matches_full_scan():
             if not v.is_bci:
                 non_bci.append(tuple(x.exponents for x in spokes))
     assert ((0,), (1,), (2,), (5,)) in non_bci
+    z4_square = next(i.bigraph for i in table1_instances(64) if i.description == "row 3, m=4")
+    v = bci_oracle(z4_square)
+    assert (v.is_bci, v.counterexample) == reference_bci_oracle(z4_square) == (True, None)
     empty = spoke_graph([3], ())
     assert bci_oracle(empty).is_bci and reference_bci_oracle(empty) == (True, None)
+
+
+def test_oracle_certifies_one_spoke_set_per_class(monkeypatch):
+    # The 3-subsets of Z_13 fall into classes under x -> a x + b; the oracle
+    # certifies the target and one set of every class but the target's own.
+    z13 = make_group([13])
+    affine = [
+        lambda t, sigma=sigma, h=h: frozenset(h * sigma(x) for x in t)
+        for sigma in automorphism_group_of(z13)
+        for h in z13.elements()
+    ]
+    unseen = {frozenset(t) for t in combinations(z13.elements(), 3)}
+    classes = 0
+    while unseen:
+        t = unseen.pop()
+        unseen -= {act(t) for act in affine}
+        classes += 1
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return certificate(graph)
+
+    monkeypatch.setattr(bci, "certificate", counting)
+    v = bci_oracle(spoke_graph([13], (0, 1, 4)))
+    assert v.is_bci
+    assert len(calls) == classes  # classes - 1 candidates, plus the target
 
 
 def test_cross_check_oracle_limit():

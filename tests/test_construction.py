@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from _oracles import complete_bipartite_33, hypercube, kneser_petersen, lcf_graph
+from _oracles import (
+    complete_bipartite_33,
+    hypercube,
+    is_semiregular,
+    kneser_petersen,
+    lcf_graph,
+    orbits,
+    semiregular_with_orbits,
+)
 from bicayley.abelian import element_order, make_group, subgroup_generated
 from bicayley.construction import (
     BiCayleySpec,
@@ -136,7 +144,7 @@ def test_right_translations_are_semiregular_on_parts():
     for b in (_zero_type([7], [0, 1, 3]), generalized_petersen(6, 1)):
         trans = right_translations(b)
         assert trans.order() == b.group_size
-        assert trans.semiregular_with_orbits(b.parts)
+        assert semiregular_with_orbits(trans, b.parts)
         # translations are graph automorphisms
         for p in trans.generators:
             for u, v in b.graph.edges:
@@ -166,7 +174,7 @@ def test_iota_is_an_automorphism_exactly_when_sets_match():
     heawood = _zero_type([7], [0, 1, 3])
     joined = PermGroup(14, list(right_translations(heawood).generators) + [iota(heawood)])
     assert joined.order() == 14
-    assert joined.is_transitive_on(range(14)) and joined.is_semiregular()
+    assert joined.is_transitive_on(range(14)) and is_semiregular(joined)
 
 
 def test_tau_swaps_parts_and_inverts_translations():
@@ -190,7 +198,7 @@ def test_one_type_instance_is_gp_12_5():
     assert certificate(q.graph) == certificate(hypercube())
     # the connection-set quotient agrees with contracting the R(N) orbits
     rn = PermGroup(24, [right_translation(b, g) for g in n.elements])
-    contracted = quotient_by_partition(b.graph, rn.orbits())
+    contracted = quotient_by_partition(b.graph, orbits(rn))
     assert certificate(contracted) == certificate(q.graph)
 
 

@@ -10,15 +10,19 @@ from _oracles import (
     brute_automorphisms,
     complete_bipartite_33,
     hypercube,
+    is_semiregular,
     kneser_petersen,
     lcf_graph,
+    orbits,
     random_graph,
     reference_are_conjugate,
     reference_conjugacy_class_count,
     reference_descend,
+    reference_enumerate_semiregular,
     reference_normalizer,
     reference_refine,
     reference_semiregular_members,
+    semiregular_with_orbits,
     small_corpus,
 )
 from bicayley import census
@@ -34,6 +38,7 @@ from bicayley.construction import (
 )
 from bicayley.graphs import Graph, encode_graph6
 from bicayley.symmetry import (
+    _conjugates,
     _Search,
     PermGroup,
     Permutation,
@@ -206,12 +211,12 @@ def test_perm_group_order_matches_naive_closure():
 def test_orbits_and_transitivity():
     rot = Permutation((1, 2, 3, 4, 5, 0))
     g = PermGroup(6, [rot * rot])
-    assert g.orbits() == [frozenset({0, 2, 4}), frozenset({1, 3, 5})]
+    assert orbits(g) == [frozenset({0, 2, 4}), frozenset({1, 3, 5})]
     assert not g.is_transitive_on(range(6))
     assert g.is_transitive_on({0, 2, 4})
-    assert g.is_semiregular()
-    assert g.semiregular_with_orbits([{0, 2, 4}, {1, 3, 5}])
-    assert not g.semiregular_with_orbits([{0, 1, 2}, {3, 4, 5}])
+    assert is_semiregular(g)
+    assert semiregular_with_orbits(g, [{0, 2, 4}, {1, 3, 5}])
+    assert not semiregular_with_orbits(g, [{0, 1, 2}, {3, 4, 5}])
 
 
 def test_automorphism_group_matches_brute_force():
@@ -332,7 +337,7 @@ def test_enumerate_semiregular():
     assert len(subs) == 8
     for sub in subs:
         assert sub.order() == 7
-        assert sub.semiregular_with_orbits(heawood.parts)
+        assert semiregular_with_orbits(sub, heawood.parts)
     # all eight are conjugate (Sylow)
     for sub in subs[1:]:
         x = are_conjugate(aut, subs[0], sub)
@@ -370,6 +375,23 @@ def test_enumerate_semiregular_matches_lattice_search():
         assert _element_sets(got) == _element_sets(want), b.spec
 
 
+def test_enumerate_semiregular_matches_coset_by_coset_growth():
+    # the two skipping rules leave the generator tuples and their order alone
+    graphs = [inst.bigraph for inst in census.table1_instances(128)]
+    graphs += [_zero_type([8], [0, 1, 2, 5]), _zero_type([6], [0, 2, 4])]
+    checked = 0
+    for b in graphs:
+        aut = automorphism_group(b.graph)
+        if aut.order() > max_enumeration_bound():
+            continue
+        orders = b.spec.group.orders
+        got = enumerate_semiregular(aut, b.parts, orders)
+        want = reference_enumerate_semiregular(aut, b.parts, orders)
+        assert [sub.generators for sub in got] == [sub.generators for sub in want], b.spec
+        checked += 1
+    assert checked == 28
+
+
 def test_enumerate_semiregular_returns_one_isomorphism_type():
     # The lattice search also reaches a quaternion group on the Moebius-Kantor
     # graph (row 2, Z_8), three cyclic groups on the cube (row 3, m=2) and three
@@ -395,8 +417,8 @@ def test_enumerate_semiregular_returns_one_isomorphism_type():
 def test_iota_alone_is_semiregular_but_misses_the_parts():
     cube = _zero_type([2, 2], [(0, 0), (1, 0), (0, 1)])
     sub = PermGroup(8, [iota(cube)])
-    assert sub.is_semiregular()
-    assert not sub.semiregular_with_orbits(cube.parts)
+    assert is_semiregular(sub)
+    assert not semiregular_with_orbits(sub, cube.parts)
 
 
 def test_are_conjugate():
@@ -415,8 +437,9 @@ def test_are_conjugate():
         aut = automorphism_group(b.graph)
         trans = right_translations(b)
         members = enumerate_semiregular(aut, b.parts, b.spec.group.orders)
+        reach, _ = _conjugates(aut, trans)  # the one orbit each are_conjugate call walks
         for sub in members:
-            x = are_conjugate(aut, trans, sub)
+            x = reach.get(frozenset(sub.elements()))
             assert (x is None) == (reference_are_conjugate(aut, trans, sub) is None), b.spec
             if x is not None:
                 assert aut.contains(x)

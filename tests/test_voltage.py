@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from _oracles import hypercube, random_graph
+from _oracles import hypercube, is_semiregular, random_graph
 from bicayley.abelian import automorphism_group_of, make_group, subgroup_generated
 from bicayley.graphs import Graph, bipartition, girth, is_connected
 from bicayley.construction import generalized_petersen
@@ -187,7 +187,7 @@ def test_right_action_is_semiregular():
     va = fig_assignment(4)
     act = right_action(va)
     assert act.order() == 4
-    assert act.is_semiregular()
+    assert is_semiregular(act)
     cover = derive(va)
     for p in act.generators:
         for u, v in cover.edges:
