@@ -33,7 +33,6 @@ from bicayley.symmetry import (
 from bicayley.voltage import (
     VoltageAssignment,
     spanning_tree,
-    base_circuits,
     derive,
     lifts,
     projection,
@@ -76,7 +75,6 @@ __all__ = [
     "k_arc_regularity",
     "VoltageAssignment",
     "spanning_tree",
-    "base_circuits",
     "derive",
     "lifts",
     "projection",

@@ -91,17 +91,26 @@ class GroupElement:
         if self.group != other.group:
             raise ValueError(f"elements of different groups: {self.group} vs {other.group}")
 
+    # results are reduced in place; AbelianGroup.element checks outside input
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         self._check_same_group(other)
-        return self.group.element(
-            tuple(a + b for a, b in zip(self.exponents, other.exponents))
+        return GroupElement(
+            self.group,
+            tuple(
+                (a + b) % d
+                for a, b, d in zip(self.exponents, other.exponents, self.group.orders)
+            ),
         )
 
     def inverse(self) -> "GroupElement":
-        return self.group.element(tuple(-e for e in self.exponents))
+        return GroupElement(
+            self.group, tuple(-e % d for e, d in zip(self.exponents, self.group.orders))
+        )
 
     def __pow__(self, k: int) -> "GroupElement":
-        return self.group.element(tuple(k * e for e in self.exponents))
+        return GroupElement(
+            self.group, tuple(k * e % d for e, d in zip(self.exponents, self.group.orders))
+        )
 
     @property
     def is_identity(self) -> bool:
@@ -389,6 +398,20 @@ def automorphism_group_of(group: AbelianGroup) -> list[GroupAutomorphism]:
     return result
 
 
+def _prime_factors(n: int) -> dict[int, int]:
+    """Prime -> exponent, by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
 def abelian_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:
     """One invariant-factor tuple per isomorphism type of order 2..max_order."""
 
@@ -401,21 +424,9 @@ def abelian_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:
                 out.append([first] + rest)
         return out
 
-    def prime_factorization(n: int) -> dict[int, int]:
-        fac: dict[int, int] = {}
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                fac[d] = fac.get(d, 0) + 1
-                n //= d
-            d += 1
-        if n > 1:
-            fac[n] = fac.get(n, 0) + 1
-        return fac
-
     types: list[tuple[int, ...]] = []
     for n in range(2, max_order + 1):
-        fac = prime_factorization(n)
+        fac = _prime_factors(n)
         per_prime = []
         for p, e in sorted(fac.items()):
             per_prime.append([(p, part) for part in partitions(e, e)])

@@ -52,8 +52,8 @@ def _require_spoke_only(b: BiCayleyGraph) -> None:
         raise ValueError("BCI deciders apply to spoke-only (0-type) graphs")
 
 
-def _spoke_exponents(b: BiCayleyGraph) -> tuple[tuple[int, ...], ...]:
-    return tuple(s.exponents for s in b.spec.spokes)
+def _spoke_exponents(spec: BiCayleySpec) -> tuple[tuple[int, ...], ...]:
+    return tuple(s.exponents for s in spec.spokes)
 
 
 def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
@@ -80,7 +80,7 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
     verdict = transitive and classes == 1
     return BciVerdict(
         group_orders=group.orders,
-        spokes=_spoke_exponents(b),
+        spokes=_spoke_exponents(b.spec),
         is_bci=verdict,
         method="criterion",
         normalizer_transitive=transitive,
@@ -100,9 +100,10 @@ def _identity_translates(spokes, autos) -> set[frozenset]:
     return members
 
 
-def _spoke_set_classes(group: AbelianGroup, k: int, skip=()):
-    """The first identity-containing k-subset of each Aut(H) x| H class in
-    scan order, passing over the class of ``skip``.
+def _first_match(group: AbelianGroup, k: int, target: str, skip=()) -> BiCayleySpec | None:
+    """The first spoke-only spec with k spokes whose graph has certificate
+    ``target``, scanning the first identity-containing k-subset of each
+    Aut(H) x| H class in scan order and passing over the class of ``skip``.
 
     BC(H, T) is isomorphic to BC(H, h T^sigma), so the graphs of a class are
     all isomorphic to a given graph or none is.  Every class meets the sets
@@ -110,15 +111,19 @@ def _spoke_set_classes(group: AbelianGroup, k: int, skip=()):
     k-subsets (the identity comes first in ``group.elements()``): a scan for a
     graph finds the same first match among these representatives."""
     if k == 0:
-        return  # no 0-subset contains the identity
+        return None  # no 0-subset contains the identity
     autos = automorphism_group_of(group)
     marked = _identity_translates(skip, autos) if skip else set()
     identity, *others = group.elements()
     for rest in combinations(others, k - 1):
         raw = (identity, *rest)
-        if frozenset(raw) not in marked:
-            marked |= _identity_translates(raw, autos)
-            yield raw
+        if frozenset(raw) in marked:
+            continue
+        marked |= _identity_translates(raw, autos)
+        spec = BiCayleySpec.create(group, (), (), raw)
+        if certificate(build(spec).graph) == target:
+            return spec
+    return None
 
 
 def bci_oracle(b: BiCayleyGraph) -> BciVerdict:
@@ -128,7 +133,7 @@ def bci_oracle(b: BiCayleyGraph) -> BciVerdict:
     The admissible family {hS^sigma} is one Aut(H) x| H class, and the graphs
     of a class are isomorphic, so T is a counterexample iff every set in its
     class is one.  One set per class is certified, the first identity-containing
-    one in scan order, skipping S's class (``_spoke_set_classes``): the first
+    one in scan order, skipping S's class (``_first_match``): the first
     counterexample is the one the full scan reports.  An empty S is its own
     only candidate, and admissible.
     """
@@ -138,18 +143,12 @@ def bci_oracle(b: BiCayleyGraph) -> BciVerdict:
         raise ValueError(
             f"oracle is limited to groups of order <= {_ORACLE_LIMIT}, got {group.size}"
         )
-    spokes = set(b.spec.spokes)
-    target = certificate(b.graph)
-    counterexample = None
-    for raw in _spoke_set_classes(group, len(spokes), skip=spokes):
-        spec = BiCayleySpec.create(group, (), (), raw)
-        if certificate(build(spec).graph) == target:
-            counterexample = tuple(sorted(x.exponents for x in raw))
-            break
-
+    spokes = b.spec.spokes
+    match = _first_match(group, len(spokes), certificate(b.graph), skip=spokes)
+    counterexample = None if match is None else _spoke_exponents(match)
     return BciVerdict(
         group_orders=group.orders,
-        spokes=_spoke_exponents(b),
+        spokes=_spoke_exponents(b.spec),
         is_bci=counterexample is None,
         method="oracle",
         counterexample=counterexample,

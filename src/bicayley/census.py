@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from bicayley.abelian import (
     AbelianGroup,
     GroupElement,
+    _prime_factors,
     make_group,
     quotient_group,
     subgroup_generated,
 )
-from bicayley.bci import _ORACLE_LIMIT, _spoke_set_classes, bci_by_criterion, cross_check
+from bicayley.bci import _ORACLE_LIMIT, _first_match, bci_by_criterion, cross_check
 from bicayley.construction import (
     BiCayleyGraph,
     BiCayleySpec,
@@ -63,19 +64,6 @@ class CensusInstance:
     bigraph: BiCayleyGraph
     expected_k: int
     claimed_k: int
-
-
-def _prime_factors(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
 
 
 def _row1_radical_ok(r: int) -> bool:
@@ -406,13 +394,8 @@ def negative_controls() -> dict:
     GP(9,2) are cubic but not arc-transitive; GP(10,2) is the positive control.
     """
     desargues = certificate(generalized_petersen(10, 3).graph)
-    z10 = make_group([10])
-    clash = None
-    for raw in _spoke_set_classes(z10, 3):
-        spec = BiCayleySpec.create(z10, (), (), raw)
-        if certificate(build(spec).graph) == desargues:
-            clash = format_spec(spec)
-            break
+    match = _first_match(make_group([10]), 3, desargues)
+    clash = None if match is None else format_spec(match)
     not_transitive = {}
     for n, k in ((7, 2), (9, 2)):
         arc_k, regular = k_arc_regularity(generalized_petersen(n, k).graph)

@@ -138,9 +138,7 @@ def build(spec: BiCayleySpec) -> BiCayleyGraph:
             edges.append((size + h_idx, size + index[l_elem * h]))
         for s in spec.spokes:
             edges.append((h_idx, size + index[s * h]))
-    labels = [(g.exponents, 0) for g in elems] + [(g.exponents, 1) for g in elems]
-    graph = Graph.from_edges(2 * size, edges, labels)
-    return BiCayleyGraph(spec, graph)
+    return BiCayleyGraph(spec, Graph.from_edges(2 * size, edges))
 
 
 def predicted_connected(spec: BiCayleySpec) -> bool:

@@ -1,15 +1,11 @@
-"""Simple undirected graphs with sorted adjacency, plus a graph6 codec.
-
-Vertex labels are a sidecar annotation: equality and every structural
-algorithm see only the integer vertices and the edge set.
-"""
+"""Simple undirected graphs with sorted adjacency, plus a graph6 codec."""
 
 from __future__ import annotations
 
 import base64
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "Graph",
@@ -37,10 +33,9 @@ class Graph:
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
-    labels: tuple | None = field(default=None, compare=False)
 
     @staticmethod
-    def from_edges(n: int, edges, labels=None) -> "Graph":
+    def from_edges(n: int, edges) -> "Graph":
         if n < 0:
             raise ValueError(f"vertex count {n} is negative")
         neighbor_sets: list[set[int]] = [set() for _ in range(n)]
@@ -51,12 +46,7 @@ class Graph:
                 raise ValueError(f"loop at vertex {u} not allowed")
             neighbor_sets[u].add(v)
             neighbor_sets[v].add(u)
-        adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError(f"{len(labels)} labels for {n} vertices")
-        return Graph(n, adjacency, labels)
+        return Graph(n, tuple(tuple(sorted(s)) for s in neighbor_sets))
 
     @property
     def edges(self) -> list[tuple[int, int]]:

@@ -25,7 +25,6 @@ __all__ = [
     "automorphism_group",
     "canonical_form",
     "certificate",
-    "k_arcs",
     "k_arc_regularity",
     "normalizer",
     "enumerate_semiregular",
@@ -118,6 +117,20 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
 
 
+def _orbit(points, images) -> set[int]:
+    """The points reached from ``points`` under the image tuples ``images``."""
+    reach = set(points)
+    queue = deque(reach)
+    while queue:
+        u = queue.popleft()
+        for a in images:
+            w = a[u]
+            if w not in reach:
+                reach.add(w)
+                queue.append(w)
+    return reach
+
+
 def _orbit_transversal(point: int, gens, degree: int) -> dict[int, Permutation]:
     trans = {point: Permutation.identity(degree)}
     queue = deque([point])
@@ -145,20 +158,13 @@ def _build_chain(gens, degree: int) -> list[_ChainLevel]:
     levels: list[_ChainLevel] = []
     current = [g for g in gens if not g.is_identity]
     while current:
+        images = [s.images for s in current]
         assigned: set[int] = set()
         best_orbit: set[int] | None = None
         for v in range(degree):
             if v in assigned:
                 continue
-            orb = {v}
-            queue = deque([v])
-            while queue:
-                p = queue.popleft()
-                for s in current:
-                    q = s.images[p]
-                    if q not in orb:
-                        orb.add(q)
-                        queue.append(q)
+            orb = _orbit((v,), images)
             assigned |= orb
             if len(orb) > 1 and (best_orbit is None or len(orb) > len(best_orbit)):
                 best_orbit = orb
@@ -238,16 +244,7 @@ class PermGroup:
         return self._elements
 
     def orbit(self, v: int) -> frozenset[int]:
-        orb = {v}
-        queue = deque([v])
-        while queue:
-            p = queue.popleft()
-            for s in self.generators:
-                q = s.images[p]
-                if q not in orb:
-                    orb.add(q)
-                    queue.append(q)
-        return frozenset(orb)
+        return frozenset(_orbit((v,), [s.images for s in self.generators]))
 
     def is_transitive_on(self, points) -> bool:
         points = frozenset(points)
@@ -425,16 +422,7 @@ class _Search:
         fixing = [a.images for a in self.autos]
         for p in prefix:
             fixing = [a for a in fixing if a[p] == p]
-        reach = set(points)
-        queue = deque(points)
-        while queue:
-            u = queue.popleft()
-            for a in fixing:
-                w = a[u]
-                if w not in reach:
-                    reach.add(w)
-                    queue.append(w)
-        return reach
+        return _orbit(points, fixing)
 
     def handle_leaf(self, cells: list[list[int]], prefix: list[int]) -> int | None:
         cert, position = self.leaf_certificate(cells)
@@ -470,11 +458,7 @@ class _Search:
 
 
 @lru_cache(maxsize=4096)
-def _analyzed(
-    adjacency: tuple[tuple[int, ...], ...],
-) -> tuple[tuple[Permutation, ...], Permutation, str]:
-    # keyed on the edges alone, so the cache holds no vertex labels
-    graph = Graph(len(adjacency), adjacency)
+def _analyzed(graph: Graph) -> tuple[tuple[Permutation, ...], Permutation, str]:
     if graph.n > _MAX_SEARCH_VERTICES:
         raise ValueError(
             f"graph on {graph.n} vertices exceeds the search bound {_MAX_SEARCH_VERTICES}"
@@ -489,7 +473,7 @@ def _analyzed(
 
 def automorphism_group(graph: Graph) -> PermGroup:
     """Full automorphism group of the graph."""
-    autos, _, _ = _analyzed(graph.adjacency)
+    autos, _, _ = _analyzed(graph)
     return PermGroup(graph.n, autos)
 
 
@@ -499,32 +483,26 @@ def canonical_form(graph: Graph) -> tuple[Permutation, str]:
     Isomorphic graphs receive equal certificates; the labeling maps each
     vertex to its canonical position.
     """
-    _, labeling, cert = _analyzed(graph.adjacency)
+    _, labeling, cert = _analyzed(graph)
     return labeling, cert
 
 
 def certificate(graph: Graph) -> str:
-    return _analyzed(graph.adjacency)[2]
+    return _analyzed(graph)[2]
 
 
 # --- k-arc machinery ---------------------------------------------------------
 
 
-def k_arcs(graph: Graph, k: int) -> list[tuple[int, ...]]:
-    """All walks (v_0..v_k) with consecutive adjacency and no immediate backtrack."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    arcs: list[tuple[int, ...]] = [(v,) for v in range(graph.n)]
+def _first_arc(graph: Graph, k: int) -> tuple[int, ...]:
+    """The first k-arc in lexicographic order: from vertex 0, each step goes to
+    the least neighbour other than the previous vertex.  Every vertex needs
+    two neighbours, as in a cubic graph."""
+    walk = [0]
     for _ in range(k):
-        nxt = []
-        for walk in arcs:
-            tail = walk[-1]
-            back = walk[-2] if len(walk) > 1 else None
-            for w in graph.adjacency[tail]:
-                if w != back:
-                    nxt.append(walk + (w,))
-        arcs = nxt
-    return arcs
+        back = walk[-2] if len(walk) > 1 else None
+        walk.append(next(w for w in graph.adjacency[walk[-1]] if w != back))
+    return tuple(walk)
 
 
 def _tuple_orbit_size(group: PermGroup, start: tuple[int, ...]) -> int:
@@ -559,16 +537,14 @@ def k_arc_regularity(graph: Graph) -> tuple[int | None, bool]:
 
 def _arc_type(graph: Graph, aut: PermGroup) -> tuple[int | None, bool]:
     """k_arc_regularity for a connected cubic graph with automorphism group aut."""
-    one_arcs = k_arcs(graph, 1)
-    if _tuple_orbit_size(aut, one_arcs[0]) != len(one_arcs):
+    if _tuple_orbit_size(aut, _first_arc(graph, 1)) != 2 * graph.edge_count:
         return None, False
     a = aut.order()
     n = graph.n
     for k in range(1, 6):
         if a == n * 3 * 2 ** (k - 1):
             total = n * 3 * 2 ** (k - 1)
-            start = k_arcs(graph, k)[0]
-            if _tuple_orbit_size(aut, start) != total:
+            if _tuple_orbit_size(aut, _first_arc(graph, k)) != total:
                 raise RuntimeError(
                     f"automorphism order {a} matches k={k} but the action is not "
                     f"transitive on {k}-arcs"

@@ -2,8 +2,8 @@
 
 Assignments are tree-reduced: arcs of a chosen spanning tree carry the
 identity, so a closed walk's voltage is the product over its cotree arcs.
-The automorphism-lifting criterion is decided constructively by propagating
-the required images of the base-circuit voltages.
+Whether an automorphism lifts is decided by propagating its lift over the
+derived cover.
 """
 
 from __future__ import annotations
@@ -11,22 +11,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from bicayley.abelian import (
-    AbelianGroup,
-    GroupAutomorphism,
-    GroupElement,
-    make_group,
-    subgroup_generated,
-)
-from bicayley.graphs import Graph
+from bicayley.abelian import AbelianGroup, GroupAutomorphism, GroupElement, make_group
+from bicayley.graphs import Graph, is_connected
 from bicayley.symmetry import PermGroup, Permutation
 
 __all__ = [
     "VoltageAssignment",
-    "BaseCircuit",
     "spanning_tree",
-    "base_circuits",
-    "walk_voltage",
     "derive",
     "right_action",
     "lifts",
@@ -136,79 +127,6 @@ class VoltageAssignment:
         )
 
 
-@dataclass(frozen=True)
-class BaseCircuit:
-    """A directed closed walk using exactly one cotree arc, traversed last.
-
-    ``vertices`` lists the walk without repeating the start; the walk begins
-    at the smaller endpoint of the cotree edge.
-    """
-
-    vertices: tuple[int, ...]
-    cotree_arc: tuple[int, int]
-
-    def arcs(self) -> list[tuple[int, int]]:
-        vs = self.vertices
-        return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-
-
-def base_circuits(va: VoltageAssignment) -> list[BaseCircuit]:
-    """One directed circuit per cotree edge; count is |E| - |V| + 1."""
-    parent = {0: None}
-    order = [0]
-    tree_adj: dict[int, list[int]] = {v: [] for v in range(va.base.n)}
-    for u, v in va.tree:
-        tree_adj[u].append(v)
-        tree_adj[v].append(u)
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(tree_adj[u]):
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-                queue.append(w)
-
-    def path_to_root(v: int) -> list[int]:
-        path = [v]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return path
-
-    circuits = []
-    for u, v in va.cotree_arcs():
-        pu = path_to_root(u)
-        pv = path_to_root(v)
-        shared = None
-        pu_set = {x: i for i, x in enumerate(pu)}
-        for j, x in enumerate(pv):
-            if x in pu_set:
-                shared = (pu_set[x], j)
-                break
-        assert shared is not None
-        i, j = shared
-        walk = pu[: i + 1] + list(reversed(pv[:j]))
-        # walk runs u -> v through the tree; the cotree arc (v, u) closes it
-        circuits.append(BaseCircuit(tuple(walk), (v, u)))
-    return circuits
-
-
-def walk_voltage(va: VoltageAssignment, walk) -> GroupElement:
-    """Product of arc voltages along a vertex walk (consecutive adjacency required)."""
-    walk = list(walk)
-    acc = va.group.identity
-    for tail, head in zip(walk, walk[1:]):
-        acc = acc * va.voltage(tail, head)
-    return acc
-
-
-def circuit_voltage(va: VoltageAssignment, circuit: BaseCircuit) -> GroupElement:
-    acc = va.group.identity
-    for tail, head in circuit.arcs():
-        acc = acc * va.voltage(tail, head)
-    return acc
-
-
 def derive(va: VoltageAssignment) -> Graph:
     """The covering graph: vertices (w, k), edges {(w,k), (w', zeta(w,w')k)}."""
     kelems = va.group.elements()
@@ -219,8 +137,7 @@ def derive(va: VoltageAssignment) -> Graph:
         z = va.voltages[(u, v)]
         for k in kelems:
             edges.append((u * size + index[k], v * size + index[z * k]))
-    labels = [(w, k.exponents) for w in range(va.base.n) for k in kelems]
-    return Graph.from_edges(va.base.n * size, edges, labels)
+    return Graph.from_edges(va.base.n * size, edges)
 
 
 def right_action(va: VoltageAssignment) -> PermGroup:
@@ -252,80 +169,44 @@ def lifts(
 ) -> tuple[GroupAutomorphism, Permutation] | None:
     """Decide whether a base automorphism lifts to the derived graph.
 
-    A lift exists iff some automorphism of the voltage group maps each base
-    circuit's voltage to the voltage of the circuit's image.  The candidate is
-    pinned down by propagation over the subgroup the circuit voltages
-    generate, which must be the whole group (otherwise the cover is
-    disconnected and the question is refused).  Returns (group automorphism,
-    lifted vertex permutation), or None.
+    The lift taking (v0, 1) to (sigma(v0), 1) is propagated breadth-first over
+    the cover: a neighbour of v in fiber w must go to the neighbour of v's
+    image in fiber sigma(w), unique since the base graph is simple.  Every
+    cover edge is checked, so sigma lifts iff no vertex receives two images
+    (Malnic, Nedela and Skoviera, Europ. J. Combin. 21, 2000).  A lift of a
+    connected cover is then a bijection, and it induces the voltage-group
+    automorphism sigma*, read off the images of the (v0, g).  A disconnected
+    cover is refused.  Returns (sigma*, lifted vertex permutation), or None.
     """
     _check_base_automorphism(va, sigma)
-    circuits = base_circuits(va)
-    pairs = []
-    for c in circuits:
-        z = circuit_voltage(va, c)
-        image_walk = [sigma.images[v] for v in c.vertices]
-        image_walk.append(image_walk[0])
-        y = walk_voltage(va, image_walk)
-        pairs.append((z, y))
-    gens = [z for z, _ in pairs]
-    if not subgroup_generated(va.group, gens).is_whole_group:
+    cover = derive(va)
+    if not is_connected(cover):
         raise ValueError(
             "circuit voltages do not generate the voltage group (disconnected cover)"
         )
-    # propagate phi(sum c_i z_i) = sum c_i y_i and check consistency
-    phi: dict[GroupElement, GroupElement] = {va.group.identity: va.group.identity}
-    queue = deque([va.group.identity])
-    while queue:
-        x = queue.popleft()
-        fx = phi[x]
-        for z, y in pairs:
-            x2 = x * z
-            f2 = fx * y
-            if x2 in phi:
-                if phi[x2] != f2:
-                    return None
-            else:
-                phi[x2] = f2
-                queue.append(x2)
-    if len(set(phi.values())) != va.group.size:
-        return None
-    images = tuple(phi[g] for g in va.group.generators())
-    sigma_star = GroupAutomorphism(va.group, images)
-
-    # potentials along the tree transport the fiber correction
-    corr: dict[int, GroupElement] = {0: va.group.identity}
-    tree_adj: dict[int, list[int]] = {v: [] for v in range(va.base.n)}
-    for u, v in va.tree:
-        tree_adj[u].append(v)
-        tree_adj[v].append(u)
+    size = va.group.size
+    adj = cover.adjacency
+    origin = sigma.images[0] * size
+    images: list[int | None] = [None] * cover.n
+    images[0] = origin
     queue = deque([0])
     while queue:
-        u = queue.popleft()
-        for w in sorted(tree_adj[u]):
-            if w not in corr:
-                corr[w] = va.voltage(sigma.images[u], sigma.images[w]) * corr[u]
-                queue.append(w)
-
+        v = queue.popleft()
+        image_by_fiber = {y // size: y for y in adj[images[v]]}
+        for u in adj[v]:
+            y = image_by_fiber[sigma.images[u // size]]
+            if images[u] is None:
+                images[u] = y
+                queue.append(u)
+            elif images[u] != y:
+                return None
     kelems = va.group.elements()
     index = {g: i for i, g in enumerate(kelems)}
-    size = va.group.size
-    n = va.base.n * size
-    images_lift = [0] * n
-    for w in range(va.base.n):
-        sw = sigma.images[w]
-        base_corr = corr[w]
-        for k in kelems:
-            images_lift[w * size + index[k]] = sw * size + index[sigma_star(k) * base_corr]
-    lift = Permutation(tuple(images_lift))
-
-    derived = derive(va)
-    for u, v in derived.edges:
-        if not derived.has_edge(lift.images[u], lift.images[v]):
-            raise RuntimeError(
-                "internal error: propagated lift is not an automorphism of the cover"
-            )
-    return sigma_star, lift
+    sigma_star = GroupAutomorphism(
+        va.group,
+        tuple(kelems[images[index[g]] - origin] for g in va.group.generators()),
+    )
+    return sigma_star, Permutation(tuple(images))
 
 
 def projection(va: VoltageAssignment, g: Permutation) -> Permutation:
@@ -347,10 +228,8 @@ def projection(va: VoltageAssignment, g: Permutation) -> Permutation:
 
 # --- the eight-vertex quotient fixture ---------------------------------------
 
-# Vertex names for the cube-shaped quotient of the 24-point 1-type graph:
-# part-0 cosets 0..3 and part-1 cosets 4..7, in the order
-# e_0, r_0, s_0, rs_0, e_1, r_1, s_1, rs_1.
-_FIG_NAMES = ("e0", "r0", "s0", "rs0", "e1", "r1", "s1", "rs1")
+# The cube-shaped quotient of the 24-point 1-type graph: part-0 cosets 0..3 and
+# part-1 cosets 4..7, named e0, r0, s0, rs0, e1, r1, s1, rs1 in that order.
 _FIG_TREE = [(1, 0), (0, 4), (4, 6), (6, 2), (2, 3), (3, 7), (7, 5)]
 # cotree arcs with nontrivial voltage carry the designated generator
 _FIG_CHARGED = [(0, 7), (3, 4), (1, 6), (2, 5)]
@@ -358,9 +237,8 @@ _FIG_FLAT = [(1, 5)]
 
 
 def fig_base() -> Graph:
-    """The labeled cube quotient: a spanning-tree path plus five cotree edges."""
-    edges = list(_FIG_TREE) + _FIG_CHARGED + _FIG_FLAT
-    return Graph.from_edges(8, edges, labels=_FIG_NAMES)
+    """The cube quotient: a spanning-tree path plus five cotree edges."""
+    return Graph.from_edges(8, list(_FIG_TREE) + _FIG_CHARGED + _FIG_FLAT)
 
 
 def fig_assignment(order: int) -> VoltageAssignment:

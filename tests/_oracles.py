@@ -2,15 +2,17 @@
 
 Nothing here calls into the package beyond the Graph container: automorphisms
 by filtering all vertex bijections, girth by exhaustive path search, graph6 by
-direct bit-string packing, and the classical LCF and Kneser constructions.  The
-exceptions are the straightforward refinement and branching of the
+direct bit-string packing, k-arcs by listing every walk, and the classical LCF
+and Kneser constructions.  The exceptions are the straightforward refinement
+and branching of the
 individualization-refinement search, written as methods to patch into
 ``bicayley.symmetry._Search`` in place of the fast ones, the unreduced
 Theorem A scan and the full-scan BCI oracle, which build and certify graphs
 through the package, and the orbit and semiregularity tests, the
 subgroup-lattice and coset-by-coset enumerations of semiregular subgroups and
 the element scans for normalizers and conjugacy, which work on the package's
-permutations.
+permutations, and the base-circuit lift criterion, which reads the package's
+voltage assignments.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -31,6 +34,7 @@ from bicayley.abelian import (
 from bicayley.construction import BiCayleySpec, build
 from bicayley.graphs import Graph
 from bicayley.symmetry import Permutation, PermGroup, certificate
+from bicayley.voltage import VoltageAssignment
 
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -78,6 +82,23 @@ def graph6_reference(g: Graph) -> str:
     size = format(g.n, "018b")
     head = "~" + "".join(chr(int(size[i : i + 6], 2) + 63) for i in range(0, 18, 6))
     return head + data
+
+
+def k_arcs(graph: Graph, k: int) -> list[tuple[int, ...]]:
+    """All walks (v_0..v_k) with consecutive adjacency and no immediate backtrack."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    arcs: list[tuple[int, ...]] = [(v,) for v in range(graph.n)]
+    for _ in range(k):
+        nxt = []
+        for walk in arcs:
+            tail = walk[-1]
+            back = walk[-2] if len(walk) > 1 else None
+            for w in graph.adjacency[tail]:
+                if w != back:
+                    nxt.append(walk + (w,))
+        arcs = nxt
+    return arcs
 
 
 def lcf_graph(shifts: list[int], repeats: int) -> Graph:
@@ -471,3 +492,97 @@ def _automorphisms(group) -> tuple:
 def _spoke_set_certificate(group, spokes) -> str:
     # many inputs over one group scan the same spoke sets
     return certificate(build(BiCayleySpec.create(group, (), (), spokes)).graph)
+
+
+# --- the base-circuit lift criterion -----------------------------------------
+
+
+@dataclass(frozen=True)
+class BaseCircuit:
+    """A directed closed walk using exactly one cotree arc, traversed last.
+
+    ``vertices`` lists the walk without repeating the start; the walk begins
+    at the smaller endpoint of the cotree edge.
+    """
+
+    vertices: tuple[int, ...]
+    cotree_arc: tuple[int, int]
+
+    def arcs(self) -> list[tuple[int, int]]:
+        vs = self.vertices
+        return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
+def base_circuits(va: VoltageAssignment) -> list[BaseCircuit]:
+    """One directed circuit per cotree edge; count is |E| - |V| + 1."""
+    parent = {0: None}
+    tree_adj: dict[int, list[int]] = {v: [] for v in range(va.base.n)}
+    for u, v in va.tree:
+        tree_adj[u].append(v)
+        tree_adj[v].append(u)
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(tree_adj[u]):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+
+    def path_to_root(v: int) -> list[int]:
+        path = [v]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path
+
+    circuits = []
+    for u, v in va.cotree_arcs():
+        pu = path_to_root(u)
+        pv = path_to_root(v)
+        shared = None
+        pu_set = {x: i for i, x in enumerate(pu)}
+        for j, x in enumerate(pv):
+            if x in pu_set:
+                shared = (pu_set[x], j)
+                break
+        assert shared is not None
+        i, j = shared
+        walk = pu[: i + 1] + list(reversed(pv[:j]))
+        # walk runs u -> v through the tree; the cotree arc (v, u) closes it
+        circuits.append(BaseCircuit(tuple(walk), (v, u)))
+    return circuits
+
+
+def walk_voltage(va: VoltageAssignment, walk):
+    """Product of arc voltages along a vertex walk (consecutive adjacency required)."""
+    walk = list(walk)
+    acc = va.group.identity
+    for tail, head in zip(walk, walk[1:]):
+        acc = acc * va.voltage(tail, head)
+    return acc
+
+
+def circuit_voltage(va: VoltageAssignment, circuit: BaseCircuit):
+    acc = va.group.identity
+    for tail, head in circuit.arcs():
+        acc = acc * va.voltage(tail, head)
+    return acc
+
+
+def circuit_pairs(va: VoltageAssignment, sigma: Permutation) -> list[tuple]:
+    """(voltage of each base circuit, voltage of its image walk under sigma)."""
+    pairs = []
+    for c in base_circuits(va):
+        image = [sigma.images[v] for v in c.vertices]
+        image.append(image[0])
+        pairs.append((circuit_voltage(va, c), walk_voltage(va, image)))
+    return pairs
+
+
+def lift_exists_by_scan(va: VoltageAssignment, sigma: Permutation) -> bool:
+    """Some voltage-group automorphism maps every base-circuit voltage onto the
+    voltage of the circuit's image walk: sigma lifts (Malnic, Nedela and
+    Skoviera 2000)."""
+    pairs = circuit_pairs(va, sigma)
+    return any(
+        all(phi(z) == y for z, y in pairs) for phi in automorphism_group_of(va.group)
+    )

@@ -32,8 +32,6 @@ def test_from_edges_validation():
         Graph.from_edges(3, [(0, 5)])
     with pytest.raises(ValueError):
         Graph.from_edges(-1, [])
-    with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 1)], labels=["a"])
 
 
 def test_adjacency_is_sorted_and_deduplicated():
@@ -43,13 +41,6 @@ def test_adjacency_is_sorted_and_deduplicated():
     assert g.edges == [(0, 1), (0, 2), (0, 3)]
     assert g.degree(0) == 3 and g.degree(1) == 1
     assert g.has_edge(2, 0) and not g.has_edge(1, 2)
-
-
-def test_labels_do_not_affect_equality():
-    g1 = Graph.from_edges(2, [(0, 1)], labels=["x", "y"])
-    g2 = Graph.from_edges(2, [(0, 1)])
-    assert g1 == g2
-    assert g1.labels == ("x", "y")
 
 
 def test_relabel_preserves_structure():

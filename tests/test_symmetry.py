@@ -11,6 +11,7 @@ from _oracles import (
     complete_bipartite_33,
     hypercube,
     is_semiregular,
+    k_arcs,
     kneser_petersen,
     lcf_graph,
     orbits,
@@ -39,6 +40,7 @@ from bicayley.construction import (
 from bicayley.graphs import Graph, encode_graph6
 from bicayley.symmetry import (
     _conjugates,
+    _first_arc,
     _Search,
     PermGroup,
     Permutation,
@@ -48,7 +50,6 @@ from bicayley.symmetry import (
     certificate,
     enumerate_semiregular,
     k_arc_regularity,
-    k_arcs,
     max_enumeration_bound,
     normalizer,
 )
@@ -276,6 +277,12 @@ def test_k_arcs_counts():
         assert len(k_arcs(cube, k)) == 8 * 3 * 2 ** (k - 1)
     with pytest.raises(ValueError):
         k_arcs(K4, -1)
+    # _arc_type's greedy walk is the first k-arc the listing gives
+    members = census.table1_instances(64) + census.table2_instances(64)
+    for inst in members:
+        g = inst.bigraph.graph
+        for k in range(6):
+            assert _first_arc(g, k) == k_arcs(g, k)[0]
 
 
 def test_k_arc_regularity_frozen_values():

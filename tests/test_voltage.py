@@ -1,12 +1,21 @@
-"""Voltage covers vs direct construction, and the lift decision vs an
-exhaustive scan over all voltage-group automorphisms."""
+"""Voltage covers vs direct construction, and the lift decision vs the
+base-circuit criterion, scanned over all voltage-group automorphisms."""
 
 import random
 
 import pytest
 
-from _oracles import hypercube, is_semiregular, random_graph
-from bicayley.abelian import automorphism_group_of, make_group, subgroup_generated
+from _oracles import (
+    base_circuits,
+    circuit_pairs,
+    circuit_voltage,
+    hypercube,
+    is_semiregular,
+    lift_exists_by_scan,
+    random_graph,
+    walk_voltage,
+)
+from bicayley.abelian import make_group, subgroup_generated
 from bicayley.graphs import Graph, bipartition, girth, is_connected
 from bicayley.construction import generalized_petersen
 from bicayley.symmetry import (
@@ -17,8 +26,6 @@ from bicayley.symmetry import (
 )
 from bicayley.voltage import (
     VoltageAssignment,
-    base_circuits,
-    circuit_voltage,
     derive,
     fig_alpha,
     fig_assignment,
@@ -27,22 +34,17 @@ from bicayley.voltage import (
     projection,
     right_action,
     spanning_tree,
-    walk_voltage,
 )
 
 
-def lift_exists_by_scan(va, sigma) -> bool:
-    """Ground truth: some voltage-group automorphism maps every base-circuit
-    voltage onto the voltage of the circuit's image walk."""
-    pairs = []
-    for c in base_circuits(va):
-        z = circuit_voltage(va, c)
-        image = [sigma.images[v] for v in c.vertices]
-        image.append(image[0])
-        pairs.append((z, walk_voltage(va, image)))
-    return any(
-        all(phi(z) == y for z, y in pairs) for phi in automorphism_group_of(va.group)
-    )
+def check_lift(va, sigma, result) -> None:
+    """The returned lift is the one the criterion fixes: sigma* carries each
+    base-circuit voltage to its image walk's, the lift takes (0, 1) to
+    (sigma(0), 1), and it projects to sigma."""
+    sigma_star, lift = result
+    assert all(sigma_star(z) == y for z, y in circuit_pairs(va, sigma))
+    assert lift.images[0] == sigma.images[0] * va.group.size
+    assert projection(va, lift) == sigma
 
 
 def test_spanning_tree_properties():
@@ -211,8 +213,8 @@ def test_alpha_lifts_exactly_over_one_and_three():
         result = lifts(va, alpha)
         assert (result is not None) == (order in (1, 3))
         if result is not None:
-            sigma_star, lift = result
-            assert projection(va, lift) == alpha
+            check_lift(va, alpha, result)
+            lift = result[1]
             cover = derive(va)
             for u, v in cover.edges:
                 assert cover.has_edge(lift.images[u], lift.images[v])
@@ -225,8 +227,11 @@ def test_lift_decision_matches_automorphism_scan():
         va = fig_assignment(order)
         agreed = 0
         for sigma in base_aut.elements():
-            got = lifts(va, sigma) is not None
+            result = lifts(va, sigma)
+            got = result is not None
             assert got == lift_exists_by_scan(va, sigma)
+            if got:
+                check_lift(va, sigma, result)
             agreed += got
         if order == 3:
             assert agreed == 48  # every cube automorphism survives mod 3
@@ -239,10 +244,10 @@ def test_lift_decision_matches_scan_on_random_assignments():
         g = random_graph(rng, rng.randint(4, 6), 0.6)
         if not is_connected(g) or g.edge_count == g.n - 1:
             continue
-        group = make_group([rng.choice([2, 3, 4])])
+        group = make_group(rng.choice([[2], [3], [4], [2, 2], [2, 4]]))
         tree = spanning_tree(g)
         cotree = {
-            (u, v): group.element(rng.randrange(group.size))
+            (u, v): rng.choice(group.elements())
             for u, v in g.edges
             if (u, v) not in tree
         }
@@ -258,7 +263,7 @@ def test_lift_decision_matches_scan_on_random_assignments():
             result = lifts(va, sigma)
             assert (result is not None) == lift_exists_by_scan(va, sigma)
             if result is not None:
-                assert projection(va, result[1]) == sigma
+                check_lift(va, sigma, result)
         checked += 1
 
 
