@@ -44,14 +44,11 @@ def _report(instances: list[dict], passed: bool) -> dict:
     }
 
 
-def _refuse_empty(args) -> int:
-    """A bound that selects no instance checks nothing, so it cannot pass."""
+def _refuse_empty(args, selection: str) -> int:
+    """A selection of no instance checks nothing, so it cannot pass."""
     if args.json:
         _emit(_report([], False), args, [])
-    print(
-        f"bicayley {args.command}: no instances within --max-vertices {args.max_vertices}",
-        file=sys.stderr,
-    )
+    print(f"bicayley {args.command}: no instances {selection}", file=sys.stderr)
     return 2
 
 
@@ -125,7 +122,7 @@ def cmd_analyze(args) -> int:
 def _cmd_table(args, which: int) -> int:
     instances = (table1_instances if which == 1 else table2_instances)(args.max_vertices)
     if not instances:
-        return _refuse_empty(args)
+        return _refuse_empty(args, f"within --max-vertices {args.max_vertices}")
     records = [verify_instance(inst) for inst in instances]
     passed = all(rec["ok"] for rec in records)
     lines = [
@@ -163,7 +160,7 @@ def cmd_theorem_a(args) -> int:
 def cmd_theorem_b(args) -> int:
     results = theorem_b_verify(args.max_vertices)
     if not results:
-        return _refuse_empty(args)
+        return _refuse_empty(args, f"within --max-vertices {args.max_vertices}")
     passed = all(rec["is_bci"] for rec in results)
     lines = [
         f"{rec['description']}: n={rec['vertices']} bci={rec['is_bci']} "
@@ -177,6 +174,8 @@ def cmd_theorem_b(args) -> int:
 
 def cmd_voltage_fig(args) -> int:
     orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
+    if not orders:
+        return _refuse_empty(args, f"in --orders {args.orders!r}")
     base = fig_base()
     base_ok = certificate(base) == certificate(generalized_petersen(4, 1).graph)
     alpha = fig_alpha()
@@ -313,8 +312,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # bad input or a bound it exceeds; RuntimeError (a failed check) propagates
+    except (ValueError, OSError) as exc:
+        # bad input, a bound it exceeds or an unwritable output file;
+        # RuntimeError (a failed check) propagates
         print(f"bicayley {args.command}: {exc}", file=sys.stderr)
         return 2
 

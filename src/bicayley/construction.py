@@ -1,8 +1,11 @@
 """Bi-Cayley graphs over finite abelian groups.
 
 Vertices are two copies of the group: part 0 carries the right connection set,
-part 1 the left one, and the spoke set joins the parts.  Part-0 vertex ids are
-0..|H|-1 in lexicographic element order; part 1 follows.
+part 1 the left one, and the spoke set joins the parts.  The graph is the
+derived H-cover of a two-vertex voltage graph, R and L its loops and S its
+parallel spokes, so it shares one vertex order with ``voltage.derive``: vertex
+(w, k) of fibre w has id w*|H| + the position of k in ``group.elements()``
+(lexicographic exponent order).
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ class BiCayleySpec:
 
 @dataclass(frozen=True)
 class BiCayleyGraph:
-    """A built bi-Cayley graph: the spec, the plain graph, and the vertex maps."""
+    """A built bi-Cayley graph: the spec and the plain graph."""
 
     spec: BiCayleySpec
     graph: Graph
@@ -93,52 +96,41 @@ class BiCayleyGraph:
         return self.spec.group
 
     @property
-    def group_size(self) -> int:
-        return self.spec.group.size
-
-    def vertex(self, element: GroupElement, part: int) -> int:
-        if part not in (0, 1):
-            raise ValueError(f"part must be 0 or 1, got {part}")
-        idx = 0
-        stride = 1
-        for e, d in zip(reversed(element.exponents), reversed(self.group.orders)):
-            idx += e * stride
-            stride *= d
-        return idx + part * self.group.size
-
-    def element_at(self, v: int) -> tuple[GroupElement, int]:
-        size = self.group.size
-        if not 0 <= v < 2 * size:
-            raise ValueError(f"vertex {v} out of range")
-        part, idx = divmod(v, size)
-        exps = []
-        for d in reversed(self.group.orders):
-            idx, e = divmod(idx, d)
-            exps.append(e)
-        return self.group.element(tuple(reversed(exps))), part
-
-    @property
     def parts(self) -> tuple[frozenset[int], frozenset[int]]:
         size = self.group.size
         return frozenset(range(size)), frozenset(range(size, 2 * size))
 
 
+def _element_index(group: AbelianGroup) -> tuple[list[GroupElement], dict[GroupElement, int]]:
+    elems = group.elements()
+    return elems, {g: i for i, g in enumerate(elems)}
+
+
+def _fibred_graph(group: AbelianGroup, fibres: int, arcs) -> Graph:
+    """The derived cover: edge {(u, k), (v, z*k)} for each arc (u, v, z) and k in H."""
+    elems, index = _element_index(group)
+    size = len(elems)
+    return Graph.from_edges(
+        fibres * size,
+        [(u * size + i, v * size + index[z * k]) for u, v, z in arcs for i, k in enumerate(elems)],
+    )
+
+
+def _translation(group: AbelianGroup, fibres: int, h: GroupElement) -> Permutation:
+    """The permutation (w, k) -> (w, k*h) of the fibred vertices."""
+    elems, index = _element_index(group)
+    shifted = [index[k * h] for k in elems]
+    return Permutation(tuple(w * len(elems) + j for w in range(fibres) for j in shifted))
+
+
 def build(spec: BiCayleySpec) -> BiCayleyGraph:
     """Materialize the graph: right edges in part 0, left in part 1, spokes across."""
-    group = spec.group
-    elems = group.elements()
-    index = {g: i for i, g in enumerate(elems)}
-    size = group.size
-    edges = []
-    for h in elems:
-        h_idx = index[h]
-        for r in spec.right:
-            edges.append((h_idx, index[r * h]))
-        for l_elem in spec.left:
-            edges.append((size + h_idx, size + index[l_elem * h]))
-        for s in spec.spokes:
-            edges.append((h_idx, size + index[s * h]))
-    return BiCayleyGraph(spec, Graph.from_edges(2 * size, edges))
+    arcs = (
+        [(0, 0, r) for r in spec.right]
+        + [(1, 1, l_elem) for l_elem in spec.left]
+        + [(0, 1, s) for s in spec.spokes]
+    )
+    return BiCayleyGraph(spec, _fibred_graph(spec.group, 2, arcs))
 
 
 def predicted_connected(spec: BiCayleySpec) -> bool:
@@ -157,18 +149,13 @@ def predicted_connected(spec: BiCayleySpec) -> bool:
 
 def right_translation(b: BiCayleyGraph, h: GroupElement) -> Permutation:
     """The permutation (x_i) -> (xh)_i."""
-    size = b.group_size
-    images = [0] * (2 * size)
-    for v in range(2 * size):
-        x, part = b.element_at(v)
-        images[v] = b.vertex(x * h, part)
-    return Permutation(tuple(images))
+    return _translation(b.group, 2, h)
 
 
 def right_translations(b: BiCayleyGraph) -> PermGroup:
     """The group of all right translations, acting with the parts as orbits."""
     gens = [right_translation(b, g) for g in b.group.generators()]
-    return PermGroup(2 * b.group_size, gens)
+    return PermGroup(2 * b.group.size, gens)
 
 
 def iota(b: BiCayleyGraph) -> Permutation:
@@ -177,12 +164,9 @@ def iota(b: BiCayleyGraph) -> Permutation:
     Together with the right translations it generates a group regular on the
     vertices; it is a graph automorphism whenever R = L.
     """
-    size = b.group_size
-    images = [0] * (2 * size)
-    for v in range(2 * size):
-        x, part = b.element_at(v)
-        images[v] = b.vertex(x.inverse(), 1 - part)
-    return Permutation(tuple(images))
+    elems, index = _element_index(b.group)
+    inverted = [index[x.inverse()] for x in elems]
+    return Permutation(tuple((1 - i) * len(elems) + j for i in (0, 1) for j in inverted))
 
 
 def generalized_petersen(n: int, k: int) -> BiCayleyGraph:

@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from bicayley.abelian import AbelianGroup, GroupAutomorphism, GroupElement, make_group
+from bicayley.construction import _element_index, _fibred_graph, _translation
 from bicayley.graphs import Graph, is_connected
 from bicayley.symmetry import PermGroup, Permutation
 
@@ -79,19 +80,7 @@ class VoltageAssignment:
         if len(tree) != base.n - 1:
             raise ValueError(f"{len(tree)} tree edges cannot span {base.n} vertices")
         # acyclicity follows from the count once the tree is connected
-        reach = {0} if base.n else set()
-        queue = deque(reach)
-        tree_adj: dict[int, list[int]] = {v: [] for v in range(base.n)}
-        for u, v in tree:
-            tree_adj[u].append(v)
-            tree_adj[v].append(u)
-        while queue:
-            u = queue.popleft()
-            for w in tree_adj[u]:
-                if w not in reach:
-                    reach.add(w)
-                    queue.append(w)
-        if len(reach) != base.n:
+        if not is_connected(Graph.from_edges(base.n, tree)):
             raise ValueError("tree edges do not span the graph")
 
         voltages: dict[tuple[int, int], GroupElement] = {}
@@ -129,31 +118,14 @@ class VoltageAssignment:
 
 def derive(va: VoltageAssignment) -> Graph:
     """The covering graph: vertices (w, k), edges {(w,k), (w', zeta(w,w')k)}."""
-    kelems = va.group.elements()
-    index = {g: i for i, g in enumerate(kelems)}
-    size = va.group.size
-    edges = []
-    for u, v in va.base.edges:
-        z = va.voltages[(u, v)]
-        for k in kelems:
-            edges.append((u * size + index[k], v * size + index[z * k]))
-    return Graph.from_edges(va.base.n * size, edges)
+    arcs = [(u, v, va.voltages[(u, v)]) for u, v in va.base.edges]
+    return _fibred_graph(va.group, va.base.n, arcs)
 
 
 def right_action(va: VoltageAssignment) -> PermGroup:
     """The voltage group acting on fibers by right multiplication."""
-    kelems = va.group.elements()
-    index = {g: i for i, g in enumerate(kelems)}
-    size = va.group.size
-    n = va.base.n * size
-    gens = []
-    for g in va.group.generators():
-        images = [0] * n
-        for w in range(va.base.n):
-            for k in kelems:
-                images[w * size + index[k]] = w * size + index[k * g]
-        gens.append(Permutation(tuple(images)))
-    return PermGroup(n, gens)
+    gens = [_translation(va.group, va.base.n, g) for g in va.group.generators()]
+    return PermGroup(va.base.n * va.group.size, gens)
 
 
 def _check_base_automorphism(va: VoltageAssignment, sigma: Permutation) -> None:
@@ -200,8 +172,7 @@ def lifts(
                 queue.append(u)
             elif images[u] != y:
                 return None
-    kelems = va.group.elements()
-    index = {g: i for i, g in enumerate(kelems)}
+    kelems, index = _element_index(va.group)
     sigma_star = GroupAutomorphism(
         va.group,
         tuple(kelems[images[index[g]] - origin] for g in va.group.generators()),

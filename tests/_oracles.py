@@ -2,8 +2,8 @@
 
 Nothing here calls into the package beyond the Graph container: automorphisms
 by filtering all vertex bijections, girth by exhaustive path search, graph6 by
-direct bit-string packing, k-arcs by listing every walk, and the classical LCF
-and Kneser constructions.  The exceptions are the straightforward refinement
+direct bit-string packing, k-arcs by listing every walk, vertex ids by
+mixed-radix arithmetic, and the classical LCF and Kneser constructions.  The exceptions are the straightforward refinement
 and branching of the
 individualization-refinement search, written as methods to patch into
 ``bicayley.symmetry._Search`` in place of the fast ones, the unreduced
@@ -99,6 +99,15 @@ def k_arcs(graph: Graph, k: int) -> list[tuple[int, ...]]:
                     nxt.append(walk + (w,))
         arcs = nxt
     return arcs
+
+
+def layout_id(element, fibre: int) -> int:
+    """The id of vertex (fibre, element) of a cover over the element's group:
+    fibre * |H| + the rank of the exponent vector in lexicographic order."""
+    rank = 0
+    for e, d in zip(element.exponents, element.group.orders):
+        rank = rank * d + e
+    return fibre * element.group.size + rank
 
 
 def lcf_graph(shifts: list[int], repeats: int) -> Graph:

@@ -115,6 +115,17 @@ def test_empty_selection_fails(capsys, command):
     assert payload["pass"] is False and payload["instances"] == []
 
 
+@pytest.mark.parametrize("orders", ["", ","])
+def test_voltage_fig_without_orders_fails(capsys, orders):
+    assert main(["voltage-fig1", "--orders", orders]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"bicayley voltage-fig1: no instances in --orders {orders!r}"
+    code, payload = run_json(capsys, ["voltage-fig1", "--orders", orders])
+    assert code == 2
+    assert payload["pass"] is False and payload["instances"] == []
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -124,6 +135,10 @@ def test_empty_selection_fails(capsys, command):
         (["voltage-fig1", "--orders", "0"], "voltage group order must be positive"),
         (["voltage-fig1", "--orders", "3,x"], "invalid literal"),
         (["bci", "H=9; S={0,3,6}"], "exceeds the enumeration bound 100000"),
+        (
+            ["build", "H=3; S={0,1,2}", "--graph6-out", "/nonexistent/dir/x.g6"],
+            "No such file or directory",
+        ),
     ],
 )
 def test_user_errors_are_one_line(capsys, argv, message):

@@ -10,6 +10,7 @@ from _oracles import (
     hypercube,
     is_semiregular,
     kneser_petersen,
+    layout_id,
     lcf_graph,
     orbits,
     semiregular_with_orbits,
@@ -52,17 +53,6 @@ def test_spec_validation():
     assert spec.degree == 3
 
 
-def test_vertex_indexing_round_trip():
-    b = _zero_type([6, 2], [(0, 0), (1, 0), (5, 1)])
-    for v in range(b.graph.n):
-        elem, part = b.element_at(v)
-        assert b.vertex(elem, part) == v
-    with pytest.raises(ValueError):
-        b.vertex(b.group.identity, 2)
-    with pytest.raises(ValueError):
-        b.element_at(24)
-
-
 def test_build_matches_connection_rule():
     # edge h_0 ~ g_0 iff g h^-1 in R, h_1 ~ g_1 iff g h^-1 in L,
     # h_0 ~ g_1 iff g h^-1 in S
@@ -81,11 +71,11 @@ def test_build_matches_connection_rule():
         for h in elems:
             for g in elems:
                 diff = g * h.inverse()
-                assert b.graph.has_edge(b.vertex(h, 0), b.vertex(g, 1)) == (
+                assert b.graph.has_edge(layout_id(h, 0), layout_id(g, 1)) == (
                     diff in spec.spokes
                 )
                 if g != h:
-                    inside = b.graph.has_edge(b.vertex(h, 0), b.vertex(g, 0))
+                    inside = b.graph.has_edge(layout_id(h, 0), layout_id(g, 0))
                     assert inside == (diff in spec.right)
 
 
@@ -143,7 +133,7 @@ def test_predicted_connected_matches_bfs():
 def test_right_translations_are_semiregular_on_parts():
     for b in (_zero_type([7], [0, 1, 3]), generalized_petersen(6, 1)):
         trans = right_translations(b)
-        assert trans.order() == b.group_size
+        assert trans.order() == b.group.size
         assert semiregular_with_orbits(trans, b.parts)
         # translations are graph automorphisms
         for p in trans.generators:
@@ -155,13 +145,29 @@ def test_right_translations_are_semiregular_on_parts():
     assert len(cycles) == 2 and all(len(c) == 3 for c in cycles)
 
 
+def test_translations_and_iota_follow_the_layout():
+    # right_translation(b, h): (x, i) -> (xh, i); iota: (x, i) -> (x^-1, 1-i)
+    for orders in ([7], [6, 2], [2, 3, 2]):
+        group = make_group(orders)
+        b = build(BiCayleySpec.create(group, (), (), (group.identity,)))
+        elems = group.elements()
+        assert [layout_id(x, 0) for x in elems] == list(range(group.size))
+        tau = iota(b)
+        for h in elems:
+            t = right_translation(b, h)
+            for x in elems:
+                for i in (0, 1):
+                    assert t.images[layout_id(x, i)] == layout_id(x * h, i)
+        for x in elems:
+            for i in (0, 1):
+                assert tau.images[layout_id(x, i)] == layout_id(x.inverse(), 1 - i)
+
+
 def test_iota_is_an_automorphism_exactly_when_sets_match():
     cube = _zero_type([2, 2], [(0, 0), (1, 0), (0, 1)])
     i = iota(cube)
     assert (i * i).is_identity
-    assert i.images[cube.vertex(cube.group.identity, 0)] == cube.vertex(
-        cube.group.identity, 1
-    )
+    assert i.images[0] == 4
     for u, v in cube.graph.edges:
         assert cube.graph.has_edge(i.images[u], i.images[v])
     # R != L for GP(5,2), and iota breaks an edge there

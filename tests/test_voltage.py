@@ -11,6 +11,7 @@ from _oracles import (
     circuit_voltage,
     hypercube,
     is_semiregular,
+    layout_id,
     lift_exists_by_scan,
     random_graph,
     walk_voltage,
@@ -183,6 +184,29 @@ def test_z2_cover_diagnostics():
     assert automorphism_group(cover).order() == 128
     for k in (1, 2, 3):
         assert certificate(cover) != certificate(generalized_petersen(8, k).graph)
+
+
+def test_derive_and_right_action_follow_the_layout():
+    # derive joins (w, k) to (w', zeta(w, w') k); generator g maps (w, k) to (w, kg)
+    rng = random.Random(29)
+    base = fig_base()
+    tree = spanning_tree(base)
+    group = make_group([2, 4])
+    cotree = {e: rng.choice(group.elements()) for e in base.edges if e not in tree}
+    for va in (VoltageAssignment.create(base, group, tree, cotree), fig_assignment(6)):
+        elems = va.group.elements()
+        expected = {
+            frozenset((layout_id(k, u), layout_id(va.voltage(u, v) * k, v)))
+            for u, v in va.base.edges
+            for k in elems
+        }
+        assert {frozenset(e) for e in derive(va).edges} == expected
+        gens = right_action(va).generators
+        assert len(gens) == len(va.group.generators())
+        for g, p in zip(va.group.generators(), gens):
+            for w in range(va.base.n):
+                for k in elems:
+                    assert p.images[layout_id(k, w)] == layout_id(k * g, w)
 
 
 def test_right_action_is_semiregular():
