@@ -224,6 +224,14 @@ def quotient_bicayley(b: BiCayleyGraph, kernel: Subgroup) -> BiCayleyGraph:
 _SPEC_KEY = re.compile(r"^\s*([HRLS])\s*=\s*(.*?)\s*$")
 
 
+def _plain_ints(value) -> tuple[int, ...] | None:
+    """An int, or a tuple or list of ints, as a tuple; None otherwise (bools too)."""
+    items = (value,) if type(value) is int else value
+    if isinstance(items, (tuple, list)) and all(type(x) is int for x in items):
+        return tuple(items)
+    return None
+
+
 def parse_spec(text: str) -> BiCayleySpec:
     """Parse 'H=[6,2]; R={...}; L={...}; S={(0,0),(1,0)}'.
 
@@ -246,32 +254,28 @@ def parse_spec(text: str) -> BiCayleySpec:
     try:
         orders = ast.literal_eval(fields["H"])
     except (ValueError, SyntaxError) as exc:
-        raise ValueError(f"bad group orders {fields['H']!r}: {exc}") from None
-    if isinstance(orders, int):
-        orders = [orders]
+        raise ValueError(f"bad group orders H={fields['H']}: {exc}") from None
+    orders = _plain_ints(orders)
+    if orders is None:
+        raise ValueError(f"bad group orders H={fields['H']}: expected an int or a list of ints")
     group = make_group(orders)
 
-    def parse_set(raw: str) -> list[GroupElement]:
-        raw = raw.strip()
+    def parse_set(key: str) -> list[GroupElement]:
+        raw = fields.get(key, "").strip()
         if raw in ("{}", "set()", ""):
             return []
         try:
             parsed = ast.literal_eval(raw)
         except (ValueError, SyntaxError) as exc:
-            raise ValueError(f"bad connection set {raw!r}: {exc}") from None
-        if isinstance(parsed, (int, tuple)):
-            parsed = {parsed}
-        out = []
-        for item in parsed:
-            if isinstance(item, int):
-                item = (item,)
-            out.append(group.element(tuple(item)))
-        return out
+            raise ValueError(f"bad connection set {key}={raw}: {exc}") from None
+        if not isinstance(parsed, (set, list)):
+            parsed = [parsed]  # a single element
+        elements = [_plain_ints(item) for item in parsed]
+        if None in elements:
+            raise ValueError(f"bad connection set {key}={raw}: expected ints or tuples of ints")
+        return [group.element(e) for e in elements]
 
-    right = parse_set(fields.get("R", "{}"))
-    left = parse_set(fields.get("L", "{}"))
-    spokes = parse_set(fields.get("S", "{}"))
-    return BiCayleySpec.create(group, right, left, spokes)
+    return BiCayleySpec.create(group, parse_set("R"), parse_set("L"), parse_set("S"))
 
 
 def format_spec(spec: BiCayleySpec) -> str:

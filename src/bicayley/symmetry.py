@@ -1,11 +1,12 @@
 """Permutation groups and graph symmetry.
 
 The automorphism and canonical-form engine is a backtracking search over
-equitable ordered partitions (individualization-refinement).  Group order and
-membership go through a deterministic Schreier-Sims stabilizer chain.
-Normalizers and conjugacy come from the orbit of a subgroup under conjugation
-by the group's generators; only semiregular enumeration lists the group's
-elements, bounded by BICAYLEY_MAX_AUT (default 100000).
+equitable ordered partitions (individualization-refinement).  Its first path
+is a base and the automorphisms it keeps a strong generating set for it, so
+|Aut| is the product of the first-path orbit lengths.  Every other group is
+listed by closure over its generators, bounded by BICAYLEY_MAX_AUT (default
+100000).  Normalizers and conjugacy come from the orbit of a subgroup under
+conjugation by the group's generators.
 """
 
 from __future__ import annotations
@@ -131,68 +132,16 @@ def _orbit(points, images) -> set[int]:
     return reach
 
 
-def _orbit_transversal(point: int, gens, degree: int) -> dict[int, Permutation]:
-    trans = {point: Permutation.identity(degree)}
-    queue = deque([point])
-    while queue:
-        p = queue.popleft()
-        rep = trans[p]
-        for s in gens:
-            q = s.images[p]
-            if q not in trans:
-                trans[q] = rep * s
-                queue.append(q)
-    return trans
-
-
-@dataclass
-class _ChainLevel:
-    point: int
-    gens: list[Permutation]
-    transversal: dict[int, Permutation]
-    inverses: dict[int, Permutation]
-
-
-def _build_chain(gens, degree: int) -> list[_ChainLevel]:
-    """Deterministic Schreier-Sims; base points taken greedily from largest orbits."""
-    levels: list[_ChainLevel] = []
-    current = [g for g in gens if not g.is_identity]
-    while current:
-        images = [s.images for s in current]
-        assigned: set[int] = set()
-        best_orbit: set[int] | None = None
-        for v in range(degree):
-            if v in assigned:
-                continue
-            orb = _orbit((v,), images)
-            assigned |= orb
-            if len(orb) > 1 and (best_orbit is None or len(orb) > len(best_orbit)):
-                best_orbit = orb
-        if best_orbit is None:
-            break
-        beta = min(best_orbit)
-        trans = _orbit_transversal(beta, current, degree)
-        inverses = {q: t.inverse() for q, t in trans.items()}
-        schreier: list[Permutation] = []
-        seen: set[tuple[int, ...]] = set()
-        identity = _identity_images(degree)
-        for p in sorted(trans):
-            after_rep = itemgetter(*trans[p].images)
-            for s in current:
-                # images of the Schreier generator trans[p] * s * trans[s(p)]^-1
-                sg = itemgetter(*after_rep(s.images))(inverses[s.images[p]].images)
-                if sg != identity and sg not in seen:
-                    seen.add(sg)
-                    schreier.append(Permutation(sg))
-        levels.append(_ChainLevel(beta, current, trans, inverses))
-        current = schreier
-    return levels
-
-
 class PermGroup:
-    """Permutation group on 0..degree-1 with a lazily built stabilizer chain."""
+    """Permutation group on 0..degree-1 given by generators.
 
-    def __init__(self, degree: int, generators=()):
+    An automorphism group carries its order from the search.  Any other group
+    lists its elements by breadth-first closure over its generators, and its
+    order and membership read that list.  Listing refuses a group larger than
+    BICAYLEY_MAX_AUT, before it starts when the order is known.
+    """
+
+    def __init__(self, degree: int, generators=(), order: int | None = None):
         self.degree = degree
         seen: set[tuple[int, ...]] = set()
         gens = []
@@ -203,44 +152,47 @@ class PermGroup:
                 seen.add(g.images)
                 gens.append(g)
         self.generators: tuple[Permutation, ...] = tuple(gens)
-        self._chain: list[_ChainLevel] | None = None
+        self._order = order
         self._elements: list[Permutation] | None = None
-
-    def chain(self) -> list[_ChainLevel]:
-        if self._chain is None:
-            self._chain = _build_chain(self.generators, self.degree)
-        return self._chain
+        self._members: set[tuple[int, ...]] = set()
 
     def order(self) -> int:
-        result = 1
-        for level in self.chain():
-            result *= len(level.transversal)
-        return result
+        if self._order is None:
+            self._order = len(self.elements())
+        return self._order
 
     def contains(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
-            return False
-        for level in self.chain():
-            q = p.images[level.point]
-            if q not in level.transversal:
-                return False
-            p = p * level.inverses[q]
-        return p.is_identity
+        self.elements()  # a permutation of another degree matches no member
+        return p.images in self._members
 
     def elements(self) -> list[Permutation]:
         """Every element; refuses when the order exceeds the enumeration bound."""
         if self._elements is None:
             bound = max_enumeration_bound()
-            if self.order() > bound:
-                raise ValueError(
-                    f"group of order {self.order()} exceeds the enumeration bound "
-                    f"{bound}; raise BICAYLEY_MAX_AUT to override"
+            refusal = (
+                f"group of order {{}} exceeds the enumeration bound {bound}; "
+                "raise BICAYLEY_MAX_AUT to override"
+            )
+            if self._order is not None and self._order > bound:
+                raise ValueError(refusal.format(self._order))
+            gens = [s.images for s in self.generators]
+            listed = [_identity_images(self.degree)]
+            members = set(listed)
+            for x in listed if gens else ():  # grows while walked; degree < 2 has no gens
+                times = itemgetter(*x)  # times(s) is the image tuple of x * s
+                for s in gens:
+                    y = times(s)
+                    if y not in members:
+                        if len(listed) == bound:
+                            raise ValueError(refusal.format(f"over {bound}"))
+                        members.add(y)
+                        listed.append(y)
+            if self._order is not None and len(listed) != self._order:
+                raise RuntimeError(
+                    f"closure lists {len(listed)} elements of a group of order {self._order}"
                 )
-            elems = [Permutation.identity(self.degree)]
-            for level in reversed(self.chain()):
-                reps = [level.transversal[q] for q in sorted(level.transversal)]
-                elems = [h * t for h in elems for t in reps]
-            self._elements = elems
+            self._elements = [Permutation(x) for x in listed]
+            self._members = members
         return self._elements
 
     def orbit(self, v: int) -> frozenset[int]:
@@ -458,7 +410,8 @@ class _Search:
 
 
 @lru_cache(maxsize=4096)
-def _analyzed(graph: Graph) -> tuple[tuple[Permutation, ...], Permutation, str]:
+def _analyzed(graph: Graph) -> tuple[tuple[Permutation, ...], int, Permutation, str]:
+    """Automorphism generators, |Aut|, canonical labeling and certificate."""
     if graph.n > _MAX_SEARCH_VERTICES:
         raise ValueError(
             f"graph on {graph.n} vertices exceeds the search bound {_MAX_SEARCH_VERTICES}"
@@ -466,15 +419,17 @@ def _analyzed(graph: Graph) -> tuple[tuple[Permutation, ...], Permutation, str]:
     search = _Search(graph)
     search.run()
     assert search.best is not None
+    path = search.first_path
+    order = prod(len(search.orbit_fixing([v], path[:i])) for i, v in enumerate(path))
     labeling = Permutation(tuple(search.best[1]))
     cert = encode_graph6(graph.relabel(labeling.images))
-    return tuple(search.autos), labeling, cert
+    return tuple(search.autos), order, labeling, cert
 
 
 def automorphism_group(graph: Graph) -> PermGroup:
     """Full automorphism group of the graph."""
-    autos, _, _ = _analyzed(graph)
-    return PermGroup(graph.n, autos)
+    autos, order, _, _ = _analyzed(graph)
+    return PermGroup(graph.n, autos, order)
 
 
 def canonical_form(graph: Graph) -> tuple[Permutation, str]:
@@ -483,12 +438,12 @@ def canonical_form(graph: Graph) -> tuple[Permutation, str]:
     Isomorphic graphs receive equal certificates; the labeling maps each
     vertex to its canonical position.
     """
-    _, labeling, cert = _analyzed(graph)
+    _, _, labeling, cert = _analyzed(graph)
     return labeling, cert
 
 
 def certificate(graph: Graph) -> str:
-    return _analyzed(graph)[2]
+    return _analyzed(graph)[3]
 
 
 # --- k-arc machinery ---------------------------------------------------------

@@ -139,6 +139,14 @@ def test_voltage_fig_without_orders_fails(capsys, orders):
             ["build", "H=3; S={0,1,2}", "--graph6-out", "/nonexistent/dir/x.g6"],
             "No such file or directory",
         ),
+        (["bci", "H=4; S={0.5}"], "bad connection set S={0.5}"),
+        (["iso", "H=4; S={0,1}", "H=4; S={0,'a'}"], "bad connection set S={0,'a'}"),
+        (["build", "H=4; R={1.0,3}; S={0}"], "bad connection set R={1.0,3}"),
+        (["build", "H=4; S={0,1,None}"], "bad connection set S={0,1,None}"),
+        (["build", "H=[2.5]; S={0}"], "bad group orders H=[2.5]"),
+        (["build", "H=True; S={0}"], "bad group orders H=True"),
+        (["build", "H=2; S={(0.0,)}"], "bad connection set S={(0.0,)}"),
+        (["build", "H=2; S={(True,)}"], "bad connection set S={(True,)}"),
     ],
 )
 def test_user_errors_are_one_line(capsys, argv, message):

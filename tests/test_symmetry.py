@@ -7,6 +7,7 @@ import random
 import pytest
 
 from _oracles import (
+    _mul_close,
     brute_automorphisms,
     complete_bipartite_33,
     hypercube,
@@ -161,25 +162,32 @@ def _hypercube(d: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def test_chain_stays_small_on_large_groups():
+def _disjoint_copies(graph: Graph, copies: int) -> Graph:
+    edges = [(u + c * graph.n, w + c * graph.n) for c in range(copies) for u, w in graph.edges]
+    return Graph.from_edges(copies * graph.n, edges)
+
+
+def test_aut_order_from_search_matches_closure():
+    # |Aut| is the product of the search's first-path orbit lengths; the
+    # closure of its generators counts the group independently
+    circulant = Graph.from_edges(7, [(i, (i + j) % 7) for i in range(7) for j in (1, 2)])
+    members = census.table1_instances(128) + census.table2_instances(128)
+    graphs = _relabeled(small_corpus(40), 5, 2)
+    graphs += [_disjoint_copies(circulant, copies) for copies in (2, 3)]
+    graphs += [inst.bigraph.graph for inst in members] + [Graph.from_edges(0, [])]
+    for g in graphs:
+        group = automorphism_group(g)
+        closed = _mul_close(group.generators, g.n, 50_000)
+        assert closed is not None and group.order() == len(closed), g.edges
+        assert set(group.elements()) == closed
     k14 = Graph.from_edges(28, [(i, 14 + j) for i in range(14) for j in range(14)])
     for graph, order in (
         (_hypercube(7), 645_120),
         (_hypercube(9), 185_794_560),
         (k14, 2 * math.factorial(14) ** 2),
     ):
-        group = automorphism_group(graph)
-        assert group.order() == order
-        assert max(len(level.gens) for level in group.chain()) <= 50
+        assert automorphism_group(graph).order() == order
     assert len(automorphism_group(k14).generators) <= 40
-
-
-def test_chain_inverses_invert_the_transversal():
-    group = automorphism_group(generalized_petersen(10, 3).graph)
-    for level in group.chain():
-        assert level.inverses.keys() == level.transversal.keys()
-        for q, rep in level.transversal.items():
-            assert (rep * level.inverses[q]).is_identity
 
 
 def test_perm_group_order_matches_naive_closure():
@@ -464,6 +472,13 @@ def test_enumeration_bound_env_override(monkeypatch):
         group.elements()
     monkeypatch.setenv("BICAYLEY_MAX_AUT", "100")
     assert len(group.elements()) == 12
+    # a group from bare generators is listed to learn its order
+    s5 = PermGroup(5, [Permutation((1, 2, 3, 4, 0)), Permutation((1, 0, 2, 3, 4))])
+    for query in (s5.elements, s5.order, lambda: s5.contains(Permutation((1, 0, 2, 3, 4)))):
+        with pytest.raises(ValueError, match="enumeration bound 100;"):
+            query()
+    # the search gives an automorphism group's order at any size
+    assert automorphism_group(_hypercube(5)).order() == 3840
     monkeypatch.setenv("BICAYLEY_MAX_AUT", "1e5")
     with pytest.raises(ValueError, match="BICAYLEY_MAX_AUT must be an integer"):
         max_enumeration_bound()
