@@ -293,6 +293,17 @@ def _abelian_groups_up_to(max_order: int) -> list[AbelianGroup]:
     return [make_group(t) for t in abelian_isomorphism_types(max_order)]
 
 
+def _has_generating_triple(group: AbelianGroup) -> bool:
+    """Whether <r, s, t> = H for some involutions r, s, H in invariant factors.
+
+    H/<t> is generated by two elements of order at most 2, so it is elementary
+    abelian of rank at most 2.  That holds for some t exactly when |H| is even,
+    H has at most three invariant factors and every one after the first is 2.
+    """
+    first, *rest = group.orders
+    return first % 2 == 0 and len(rest) <= 2 and all(d == 2 for d in rest)
+
+
 def theorem_a_search(max_group_order: int = 24) -> list[dict]:
     """Exhaustive search for connected arc-transitive one-matching graphs with
     single right and left connection elements.
@@ -305,10 +316,12 @@ def theorem_a_search(max_group_order: int = 24) -> list[dict]:
     the involutions r and s and maps (r, s, t) to (r, s, t^-1).  The scan
     therefore keeps only r <= s and t <= t^-1; the first triple of each class in
     scan order satisfies both, so every certificate keeps the example the full
-    scan would store first.
+    scan would store first.  Groups that no triple generates are skipped.
     """
     by_cert: dict[str, BiCayleySpec] = {}
     for group in _abelian_groups_up_to(max_group_order):
+        if not _has_generating_triple(group):
+            continue
         elems = group.elements()
         involutions = [x for x in elems if not x.is_identity and (x * x).is_identity]
         for i, r in enumerate(involutions):

@@ -21,7 +21,7 @@ from bicayley.census import (
 )
 from bicayley.construction import build, generalized_petersen, parse_spec, predicted_connected
 from bicayley.graphs import bipartition, encode_graph6, girth, is_connected
-from bicayley.symmetry import _arc_type, automorphism_group, certificate
+from bicayley.symmetry import _arc_type, _check_search_bound, automorphism_group, certificate
 from bicayley.voltage import derive, fig_alpha, fig_assignment, fig_base, lifts
 
 __all__ = ["main"]
@@ -81,10 +81,15 @@ def cmd_build(args) -> int:
     return 0 if payload["connected"] == payload["predicted_connected"] else 1
 
 
+def _searchable_spec(text: str):
+    """The parsed spec, refused before it is built if its 2|H| vertices exceed the search bound."""
+    spec = parse_spec(text)
+    _check_search_bound(2 * spec.group.size)
+    return spec
+
+
 def cmd_analyze(args) -> int:
-    spec = parse_spec(args.spec)
-    bigraph = build(spec)
-    g = bigraph.graph
+    g = build(_searchable_spec(args.spec)).graph
     connected = is_connected(g)
     aut = automorphism_group(g)
     k, regular = _arc_type(g, aut) if connected and g.is_regular(3) else (None, False)
@@ -218,8 +223,8 @@ def cmd_voltage_fig(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    g1 = build(parse_spec(args.spec1)).graph
-    g2 = build(parse_spec(args.spec2)).graph
+    spec1, spec2 = _searchable_spec(args.spec1), _searchable_spec(args.spec2)
+    g1, g2 = build(spec1).graph, build(spec2).graph
     same = certificate(g1) == certificate(g2)
     payload = {"spec1": args.spec1, "spec2": args.spec2, "isomorphic": same}
     _emit(payload, args, [f"isomorphic: {same}"])
@@ -227,7 +232,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_bci(args) -> int:
-    bigraph = build(parse_spec(args.spec))
+    bigraph = build(_searchable_spec(args.spec))
     decide = {"criterion": bci_by_criterion, "oracle": bci_oracle, "cross": cross_check}
     verdict = decide[args.method](bigraph)
     payload = verdict_payload(verdict)

@@ -15,6 +15,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, groupby
 from math import lcm, prod
 from operator import eq, itemgetter
 
@@ -132,6 +133,24 @@ def _orbit(points, images) -> set[int]:
     return reach
 
 
+def _closure(start: tuple[int, ...], images, bound: int | None = None):
+    """Every tuple reached breadth-first from ``start``, x going to (g[x[0]],
+    g[x[1]], ...) under each image tuple g; None past ``bound``.  From the
+    identity's images that lists a group, from two or more points their orbit."""
+    listed = [start]
+    seen = {start}
+    for x in listed if images else ():  # grows while walked; degree < 2 has no images
+        times = itemgetter(*x)  # times(g) is the image tuple of x * g
+        for g in images:
+            y = times(g)
+            if y not in seen:
+                if len(listed) == bound:
+                    return None
+                seen.add(y)
+                listed.append(y)
+    return listed
+
+
 class PermGroup:
     """Permutation group on 0..degree-1 given by generators.
 
@@ -154,7 +173,7 @@ class PermGroup:
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self._order = order
         self._elements: list[Permutation] | None = None
-        self._members: set[tuple[int, ...]] = set()
+        self._members: set[tuple[int, ...]] | None = None
 
     def order(self) -> int:
         if self._order is None:
@@ -162,8 +181,9 @@ class PermGroup:
         return self._order
 
     def contains(self, p: Permutation) -> bool:
-        self.elements()  # a permutation of another degree matches no member
-        return p.images in self._members
+        if self._members is None:
+            self._members = {x.images for x in self.elements()}
+        return p.images in self._members  # no member has another degree
 
     def elements(self) -> list[Permutation]:
         """Every element; refuses when the order exceeds the enumeration bound."""
@@ -176,23 +196,14 @@ class PermGroup:
             if self._order is not None and self._order > bound:
                 raise ValueError(refusal.format(self._order))
             gens = [s.images for s in self.generators]
-            listed = [_identity_images(self.degree)]
-            members = set(listed)
-            for x in listed if gens else ():  # grows while walked; degree < 2 has no gens
-                times = itemgetter(*x)  # times(s) is the image tuple of x * s
-                for s in gens:
-                    y = times(s)
-                    if y not in members:
-                        if len(listed) == bound:
-                            raise ValueError(refusal.format(f"over {bound}"))
-                        members.add(y)
-                        listed.append(y)
+            listed = _closure(_identity_images(self.degree), gens, bound)
+            if listed is None:
+                raise ValueError(refusal.format(f"over {bound}"))
             if self._order is not None and len(listed) != self._order:
                 raise RuntimeError(
                     f"closure lists {len(listed)} elements of a group of order {self._order}"
                 )
             self._elements = [Permutation(x) for x in listed]
-            self._members = members
         return self._elements
 
     def orbit(self, v: int) -> frozenset[int]:
@@ -234,13 +245,13 @@ class _Search:
         self.n = graph.n
         self.adj = graph.adjacency
         self.autos: list[Permutation] = []
-        self.first: tuple[bytes, list[int]] | None = None
+        self.first: tuple[tuple[int, ...], list[int]] | None = None
         self.first_path: list[int] = []
-        self.best: tuple[bytes, list[int]] | None = None
+        self.best: tuple[tuple[int, ...], list[int]] | None = None
 
     def run(self) -> None:
         if self.n == 0:
-            self.best = (b"", [])
+            self.best = ((), [])
             return
         cells = self.refine([list(range(self.n))], 0)
         self.descend(cells, [])
@@ -254,101 +265,79 @@ class _Search:
         vertex.  So only that cell starts the queue; the others, popped, would
         split nothing.
 
-        Cells are ranges of ``order``.  A splitting cell keeps its start, so
-        no other cell moves, and a splitter visits only the cells its
-        neighbors lie in, right to left.  Cells only shrink, so a queued
-        ``(start, stop)`` that has since split no longer matches ``end``.
+        Cell ``members[s]`` starts at position s, and ``cell_of[v]`` is the
+        start of v's cell.  A cell splits into its untouched vertices, then its
+        touched ones by ascending count; the first fragment keeps the start
+        and every fragment is queued.  Cells only shrink, so a queued
+        ``(start, size)`` whose cell has since split no longer matches its size.
         """
-        n = self.n
         adj = self.adj
-        order = [v for c in cells for v in c]
-        pos = sorted(range(n), key=order.__getitem__)  # pos[v]: index of v in order
-        cell_at = [0] * n
-        end = [0] * n
-        queue: deque[tuple[int, int]] = deque()
-        start = 0
-        for i, c in enumerate(cells):
-            end[start] = stop = start + len(c)
-            cell_at[start:stop] = [start] * len(c)
-            if i == seed:
-                queue.append((start, stop))
-            start = stop
-        ncells = len(cells)
-        cnt = [0] * n
-        while queue and ncells < n:
-            start, stop = queue.popleft()
-            if end[start] != stop:
+        members = dict(zip(accumulate(map(len, cells), initial=0), cells))
+        cell_of = [0] * self.n
+        for start, c in members.items():
+            for v in c:
+                cell_of[v] = start
+        queue = deque([(sum(map(len, cells[:seed])), len(cells[seed]))])
+        cnt = [0] * self.n
+        while queue and len(members) < self.n:
+            start, size = queue.popleft()
+            splitter = members[start]
+            if len(splitter) != size:
                 continue
             touched: list[int] = []
-            for w in order[start:stop]:
+            for w in splitter:
                 for v in adj[w]:
                     if cnt[v] == 0:
                         touched.append(v)
                     cnt[v] += 1
             hit: dict[int, list[int]] = {}
             for v in touched:
-                s = cell_at[pos[v]]
-                if end[s] - s > 1:
+                s = cell_of[v]
+                if len(members[s]) > 1:
                     hit.setdefault(s, []).append(v)
             for s in sorted(hit, reverse=True):
-                mine = hit[s]
-                mine.sort(key=cnt.__getitem__)
-                e = end[s]
-                back = e - len(mine)
-                if back == s and cnt[mine[0]] == cnt[mine[-1]]:
+                cell = members[s]
+                mine = sorted(hit[s], key=cnt.__getitem__)
+                whole = len(mine) == len(cell)
+                if whole and cnt[mine[0]] == cnt[mine[-1]]:
                     continue
-                # untouched vertices (count 0) fill [s, back), touched ones
-                # [back, e) by ascending count: the fragment order of the split
-                holes = [pos[v] for v in mine if pos[v] < back]
-                movers = [u for u in order[back:e] if cnt[u] == 0]
-                for i, u in zip(holes, movers):
-                    order[i] = u
-                    pos[u] = i
-                order[back:e] = mine
-                for i, v in enumerate(mine, back):
-                    pos[v] = i
-                cuts = [back] if back > s else []
-                cuts += [
-                    back + i
-                    for i in range(1, len(mine))
-                    if cnt[mine[i]] != cnt[mine[i - 1]]
-                ]
-                cuts.append(e)
-                ncells += len(cuts) - 1
+                fragments = [] if whole else [[u for u in cell if cnt[u] == 0]]
+                fragments += [list(g) for _, g in groupby(mine, cnt.__getitem__)]
                 p = s
-                for q in cuts:
+                for frag in fragments:
                     if p > s:
-                        cell_at[p:q] = [p] * (q - p)
-                    end[p] = q
-                    queue.append((p, q))
-                    p = q
+                        for v in frag:
+                            cell_of[v] = p
+                    members[p] = frag
+                    queue.append((p, len(frag)))
+                    p += len(frag)
             for v in touched:
                 cnt[v] = 0
-        out = []
-        start = 0
-        while start < n:
-            out.append(sorted(order[start : end[start]]))
-            start = end[start]
-        return out
+        return [sorted(members[s]) for s in sorted(members)]
 
     def individualize(self, cells: list[list[int]], tc: int, v: int) -> list[list[int]]:
         rest = [u for u in cells[tc] if u != v]
         return self.refine(cells[:tc] + [[v], rest] + cells[tc + 1 :], tc)
 
-    def leaf_certificate(self, cells: list[list[int]]) -> tuple[bytes, list[int]]:
+    def leaf_certificate(self, cells: list[list[int]]) -> tuple[tuple[int, ...], list[int]]:
+        """Each vertex's position, and the relabeled edges as keys j(j-1)/2 + i
+        (positions i < j), largest first.  Every leaf has the graph's edge
+        count, and for key sets of one size the descending tuples compare as
+        the bit masks they index: the largest key in the symmetric difference
+        decides."""
         position = [0] * self.n
         for i, cell in enumerate(cells):
             position[cell[0]] = i
-        mask = 0
+        keys = []
         for u in range(self.n):
             pu = position[u]
             for w in self.adj[u]:
                 if u < w:
                     pw = position[w]
                     i, j = (pu, pw) if pu < pw else (pw, pu)
-                    mask |= 1 << (j * (j - 1) // 2 + i)
-        nbits = self.n * (self.n - 1) // 2
-        return mask.to_bytes((nbits + 7) // 8 or 1, "big"), position
+                    keys.append(j * (j - 1) // 2 + i)
+        keys.sort(reverse=True)
+        return tuple(keys), position
 
     def descend(self, cells: list[list[int]], prefix: list[int]) -> int | None:
         """Search below ``prefix``; a depth to return to, or None when done."""
@@ -394,28 +383,28 @@ class _Search:
                 return i
         return None
 
-    def record_if_automorphism(self, cert: bytes, position: list[int], other):
+    def record_if_automorphism(self, cert: tuple[int, ...], position: list[int], other):
         """Keep the automorphism from ``other``'s leaf to this one; return its images."""
         if cert != other[0]:
             return None
         # two labelings onto the same canonical graph compose to an automorphism
-        opos = other[1]
-        inv = [0] * self.n
-        for vertex, pos in enumerate(position):
-            inv[pos] = vertex
-        perm = Permutation(tuple(inv[opos[v]] for v in range(self.n)))
+        inv = sorted(range(self.n), key=position.__getitem__)
+        perm = Permutation(tuple(map(inv.__getitem__, other[1])))
         if not perm.is_identity and perm not in self.autos:
             self.autos.append(perm)
         return perm.images
 
 
+def _check_search_bound(n: int) -> None:
+    """Refuse a graph on more vertices than the search takes."""
+    if n > _MAX_SEARCH_VERTICES:
+        raise ValueError(f"graph on {n} vertices exceeds the search bound {_MAX_SEARCH_VERTICES}")
+
+
 @lru_cache(maxsize=4096)
 def _analyzed(graph: Graph) -> tuple[tuple[Permutation, ...], int, Permutation, str]:
     """Automorphism generators, |Aut|, canonical labeling and certificate."""
-    if graph.n > _MAX_SEARCH_VERTICES:
-        raise ValueError(
-            f"graph on {graph.n} vertices exceeds the search bound {_MAX_SEARCH_VERTICES}"
-        )
+    _check_search_bound(graph.n)
     search = _Search(graph)
     search.run()
     assert search.best is not None
@@ -460,21 +449,6 @@ def _first_arc(graph: Graph, k: int) -> tuple[int, ...]:
     return tuple(walk)
 
 
-def _tuple_orbit_size(group: PermGroup, start: tuple[int, ...]) -> int:
-    """Orbit length of a tuple of at least two points."""
-    gens = [s.images for s in group.generators]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        images_of = itemgetter(*queue.popleft())
-        for g in gens:
-            img = images_of(g)
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return len(seen)
-
-
 def k_arc_regularity(graph: Graph) -> tuple[int | None, bool]:
     """(k, True) when Aut acts regularly on k-arcs; (None, False) if not arc-transitive.
 
@@ -492,14 +466,14 @@ def k_arc_regularity(graph: Graph) -> tuple[int | None, bool]:
 
 def _arc_type(graph: Graph, aut: PermGroup) -> tuple[int | None, bool]:
     """k_arc_regularity for a connected cubic graph with automorphism group aut."""
-    if _tuple_orbit_size(aut, _first_arc(graph, 1)) != 2 * graph.edge_count:
+    gens = [s.images for s in aut.generators]
+    if len(_closure(_first_arc(graph, 1), gens)) != 2 * graph.edge_count:
         return None, False
     a = aut.order()
     n = graph.n
     for k in range(1, 6):
         if a == n * 3 * 2 ** (k - 1):
-            total = n * 3 * 2 ** (k - 1)
-            if _tuple_orbit_size(aut, _first_arc(graph, k)) != total:
+            if len(_closure(_first_arc(graph, k), gens)) != a:
                 raise RuntimeError(
                     f"automorphism order {a} matches k={k} but the action is not "
                     f"transitive on {k}-arcs"

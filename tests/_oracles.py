@@ -3,16 +3,16 @@
 Nothing here calls into the package beyond the Graph container: automorphisms
 by filtering all vertex bijections, girth by exhaustive path search, graph6 by
 direct bit-string packing, k-arcs by listing every walk, vertex ids by
-mixed-radix arithmetic, and the classical LCF and Kneser constructions.  The exceptions are the straightforward refinement
-and branching of the
-individualization-refinement search, written as methods to patch into
-``bicayley.symmetry._Search`` in place of the fast ones, the unreduced
-Theorem A scan and the full-scan BCI oracle, which build and certify graphs
-through the package, and the orbit and semiregularity tests, the
-subgroup-lattice and coset-by-coset enumerations of semiregular subgroups and
-the element scans for normalizers and conjugacy, which work on the package's
-permutations, and the base-circuit lift criterion, which reads the package's
-voltage assignments.
+mixed-radix arithmetic, and the classical LCF and Kneser constructions.  The
+exceptions are the straightforward refinement and branching of the
+individualization-refinement search and its big-integer leaf certificate,
+written as methods to patch into ``bicayley.symmetry._Search`` in place of the
+fast ones, the unreduced Theorem A scan and the full-scan BCI oracle, which
+build and certify graphs through the package, and the orbit and
+semiregularity tests, the subgroup-lattice and coset-by-coset enumerations of
+semiregular subgroups and the element scans for normalizers and conjugacy,
+which work on the package's permutations, and the base-circuit lift
+criterion, which reads the package's voltage assignments.
 """
 
 from __future__ import annotations
@@ -251,6 +251,24 @@ def reference_descend(search, cells: list[list[int]], prefix: list[int]) -> None
             continue
         done.append(v)
         search.descend(search.individualize(cells, tc, v), prefix + [v])
+
+
+def reference_leaf_certificate(search, cells: list[list[int]]) -> tuple[bytes, list[int]]:
+    """The relabeled adjacency as one bit mask: bit j(j-1)/2 + i for each edge
+    between positions i < j, packed big-endian so bytes compare as integers."""
+    position = [0] * search.n
+    for i, cell in enumerate(cells):
+        position[cell[0]] = i
+    mask = 0
+    for u in range(search.n):
+        pu = position[u]
+        for w in search.adj[u]:
+            if u < w:
+                pw = position[w]
+                i, j = (pu, pw) if pu < pw else (pw, pu)
+                mask |= 1 << (j * (j - 1) // 2 + i)
+    nbits = search.n * (search.n - 1) // 2
+    return mask.to_bytes((nbits + 7) // 8 or 1, "big"), position
 
 
 def reference_theorem_a_scan(max_group_order: int) -> dict:

@@ -7,9 +7,11 @@ import re
 import pytest
 
 from bicayley import bci
-from bicayley.abelian import invariant_factors
+from bicayley.abelian import invariant_factors, subgroup_generated
 from bicayley.census import (
     SCOPE_NOTE,
+    _abelian_groups_up_to,
+    _has_generating_triple,
     negative_controls,
     table1_instances,
     table2_instances,
@@ -171,6 +173,20 @@ def test_theorem_a_search_matches_unreduced_scan():
         assert sorted(rec["certificate"] for rec in results) == expected
         for rec in results:
             assert rec["example"] == format_spec(reference[rec["certificate"]])
+
+
+def test_generating_triple_rule_matches_scan():
+    for group in _abelian_groups_up_to(24):
+        elems = group.elements()
+        involutions = [x for x in elems if not x.is_identity and (x * x).is_identity]
+        found = any(
+            subgroup_generated(group, [r, s, t]).is_whole_group
+            for r in involutions
+            for s in involutions
+            for t in elems
+            if not t.is_identity
+        )
+        assert _has_generating_triple(group) == found, group.orders
 
 
 def test_theorem_a_search_order_48():

@@ -165,3 +165,21 @@ def test_failures_still_raise(monkeypatch):
     monkeypatch.setattr(cli, "cmd_theorem_b", disagree)
     with pytest.raises(RuntimeError):
         main(["theorem-b"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "H=[600]; S={0,1,2}"],
+        ["iso", "H=[600]; S={0,1,2}", "H=3; S={0,1,2}"],
+        ["bci", "H=[600]; S={0,1,2}"],
+    ],
+)
+def test_oversized_spec_refused_before_build(monkeypatch, capsys, argv):
+    def refuse(spec):
+        raise AssertionError("built a graph past the search bound")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"bicayley {argv[0]}: graph on 1200 vertices exceeds the search bound 1024\n"

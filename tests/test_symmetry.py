@@ -21,6 +21,7 @@ from _oracles import (
     reference_conjugacy_class_count,
     reference_descend,
     reference_enumerate_semiregular,
+    reference_leaf_certificate,
     reference_normalizer,
     reference_refine,
     reference_semiregular_members,
@@ -135,13 +136,29 @@ def _same_group(n: int, gens_a, gens_b) -> bool:
     )
 
 
-@pytest.mark.parametrize("patched", [("refine",), ("descend",), ("refine", "descend")])
+@pytest.mark.parametrize(
+    "patched",
+    [
+        ("refine",),
+        ("descend",),
+        ("refine", "descend"),
+        ("leaf_certificate",),
+        ("refine", "leaf_certificate"),
+    ],
+)
 def test_search_matches_reference_refinement_and_branching(monkeypatch, patched):
     members = census.table1_instances(128) + census.table2_instances(128)
     graphs = _relabeled(small_corpus(40), 3, 2)
     graphs += _relabeled([inst.bigraph.graph for inst in members], 4, 1)
+    # cubic with trivial Aut: its leaves differ, so the certificate order picks the labeling
+    frucht = lcf_graph([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2], 1)
+    graphs += _relabeled([frucht], 6, 3)
     fast = [_search_outcome(g) for g in graphs]
-    references = {"refine": reference_refine, "descend": reference_descend}
+    references = {
+        "refine": reference_refine,
+        "descend": reference_descend,
+        "leaf_certificate": reference_leaf_certificate,
+    }
     for name in patched:
         monkeypatch.setattr(_Search, name, references[name])
     slow = [_search_outcome(g) for g in graphs]
