@@ -193,80 +193,52 @@ def _smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list[int], li
     Returns (diag, V) where V is the ncols x ncols right transform: for the
     input matrix A one has U*A*V diagonal for some unimodular U (not tracked),
     with diag[0] | diag[1] | ... .  The lattice spanned by the rows of A maps
-    onto the lattice spanned by diag under x -> x*V.
+    onto the lattice spanned by diag under x -> x*V.  V starts as the identity
+    stacked under A, so every column operation acts on both at once; row
+    operations and the pivot search touch A's m rows only.
     """
-    a = [list(r) for r in rows]
-    m = len(a)
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_col(src, dst, c):
-        # column dst += c * column src
-        for r in a:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def add_row(src, dst, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-
+    m = len(rows)
+    a = [list(r) for r in rows] + [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     t = 0
     while t < min(m, ncols):
-        # locate a pivot of minimal absolute value in the remaining block
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+        # a pivot of minimal absolute value in the remaining block, first in row order
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, ncols) if a[i][j]]
+        if not nonzero:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        _, pi, pj = min(nonzero)
+        a[t], a[pi] = a[pi], a[t]
+        for r in a:
+            r[t], r[pj] = r[pj], r[t]
         # clear row and column t; restart if a remainder creates a smaller pivot
         dirty = False
         for i in range(t + 1, m):
-            if a[i][t] != 0:
+            if a[i][t]:
                 q = a[i][t] // a[t][t]
-                add_row(t, i, -q)
-                if a[i][t] != 0:
-                    dirty = True
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                dirty = dirty or a[i][t] != 0
         for j in range(t + 1, ncols):
-            if a[t][j] != 0:
+            if a[t][j]:
                 q = a[t][j] // a[t][t]
-                add_col(t, j, -q)
-                if a[t][j] != 0:
-                    dirty = True
+                for r in a:
+                    r[j] -= q * r[t]
+                dirty = dirty or a[t][j] != 0
         if dirty:
             continue
-        # enforce the divisibility chain: a[t][t] must divide the rest
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = (i, j)
-                    break
-            if offender:
-                break
-        if offender:
-            add_col(offender[1], t, 1)
+        # enforce the divisibility chain: add the first offending column to column t
+        offender = next(
+            (j for i in range(t + 1, m) for j in range(t + 1, ncols) if a[i][j] % a[t][t]), None
+        )
+        if offender is not None:
+            for r in a:
+                r[t] += r[offender]
             continue
         if a[t][t] < 0:
             for r in a:
                 r[t] = -r[t]
-            for r in v:
-                r[t] = -r[t]
         t += 1
 
     diag = [a[i][i] if i < m else 0 for i in range(ncols)]
-    return diag, v
+    return diag, a[m:]
 
 
 @dataclass(frozen=True)
@@ -306,21 +278,16 @@ def quotient_group(group: AbelianGroup, kernel: Subgroup) -> tuple[AbelianGroup,
     for g in kernel.generators:
         rows.append(list(g.exponents))
     diag, v = _smith_normal_form(rows, k)
-    # keep nontrivial cyclic factors, largest first
-    kept = [(i, d) for i, d in enumerate(diag) if d > 1]
-    kept.sort(key=lambda t: -t[1])
-    if kept:
-        q = make_group([d for _, d in kept])
-        kept_cols = tuple((i, d) for i, d in kept)
-    else:
-        q = make_group([1])
-        kept_cols = ((0, 1),)
+    # nontrivial cyclic factors, largest first; the stable sort keeps equal
+    # factors in column order
+    kept = sorted(((i, d) for i, d in enumerate(diag) if d > 1), key=lambda t: -t[1]) or [(0, 1)]
+    q = make_group([d for _, d in kept])
     qmap = QuotientMap(
         source=group,
         kernel=kernel,
         quotient=q,
         _transform=tuple(tuple(r) for r in v),
-        _kept=kept_cols,
+        _kept=tuple(kept),
     )
     return q, qmap
 
@@ -359,8 +326,10 @@ def automorphism_group_of(group: AbelianGroup) -> list[GroupAutomorphism]:
     """Every automorphism, by exhaustive choice of generator images.
 
     An endomorphism is determined by images x_i of the standard generators and
-    is well-defined iff order(x_i) divides the i-th factor order; it is an
-    automorphism iff the images generate the whole group.
+    is well-defined iff order(x_i) divides the i-th factor order.  An
+    automorphism is injective on the first i+1 factors, so x_0..x_i must span
+    exactly d_0 * ... * d_i elements (they can span no more); at the last
+    factor that is the whole group.
     """
     if group.size > _MAX_AUT_ORDER:
         raise ValueError(
@@ -372,74 +341,38 @@ def automorphism_group_of(group: AbelianGroup) -> list[GroupAutomorphism]:
         [g for g in all_elems if orders[i] % element_order(g) == 0]
         for i in range(group.rank)
     ]
-    suffix_bound = [1] * (group.rank + 1)
-    for i in range(group.rank - 1, -1, -1):
-        suffix_bound[i] = suffix_bound[i + 1] * orders[i]
-
     result: list[GroupAutomorphism] = []
     chosen: list[GroupElement] = []
 
-    def extend(i: int, span: Subgroup) -> None:
+    def extend(i: int) -> None:
         if i == group.rank:
-            if span.is_whole_group:
-                result.append(GroupAutomorphism(group, tuple(chosen)))
+            result.append(GroupAutomorphism(group, tuple(chosen)))
             return
         for x in candidates[i]:
-            # images chosen so far plus everything the rest could add must
-            # still be able to cover the group
-            new_span = subgroup_generated(group, list(chosen) + [x])
-            if new_span.size * suffix_bound[i + 1] < group.size:
-                continue
             chosen.append(x)
-            extend(i + 1, new_span)
+            if subgroup_generated(group, chosen).size == prod(orders[: i + 1]):
+                extend(i + 1)
             chosen.pop()
 
-    extend(0, subgroup_generated(group, []))
+    extend(0)
     return result
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    """Prime -> exponent, by trial division."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 def abelian_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:
-    """One invariant-factor tuple per isomorphism type of order 2..max_order."""
+    """One invariant-factor tuple per isomorphism type of order 2..max_order.
 
-    def partitions(n: int, cap: int) -> list[list[int]]:
-        if n == 0:
-            return [[]]
-        out = []
-        for first in range(min(n, cap), 0, -1):
-            for rest in partitions(n - first, first):
-                out.append([first] + rest)
-        return out
+    A type is a divisor chain: factors above 1, largest first, each dividing
+    the one before, with product the order.
+    """
 
-    types: list[tuple[int, ...]] = []
-    for n in range(2, max_order + 1):
-        fac = _prime_factors(n)
-        per_prime = []
-        for p, e in sorted(fac.items()):
-            per_prime.append([(p, part) for part in partitions(e, e)])
-        for combo in _cartesian(*per_prime):
-            # combine prime partitions into invariant factors, largest first
-            depth = max(len(part) for _, part in combo)
-            factors = []
-            for i in range(depth):
-                f = 1
-                for p, part in combo:
-                    if i < len(part):
-                        f *= p ** part[i]
-                factors.append(f)
-            types.append(tuple(factors))
+    def chains(n: int, cap: int):
+        if n == 1:
+            yield ()
+        for d in range(min(n, cap), 1, -1):
+            if n % d == 0 and cap % d == 0:
+                for rest in chains(n // d, d):
+                    yield (d, *rest)
+
+    types = [t for n in range(2, max_order + 1) for t in chains(n, n)]
     types.sort(key=lambda t: (prod(t), t))
     return types

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from bicayley.abelian import (
     AbelianGroup,
     GroupElement,
-    _prime_factors,
+    abelian_isomorphism_types,
     make_group,
     quotient_group,
     subgroup_generated,
@@ -28,7 +28,7 @@ from bicayley.construction import (
     format_spec,
     generalized_petersen,
 )
-from bicayley.graphs import girth, is_connected
+from bicayley.graphs import Graph, girth, is_connected
 from bicayley.symmetry import _arc_type, automorphism_group, certificate, k_arc_regularity
 
 __all__ = [
@@ -64,6 +64,20 @@ class CensusInstance:
     bigraph: BiCayleyGraph
     expected_k: int
     claimed_k: int
+
+
+def _prime_factors(n: int) -> dict[int, int]:
+    """Prime -> exponent, by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 def _row1_radical_ok(r: int) -> bool:
@@ -106,6 +120,16 @@ def _spoke_instance(
     return CensusInstance(1, row, desc, build(spec), expected_k, expected_k)
 
 
+# (row, description, factor orders, spoke exponents, arc type): Z_8 with
+# S = {1, a^2, a^3}, then K_3,3, the Pappus graph and the Heawood graph
+_SPORADIC_ROWS = (
+    (2, "row 2, Z_8", (8,), (0, 2, 3), 2),
+    (5, "row 5, Z_3", (3,), (0, 1, 2), 3),
+    (6, "row 6, Z_3^2", (3, 3), ((0, 0), (1, 0), (0, 1)), 3),
+    (7, "row 7, Z_7", (7,), (0, 1, 3), 4),
+)
+
+
 def table1_instances(max_vertices: int = 64) -> list[CensusInstance]:
     """All spoke-only census members on at most ``max_vertices`` vertices."""
     out: list[CensusInstance] = []
@@ -124,43 +148,16 @@ def table1_instances(max_vertices: int = 64) -> list[CensusInstance]:
             u = _row1_unit(r)
             rm = r * m
             group, a, b = _quotient_presented(rm, ((-m * (u + 1)) % rm, m % rm))
-            out.append(
-                _spoke_instance(
-                    1,
-                    f"row 1, r={r} m={m} u={u}",
-                    group,
-                    (group.identity, a, b),
-                    expected_k=1,
-                )
-            )
-
-    # row 2: Z_8 with S = {1, a^2, a^3}
-    if 16 <= max_vertices:
-        z8 = make_group([8])
-        out.append(
-            _spoke_instance(
-                2,
-                "row 2, Z_8",
-                z8,
-                (z8.identity, z8.element(2), z8.element(3)),
-                expected_k=2,
-            )
-        )
+            desc = f"row 1, r={r} m={m} u={u}"
+            out.append(_spoke_instance(1, desc, group, (group.identity, a, b), expected_k=1))
 
     # row 3: Z_m^2 with S = {1, a, b}, m > 1 and m != 3
     m = 2
     while 2 * m * m <= max_vertices:
         if m != 3:
             sq = make_group([m, m])
-            out.append(
-                _spoke_instance(
-                    3,
-                    f"row 3, m={m}",
-                    sq,
-                    (sq.identity, sq.element((1, 0)), sq.element((0, 1))),
-                    expected_k=2,
-                )
-            )
+            spokes = (sq.identity, sq.element((1, 0)), sq.element((0, 1)))
+            out.append(_spoke_instance(3, f"row 3, m={m}", sq, spokes, expected_k=2))
         m += 1
 
     # row 4: (Z_3m x Z_3m) / <a^m b^m = 1>, m > 1.  The relation follows from
@@ -169,41 +166,14 @@ def table1_instances(max_vertices: int = 64) -> list[CensusInstance]:
     m = 2
     while 2 * 3 * m * m <= max_vertices:
         group, a, b = _quotient_presented(3 * m, (m, m))
-        out.append(
-            _spoke_instance(
-                4, f"row 4, m={m}", group, (group.identity, a, b), expected_k=2
-            )
-        )
+        out.append(_spoke_instance(4, f"row 4, m={m}", group, (group.identity, a, b), expected_k=2))
         m += 1
 
-    # rows 5-7: K_3,3, the Pappus graph, the Heawood graph
-    if 6 <= max_vertices:
-        z3 = make_group([3])
-        out.append(
-            _spoke_instance(5, "row 5, Z_3", z3, tuple(z3.elements()), expected_k=3)
-        )
-    if 18 <= max_vertices:
-        z33 = make_group([3, 3])
-        out.append(
-            _spoke_instance(
-                6,
-                "row 6, Z_3^2",
-                z33,
-                (z33.identity, z33.element((1, 0)), z33.element((0, 1))),
-                expected_k=3,
-            )
-        )
-    if 14 <= max_vertices:
-        z7 = make_group([7])
-        out.append(
-            _spoke_instance(
-                7,
-                "row 7, Z_7",
-                z7,
-                (z7.identity, z7.element(1), z7.element(3)),
-                expected_k=4,
-            )
-        )
+    for row, desc, orders, exponents, expected_k in _SPORADIC_ROWS:
+        group = make_group(orders)
+        if 2 * group.size <= max_vertices:
+            spokes = [group.element(e) for e in exponents]
+            out.append(_spoke_instance(row, desc, group, spokes, expected_k))
 
     out.sort(key=lambda inst: (inst.row, inst.bigraph.graph.n, inst.description))
     return out
@@ -288,8 +258,6 @@ def verify_instance(inst: CensusInstance) -> dict:
 
 
 def _abelian_groups_up_to(max_order: int) -> list[AbelianGroup]:
-    from bicayley.abelian import abelian_isomorphism_types
-
     return [make_group(t) for t in abelian_isomorphism_types(max_order)]
 
 
@@ -356,8 +324,6 @@ def theorem_a_search(max_group_order: int = 24) -> list[dict]:
 
 
 def _known_certificates() -> dict[str, str]:
-    from bicayley.graphs import Graph
-
     k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     return {
         certificate(k4): "K_4",

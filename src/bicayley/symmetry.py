@@ -44,9 +44,12 @@ def max_enumeration_bound() -> int:
     if not raw:
         return _DEFAULT_MAX_ENUM
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
         raise ValueError(f"BICAYLEY_MAX_AUT must be an integer, got {raw!r}") from None
+    if bound < 1:
+        raise ValueError(f"BICAYLEY_MAX_AUT must be a positive integer, got {raw!r}")
+    return bound
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,9 @@
 Nothing here calls into the package beyond the Graph container: automorphisms
 by filtering all vertex bijections, girth by exhaustive path search, graph6 by
 direct bit-string packing, k-arcs by listing every walk, vertex ids by
-mixed-radix arithmetic, and the classical LCF and Kneser constructions.  The
+mixed-radix arithmetic, the classical LCF and Kneser constructions, the Smith
+normal form with its transform kept as a separate matrix, and abelian
+isomorphism types combined from one partition per prime exponent.  The
 exceptions are the straightforward refinement and branching of the
 individualization-refinement search and its big-integer leaf certificate,
 written as methods to patch into ``bicayley.symmetry._Search`` in place of the
@@ -22,7 +24,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from bicayley.abelian import (
     abelian_isomorphism_types,
@@ -613,3 +615,127 @@ def lift_exists_by_scan(va: VoltageAssignment, sigma: Permutation) -> bool:
     return any(
         all(phi(z) == y for z, y in pairs) for phi in automorphism_group_of(va.group)
     )
+
+
+# --- Smith normal form and isomorphism types by prime partitions -------------
+
+
+def reference_smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
+    """The Smith normal form with a separate transform V, each column operation
+    applied to the matrix and to V in turn: (diag, V) as in
+    ``abelian._smith_normal_form``."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_col(src, dst, c):
+        # column dst += c * column src
+        for r in a:
+            r[dst] += c * r[src]
+        for r in v:
+            r[dst] += c * r[src]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+
+    def add_row(src, dst, c):
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+
+    t = 0
+    while t < min(m, ncols):
+        # locate a pivot of minimal absolute value in the remaining block
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, ncols):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        # clear row and column t; restart if a remainder creates a smaller pivot
+        dirty = False
+        for i in range(t + 1, m):
+            if a[i][t] != 0:
+                q = a[i][t] // a[t][t]
+                add_row(t, i, -q)
+                if a[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, ncols):
+            if a[t][j] != 0:
+                q = a[t][j] // a[t][t]
+                add_col(t, j, -q)
+                if a[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        # enforce the divisibility chain: a[t][t] must divide the rest
+        offender = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, ncols):
+                if a[i][j] % a[t][t] != 0:
+                    offender = (i, j)
+                    break
+            if offender:
+                break
+        if offender:
+            add_col(offender[1], t, 1)
+            continue
+        if a[t][t] < 0:
+            for r in a:
+                r[t] = -r[t]
+            for r in v:
+                r[t] = -r[t]
+        t += 1
+
+    diag = [a[i][i] if i < m else 0 for i in range(ncols)]
+    return diag, v
+
+
+def reference_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:
+    """Invariant-factor tuples of order 2..max_order, built from one partition
+    of each prime exponent and sorted by (order, tuple)."""
+
+    def prime_factors(n: int) -> dict[int, int]:
+        factors: dict[int, int] = {}
+        d = 2
+        while d * d <= n:
+            while n % d == 0:
+                factors[d] = factors.get(d, 0) + 1
+                n //= d
+            d += 1
+        if n > 1:
+            factors[n] = factors.get(n, 0) + 1
+        return factors
+
+    def partitions(n: int, cap: int) -> list[list[int]]:
+        if n == 0:
+            return [[]]
+        out = []
+        for first in range(min(n, cap), 0, -1):
+            for rest in partitions(n - first, first):
+                out.append([first] + rest)
+        return out
+
+    types: list[tuple[int, ...]] = []
+    for n in range(2, max_order + 1):
+        per_prime = [
+            [(p, part) for part in partitions(e, e)] for p, e in sorted(prime_factors(n).items())
+        ]
+        for combo in product(*per_prime):
+            # combine prime partitions into invariant factors, largest first
+            depth = max(len(part) for _, part in combo)
+            types.append(
+                tuple(
+                    math.prod(p ** part[i] for p, part in combo if i < len(part))
+                    for i in range(depth)
+                )
+            )
+    types.sort(key=lambda t: (math.prod(t), t))
+    return types

@@ -2,11 +2,13 @@
 
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 from math import prod
 
 import pytest
 
+from _oracles import reference_isomorphism_types, reference_smith_normal_form
+from bicayley import abelian
 from bicayley.abelian import (
     abelian_isomorphism_types,
     automorphism_group_of,
@@ -16,6 +18,7 @@ from bicayley.abelian import (
     quotient_group,
     subgroup_generated,
 )
+from bicayley.census import table1_instances
 
 
 def test_make_group_sizes():
@@ -290,3 +293,49 @@ def test_isomorphism_types_census():
             for t in ts
         ]
         assert len(set(hists)) == len(ts)
+
+
+def test_smith_normal_form_matches_reference_on_random_matrices():
+    rng = random.Random(13)
+    for _ in range(3000):
+        ncols = rng.randint(1, 4)
+        nrows = rng.randint(1, ncols + 3)
+        rows = [[rng.randint(-12, 12) for _ in range(ncols)] for _ in range(nrows)]
+        want = reference_smith_normal_form(rows, ncols)
+        assert abelian._smith_normal_form(rows, ncols) == want, rows
+
+
+def test_smith_normal_form_matches_reference_on_census_relations(monkeypatch):
+    # rows 1 and 4 are quotients (Z_rm x Z_rm)/<relation>; the transform V
+    # fixes the census coordinates of their spokes
+    calls = []
+    fast = abelian._smith_normal_form
+
+    def recorded(rows, ncols):
+        calls.append(([list(r) for r in rows], ncols))
+        return fast(rows, ncols)
+
+    monkeypatch.setattr(abelian, "_smith_normal_form", recorded)
+    quotient_rows = [inst for inst in table1_instances(512) if inst.row in (1, 4)]
+    assert len(calls) == len(quotient_rows) == 68
+    for rows, ncols in calls:
+        assert fast(rows, ncols) == reference_smith_normal_form(rows, ncols), rows
+
+
+def test_isomorphism_types_match_prime_partitions():
+    for bound in (1, 2, 16, 200):
+        assert abelian_isomorphism_types(bound) == reference_isomorphism_types(bound)
+
+
+def test_automorphisms_match_generating_image_tuples():
+    for orders in abelian_isomorphism_types(12):
+        group = make_group(orders)
+        candidates = [
+            [g for g in group.elements() if d % element_order(g) == 0] for d in group.orders
+        ]
+        want = [
+            images
+            for images in product(*candidates)
+            if subgroup_generated(group, images).is_whole_group
+        ]
+        assert [a.images for a in automorphism_group_of(group)] == want, orders

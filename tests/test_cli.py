@@ -183,3 +183,14 @@ def test_oversized_spec_refused_before_build(monkeypatch, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"bicayley {argv[0]}: graph on 1200 vertices exceeds the search bound 1024\n"
+
+
+@pytest.mark.parametrize("raw", ["0", "-5"])
+def test_nonpositive_enumeration_bound_is_refused(monkeypatch, capsys, raw):
+    monkeypatch.setenv("BICAYLEY_MAX_AUT", raw)
+    assert main(["bci", "H=3; S={0,1,2}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"bicayley bci: BICAYLEY_MAX_AUT must be a positive integer, got '{raw}'\n"
+    )
+    assert captured.out == ""

@@ -499,3 +499,10 @@ def test_enumeration_bound_env_override(monkeypatch):
     monkeypatch.setenv("BICAYLEY_MAX_AUT", "1e5")
     with pytest.raises(ValueError, match="BICAYLEY_MAX_AUT must be an integer"):
         max_enumeration_bound()
+    # a bound below 1 is refused, not read as "no bound" by the closure
+    for raw in ("0", "-5"):
+        monkeypatch.setenv("BICAYLEY_MAX_AUT", raw)
+        with pytest.raises(ValueError, match=f"must be a positive integer, got '{raw}'"):
+            max_enumeration_bound()
+        with pytest.raises(ValueError, match="BICAYLEY_MAX_AUT must be a positive integer"):
+            s5.elements()
