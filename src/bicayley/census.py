@@ -272,6 +272,30 @@ def _has_generating_triple(group: AbelianGroup) -> bool:
     return first % 2 == 0 and len(rest) <= 2 and all(d == 2 for d in rest)
 
 
+def _power_positions(t: GroupElement) -> dict[GroupElement, int]:
+    """t^k -> k for 0 <= k < ord(t): one walk over the powers of t."""
+    positions: dict[GroupElement, int] = {}
+    x = t.group.identity
+    while x not in positions:
+        positions[x] = len(positions)
+        x = x * t
+    return positions
+
+
+def _lattice_key(positions: dict[GroupElement, int], r, s, rs) -> tuple:
+    """The relation lattice of (r, s, t) for involutions r, s with product rs:
+    ord(t) and the least k with t^k = r, with t^k = s and with t^k = rs, each
+    None when there is none (``positions`` from ``_power_positions(t)``)."""
+    return (len(positions), positions.get(r), positions.get(s), positions.get(rs))
+
+
+def _generated_order(key: tuple) -> int:
+    """|<r, s, t>| = |Z^3 / L| = 4 ord(t) / |L / (2Z + 2Z + ord(t)Z)|: one
+    coset of ord(t)Z for the relation 1 and one for each of r, s, rs in <t>."""
+    order, *powers = key
+    return 4 * order // (1 + sum(k is not None for k in powers))
+
+
 def theorem_a_search(max_group_order: int = 24) -> list[dict]:
     """Exhaustive search for connected arc-transitive one-matching graphs with
     single right and left connection elements.
@@ -285,6 +309,15 @@ def theorem_a_search(max_group_order: int = 24) -> list[dict]:
     therefore keeps only r <= s and t <= t^-1; the first triple of each class in
     scan order satisfies both, so every certificate keeps the example the full
     scan would store first.  Groups that no triple generates are skipped.
+
+    Only the first triple of each relation lattice L = {(a, b, c) in Z^3 :
+    r^a s^b t^c = 1} is certified.  A generating triple makes H = Z^3/L, so two
+    generating triples share L exactly when an automorphism a of H maps one
+    onto the other, and a maps BC(H, {r}, {s}, {1, t}) onto
+    BC(H, {ra}, {sa}, {1, ta}): a later triple of a seen lattice repeats a
+    certificate already held.  L contains 2Z + 2Z + ord(t)Z and is fixed by its
+    relations inside that box, which ``_lattice_key`` reads from one walk over
+    the powers of t; the same key gives |<r, s, t>| (``_generated_order``).
     """
     by_cert: dict[str, BiCayleySpec] = {}
     for group in _abelian_groups_up_to(max_group_order):
@@ -292,16 +325,20 @@ def theorem_a_search(max_group_order: int = 24) -> list[dict]:
             continue
         elems = group.elements()
         involutions = [x for x in elems if not x.is_identity and (x * x).is_identity]
+        walks = [
+            (t, _power_positions(t)) for t in elems if not t.is_identity and not t.inverse() < t
+        ]
+        seen: set[tuple] = set()
         for i, r in enumerate(involutions):
             for s in involutions[i:]:
-                for t in elems:
-                    if t.is_identity or t.inverse() < t:
+                rs = r * s
+                for t, positions in walks:
+                    key = _lattice_key(positions, r, s, rs)
+                    if key in seen or _generated_order(key) != group.size:
                         continue
-                    if not subgroup_generated(group, [r, s, t]).is_whole_group:
-                        continue
+                    seen.add(key)
                     spec = BiCayleySpec.create(group, (r,), (s,), (group.identity, t))
-                    cert = certificate(build(spec).graph)
-                    by_cert.setdefault(cert, spec)
+                    by_cert.setdefault(certificate(build(spec).graph), spec)
 
     named = _known_certificates()
     results = []

@@ -53,7 +53,7 @@ def _refuse_empty(args, selection: str) -> int:
 
 
 def cmd_build(args) -> int:
-    spec = parse_spec(args.spec)
+    spec = _searchable_spec(args.spec)
     bigraph = build(spec)
     g = bigraph.graph
     text = encode_graph6(g)

@@ -575,12 +575,16 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
         and all(x.images[v] in part0 for v in part0)
     ]
     cand_set = frozenset(candidates)
+    v0 = min(part0)
+    # _grow rejects a g of order d whose cycle through v0 is shorter than d,
+    # so that cycle's length d is read first and x.order() only checked for it
     cyclic: dict[int, list[Permutation]] = {}
     for x in candidates:
-        d = x.order()
-        if d in orders:
+        d, w = 1, x.images[v0]
+        while w != v0:
+            d, w = d + 1, x.images[w]
+        if d in orders and x.order() == d:
             cyclic.setdefault(d, []).append(x)
-    v0 = min(part0)
     # partial subgroup -> the generators of the first tuple reaching it
     layer = {frozenset({Permutation.identity(degree)}): ()}
     for d in orders:

@@ -1,5 +1,6 @@
 """Census generation: instance selection under a vertex bound, row metadata,
-and the two exhaustive searches, at small bounds and Theorem A at order 48."""
+and the two exhaustive searches, at small bounds and Theorem A at orders 48
+and 96, with the relation-lattice key checked against subgroup closure."""
 
 import dataclasses
 import re
@@ -11,7 +12,10 @@ from bicayley.abelian import invariant_factors, subgroup_generated
 from bicayley.census import (
     SCOPE_NOTE,
     _abelian_groups_up_to,
+    _generated_order,
     _has_generating_triple,
+    _lattice_key,
+    _power_positions,
     negative_controls,
     table1_instances,
     table2_instances,
@@ -19,7 +23,7 @@ from bicayley.census import (
     theorem_b_verify,
     verify_instance,
 )
-from bicayley.construction import build, format_spec, parse_spec
+from bicayley.construction import BiCayleySpec, build, format_spec, parse_spec
 from bicayley.graphs import bipartition, girth
 from bicayley.symmetry import certificate, k_arc_regularity
 
@@ -189,14 +193,54 @@ def test_generating_triple_rule_matches_scan():
         assert _has_generating_triple(group) == found, group.orders
 
 
+def _visited_triples(max_order):
+    """(group, r, s, t, key) for every triple the Theorem A scan visits."""
+    for group in _abelian_groups_up_to(max_order):
+        elems = group.elements()
+        involutions = [x for x in elems if not x.is_identity and (x * x).is_identity]
+        for i, r in enumerate(involutions):
+            for s in involutions[i:]:
+                for t in elems:
+                    if t.is_identity or t.inverse() < t:
+                        continue
+                    yield group, r, s, t, _lattice_key(_power_positions(t), r, s, r * s)
+
+
+def test_lattice_key_gives_the_generated_order():
+    visited = 0
+    for group, r, s, t, key in _visited_triples(24):
+        sub = subgroup_generated(group, [r, s, t])
+        assert _generated_order(key) == sub.size, (group, r, s, t)
+        assert (_generated_order(key) == group.size) == sub.is_whole_group
+        visited += 1
+    assert visited == 3153
+
+
+def test_equal_lattice_keys_give_equal_certificates():
+    # generating triples of one key differ by an automorphism of the group
+    first = {}
+    repeats = 0
+    for group, r, s, t, key in _visited_triples(16):
+        if _generated_order(key) != group.size:
+            continue
+        spec = BiCayleySpec.create(group, (r,), (s,), (group.identity, t))
+        cert = certificate(build(spec).graph)
+        repeats += (group.orders, key) in first
+        assert first.setdefault((group.orders, key), cert) == cert, (group, r, s, t)
+    assert repeats == 187
+
+
+_THEOREM_A_GRAPHS = [("K_4", 4, 2), ("Q_3", 8, 2), ("GP(8,3)", 16, 2), ("GP(12,5)", 24, 2)]
+
+
 def test_theorem_a_search_order_48():
     results = theorem_a_search(48)
-    assert [(rec["name"], rec["vertices"], rec["arc_type"]) for rec in results] == [
-        ("K_4", 4, 2),
-        ("Q_3", 8, 2),
-        ("GP(8,3)", 16, 2),
-        ("GP(12,5)", 24, 2),
-    ]
+    assert [(rec["name"], rec["vertices"], rec["arc_type"]) for rec in results] == _THEOREM_A_GRAPHS
+
+
+def test_theorem_a_search_order_96():
+    results = theorem_a_search(96)
+    assert [(rec["name"], rec["vertices"], rec["arc_type"]) for rec in results] == _THEOREM_A_GRAPHS
 
 
 def test_theorem_b_small_bound():

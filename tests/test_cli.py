@@ -147,6 +147,7 @@ def test_voltage_fig_without_orders_fails(capsys, orders):
         (["build", "H=True; S={0}"], "bad group orders H=True"),
         (["build", "H=2; S={(0.0,)}"], "bad connection set S={(0.0,)}"),
         (["build", "H=2; S={(True,)}"], "bad connection set S={(True,)}"),
+        (["build", "H=[100000]; S={0,1,2}"], "graph on 200000 vertices exceeds the search bound 1024"),
     ],
 )
 def test_user_errors_are_one_line(capsys, argv, message):
@@ -173,6 +174,7 @@ def test_failures_still_raise(monkeypatch):
         ["analyze", "H=[600]; S={0,1,2}"],
         ["iso", "H=[600]; S={0,1,2}", "H=3; S={0,1,2}"],
         ["bci", "H=[600]; S={0,1,2}"],
+        ["build", "H=[600]; S={0,1,2}"],
     ],
 )
 def test_oversized_spec_refused_before_build(monkeypatch, capsys, argv):
