@@ -1,7 +1,7 @@
 """Bi-Cayley graphs over finite abelian groups.
 
-Construction, automorphism groups and k-arc-regularity, quotients and voltage
-lifts, and BCI decisions, with a census CLI over the cubic families.
+Construction, automorphism groups and k-arc-regularity, voltage lifts, and
+BCI decisions, with a census CLI over the cubic families.
 """
 
 from bicayley.abelian import (
@@ -16,13 +16,7 @@ from bicayley.abelian import (
     invariant_factors,
 )
 from bicayley.graphs import Graph, girth, bipartition, is_connected, encode_graph6, decode_graph6
-from bicayley.construction import (
-    BiCayleySpec,
-    BiCayleyGraph,
-    build,
-    generalized_petersen,
-    quotient_bicayley,
-)
+from bicayley.construction import BiCayleySpec, BiCayleyGraph, build, generalized_petersen
 from bicayley.symmetry import (
     Permutation,
     PermGroup,
@@ -30,13 +24,7 @@ from bicayley.symmetry import (
     canonical_form,
     k_arc_regularity,
 )
-from bicayley.voltage import (
-    VoltageAssignment,
-    spanning_tree,
-    derive,
-    lifts,
-    projection,
-)
+from bicayley.voltage import VoltageAssignment, spanning_tree, derive, lifts
 from bicayley.bci import BciVerdict, bci_by_criterion, bci_oracle, cross_check
 from bicayley.census import (
     table1_instances,
@@ -67,7 +55,6 @@ __all__ = [
     "BiCayleyGraph",
     "build",
     "generalized_petersen",
-    "quotient_bicayley",
     "Permutation",
     "PermGroup",
     "automorphism_group",
@@ -77,7 +64,6 @@ __all__ = [
     "spanning_tree",
     "derive",
     "lifts",
-    "projection",
     "BciVerdict",
     "bci_by_criterion",
     "bci_oracle",

@@ -243,10 +243,9 @@ def _smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list[int], li
 
 @dataclass(frozen=True)
 class QuotientMap:
-    """Projection H -> H/K with an explicit coordinate isomorphism."""
+    """The map H -> H/<gens> with an explicit coordinate isomorphism."""
 
     source: AbelianGroup
-    kernel: Subgroup
     quotient: AbelianGroup
     # column i of _transform gives the i-th coordinate form; _kept maps
     # quotient coordinates back to transform columns
@@ -264,39 +263,30 @@ class QuotientMap:
         return self.quotient.element(tuple(coords))
 
 
-def quotient_group(group: AbelianGroup, kernel: Subgroup) -> tuple[AbelianGroup, QuotientMap]:
-    """Quotient H/K as a new group in invariant-factor form, plus the projection.
+def quotient_group(group: AbelianGroup, gens) -> tuple[AbelianGroup, QuotientMap]:
+    """H/<gens> as a new group in invariant-factor form, plus the quotient map.
 
-    The relation lattice of H/K in the exponent coordinates is spanned by the
-    factor-order rows together with the kernel generators; its Smith normal
-    form yields both the abstract type and the change of coordinates.
+    The relation lattice of H/<gens> in the exponent coordinates is spanned by
+    the factor-order rows together with the generators; its Smith normal form
+    yields both the abstract type and the change of coordinates.
     """
-    if kernel.parent != group:
-        raise ValueError(f"kernel {kernel} is not a subgroup of {group}")
     k = group.rank
     rows = [[group.orders[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    for g in kernel.generators:
+    for g in gens:
+        if g.group != group:
+            raise ValueError(f"generator {g} does not belong to {group}")
         rows.append(list(g.exponents))
     diag, v = _smith_normal_form(rows, k)
     # nontrivial cyclic factors, largest first; the stable sort keeps equal
     # factors in column order
     kept = sorted(((i, d) for i, d in enumerate(diag) if d > 1), key=lambda t: -t[1]) or [(0, 1)]
     q = make_group([d for _, d in kept])
-    qmap = QuotientMap(
-        source=group,
-        kernel=kernel,
-        quotient=q,
-        _transform=tuple(tuple(r) for r in v),
-        _kept=tuple(kept),
-    )
-    return q, qmap
+    return q, QuotientMap(group, q, tuple(tuple(r) for r in v), tuple(kept))
 
 
 def invariant_factors(group: AbelianGroup) -> tuple[int, ...]:
     """Canonical invariant factors, largest first; (1,) for the trivial group."""
-    trivial = subgroup_generated(group, [])
-    q, _ = quotient_group(group, trivial)
-    return q.orders
+    return quotient_group(group, [])[0].orders
 
 
 @dataclass(frozen=True)

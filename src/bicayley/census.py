@@ -18,7 +18,6 @@ from bicayley.abelian import (
     abelian_isomorphism_types,
     make_group,
     quotient_group,
-    subgroup_generated,
 )
 from bicayley.bci import _ORACLE_LIMIT, _first_match, bci_by_criterion, cross_check
 from bicayley.construction import (
@@ -106,10 +105,9 @@ def _quotient_presented(
 ) -> tuple[AbelianGroup, GroupElement, GroupElement]:
     """(Z_order x Z_order) / <relation>, with the images of the two generators."""
     square = make_group([order, order])
-    kernel = subgroup_generated(square, [square.element(relation)])
-    quotient, proj = quotient_group(square, kernel)
-    a = proj.image(square.element((1, 0)))
-    b = proj.image(square.element((0, 1)))
+    quotient, qmap = quotient_group(square, [square.element(relation)])
+    a = qmap.image(square.element((1, 0)))
+    b = qmap.image(square.element((0, 1)))
     return quotient, a, b
 
 
@@ -319,7 +317,7 @@ def theorem_a_search(max_group_order: int = 24) -> list[dict]:
     relations inside that box, which ``_lattice_key`` reads from one walk over
     the powers of t; the same key gives |<r, s, t>| (``_generated_order``).
     """
-    by_cert: dict[str, BiCayleySpec] = {}
+    by_cert: dict[str, tuple[BiCayleySpec, Graph]] = {}
     for group in _abelian_groups_up_to(max_group_order):
         if not _has_generating_triple(group):
             continue
@@ -338,12 +336,12 @@ def theorem_a_search(max_group_order: int = 24) -> list[dict]:
                         continue
                     seen.add(key)
                     spec = BiCayleySpec.create(group, (r,), (s,), (group.identity, t))
-                    by_cert.setdefault(certificate(build(spec).graph), spec)
+                    g = build(spec).graph
+                    by_cert.setdefault(certificate(g), (spec, g))
 
     named = _known_certificates()
     results = []
-    for cert, spec in by_cert.items():
-        g = build(spec).graph
+    for cert, (spec, g) in by_cert.items():
         k, regular = k_arc_regularity(g)
         if not regular:
             continue

@@ -21,7 +21,13 @@ from bicayley.census import (
 )
 from bicayley.construction import build, generalized_petersen, parse_spec, predicted_connected
 from bicayley.graphs import bipartition, encode_graph6, girth, is_connected
-from bicayley.symmetry import _arc_type, _check_search_bound, automorphism_group, certificate
+from bicayley.symmetry import (
+    _MAX_SEARCH_VERTICES,
+    _arc_type,
+    _check_search_bound,
+    automorphism_group,
+    certificate,
+)
 from bicayley.voltage import derive, fig_alpha, fig_assignment, fig_base, lifts
 
 __all__ = ["main"]
@@ -124,8 +130,16 @@ def cmd_analyze(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_table(args, which: int) -> int:
-    instances = (table1_instances if which == 1 else table2_instances)(args.max_vertices)
+def _searchable_bound(max_vertices: int) -> int:
+    """``--max-vertices``, refused before any instance is listed if it exceeds the search bound."""
+    if max_vertices > _MAX_SEARCH_VERTICES:
+        raise ValueError(
+            f"--max-vertices {max_vertices} exceeds the search bound {_MAX_SEARCH_VERTICES}"
+        )
+    return max_vertices
+
+
+def _cmd_table(args, instances) -> int:
     if not instances:
         return _refuse_empty(args, f"within --max-vertices {args.max_vertices}")
     records = [verify_instance(inst) for inst in instances]
@@ -142,11 +156,12 @@ def _cmd_table(args, which: int) -> int:
 
 
 def cmd_table1(args) -> int:
-    return _cmd_table(args, 1)
+    return _cmd_table(args, table1_instances(_searchable_bound(args.max_vertices)))
 
 
 def cmd_table2(args) -> int:
-    return _cmd_table(args, 2)
+    # the largest one-matching member has 48 vertices
+    return _cmd_table(args, table2_instances(args.max_vertices))
 
 
 def cmd_theorem_a(args) -> int:
@@ -163,7 +178,7 @@ def cmd_theorem_a(args) -> int:
 
 
 def cmd_theorem_b(args) -> int:
-    results = theorem_b_verify(args.max_vertices)
+    results = theorem_b_verify(_searchable_bound(args.max_vertices))
     if not results:
         return _refuse_empty(args, f"within --max-vertices {args.max_vertices}")
     passed = all(rec["is_bci"] for rec in results)

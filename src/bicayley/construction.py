@@ -14,14 +14,7 @@ import ast
 import re
 from dataclasses import dataclass
 
-from bicayley.abelian import (
-    AbelianGroup,
-    GroupElement,
-    Subgroup,
-    make_group,
-    quotient_group,
-    subgroup_generated,
-)
+from bicayley.abelian import AbelianGroup, GroupElement, make_group, subgroup_generated
 from bicayley.graphs import Graph
 from bicayley.symmetry import PermGroup, Permutation
 
@@ -33,7 +26,6 @@ __all__ = [
     "right_translations",
     "iota",
     "generalized_petersen",
-    "quotient_bicayley",
     "predicted_connected",
     "parse_spec",
     "format_spec",
@@ -116,13 +108,6 @@ def _fibred_graph(group: AbelianGroup, fibres: int, arcs) -> Graph:
     )
 
 
-def _translation(group: AbelianGroup, fibres: int, h: GroupElement) -> Permutation:
-    """The permutation (w, k) -> (w, k*h) of the fibred vertices."""
-    elems, index = _element_index(group)
-    shifted = [index[k * h] for k in elems]
-    return Permutation(tuple(w * len(elems) + j for w in range(fibres) for j in shifted))
-
-
 def build(spec: BiCayleySpec) -> BiCayleyGraph:
     """Materialize the graph: right edges in part 0, left in part 1, spokes across."""
     arcs = (
@@ -149,7 +134,9 @@ def predicted_connected(spec: BiCayleySpec) -> bool:
 
 def right_translation(b: BiCayleyGraph, h: GroupElement) -> Permutation:
     """The permutation (x_i) -> (xh)_i."""
-    return _translation(b.group, 2, h)
+    elems, index = _element_index(b.group)
+    shifted = [index[k * h] for k in elems]
+    return Permutation(tuple(i * len(elems) + j for i in (0, 1) for j in shifted))
 
 
 def right_translations(b: BiCayleyGraph) -> PermGroup:
@@ -182,40 +169,6 @@ def generalized_petersen(n: int, k: int) -> BiCayleyGraph:
         left=[group.element(k), group.element(-k)],
         spokes=[group.identity],
     )
-    return build(spec)
-
-
-def quotient_bicayley(b: BiCayleyGraph, kernel: Subgroup) -> BiCayleyGraph:
-    """The bi-Cayley graph over H/K with the projected connection sets.
-
-    Refuses kernels that would fuse connection elements or create loops, since
-    the quotient is then no longer a simple graph of the same degree.
-    """
-    if kernel.parent != b.group:
-        raise ValueError(f"kernel is a subgroup of {kernel.parent}, not {b.group}")
-    if kernel.is_whole_group:
-        raise ValueError("quotient by the whole group collapses both parts")
-    quotient, qmap = quotient_group(b.group, kernel)
-    new_sets = []
-    for name, elems in (("R", b.spec.right), ("L", b.spec.left), ("S", b.spec.spokes)):
-        images = [qmap.image(g) for g in elems]
-        if name in ("R", "L"):
-            for g, img in zip(elems, images):
-                if img.is_identity:
-                    raise ValueError(
-                        f"non-simple quotient: {name} element {g.exponents} lies in the kernel"
-                    )
-        if len(set(images)) != len(images):
-            seen: dict[GroupElement, GroupElement] = {}
-            for g, img in zip(elems, images):
-                if img in seen:
-                    raise ValueError(
-                        f"non-simple quotient: {name} elements {seen[img].exponents} "
-                        f"and {g.exponents} fall into the same coset"
-                    )
-                seen[img] = g
-        new_sets.append(images)
-    spec = BiCayleySpec.create(quotient, *new_sets)
     return build(spec)
 
 

@@ -15,7 +15,6 @@ __all__ = [
     "is_connected",
     "encode_graph6",
     "decode_graph6",
-    "quotient_by_partition",
 ]
 
 
@@ -161,22 +160,25 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(
 )
 
 
-def encode_graph6(g: Graph) -> str:
-    """Standard graph6: size header, then the upper triangle column-major."""
-    bits = bytearray(b"0" * (g.n * (g.n - 1) // 2))
-    for j in range(1, g.n):
-        base = j * (j - 1) // 2
-        for i in g.adjacency[j]:
-            if i < j:
-                bits[base + i] = ord("1")
+def _graph6(n: int, keys) -> str:
+    """graph6 of the graph on n vertices whose edges i < j are the keys j(j-1)/2 + i."""
+    bits = bytearray(b"0" * (n * (n - 1) // 2))
+    for key in keys:
+        bits[key] = ord("1")
     nchars = (len(bits) + 5) // 6
     if not nchars:
-        return _encode_size(g.n)
+        return _encode_size(n)
     # padded to whole 24-bit groups, base64 packs six bits per character
     bits += b"0" * (-len(bits) % 24)
     packed = int(bits, 2).to_bytes(len(bits) // 8, "big")
     data = base64.b64encode(packed).translate(_BASE64_TO_GRAPH6)[:nchars]
-    return _encode_size(g.n) + data.decode("ascii")
+    return _encode_size(n) + data.decode("ascii")
+
+
+def encode_graph6(g: Graph) -> str:
+    """Standard graph6: size header, then the upper triangle column-major."""
+    keys = (j * (j - 1) // 2 + i for j, row in enumerate(g.adjacency) for i in row if i < j)
+    return _graph6(g.n, keys)
 
 
 def decode_graph6(text: str) -> Graph:
@@ -223,26 +225,3 @@ def decode_graph6(text: str) -> Graph:
                 edges.append((i, j))
             idx += 1
     return Graph.from_edges(n, edges)
-
-
-def quotient_by_partition(g: Graph, blocks) -> Graph:
-    """Contract each block to one vertex; blocks are ordered by least member.
-
-    Loops produced by intra-block edges are dropped; parallel edges collapse.
-    """
-    blocks = [tuple(sorted(b)) for b in blocks]
-    blocks.sort(key=lambda b: b[0])
-    where = {}
-    for i, b in enumerate(blocks):
-        for v in b:
-            if v in where:
-                raise ValueError(f"vertex {v} appears in two blocks")
-            where[v] = i
-    if len(where) != g.n:
-        raise ValueError("blocks do not cover the vertex set")
-    edges = set()
-    for u, v in g.edges:
-        bu, bv = where[u], where[v]
-        if bu != bv:
-            edges.add((min(bu, bv), max(bu, bv)))
-    return Graph.from_edges(len(blocks), sorted(edges))

@@ -19,7 +19,7 @@ from itertools import accumulate, groupby
 from math import lcm, prod
 from operator import eq, itemgetter
 
-from bicayley.graphs import Graph, encode_graph6, is_connected
+from bicayley.graphs import Graph, _graph6, is_connected
 
 __all__ = [
     "Permutation",
@@ -413,9 +413,9 @@ def _analyzed(graph: Graph) -> tuple[tuple[Permutation, ...], int, Permutation, 
     assert search.best is not None
     path = search.first_path
     order = prod(len(search.orbit_fixing([v], path[:i])) for i, v in enumerate(path))
-    labeling = Permutation(tuple(search.best[1]))
-    cert = encode_graph6(graph.relabel(labeling.images))
-    return tuple(search.autos), order, labeling, cert
+    # the best leaf's keys are the graph6 bits of the relabeled graph
+    cert = _graph6(graph.n, search.best[0])
+    return tuple(search.autos), order, Permutation(tuple(search.best[1])), cert
 
 
 def automorphism_group(graph: Graph) -> PermGroup:

@@ -12,17 +12,15 @@ from collections import deque
 from dataclasses import dataclass
 
 from bicayley.abelian import AbelianGroup, GroupAutomorphism, GroupElement, make_group
-from bicayley.construction import _element_index, _fibred_graph, _translation
+from bicayley.construction import _element_index, _fibred_graph
 from bicayley.graphs import Graph, is_connected
-from bicayley.symmetry import PermGroup, Permutation
+from bicayley.symmetry import Permutation
 
 __all__ = [
     "VoltageAssignment",
     "spanning_tree",
     "derive",
-    "right_action",
     "lifts",
-    "projection",
     "fig_base",
     "fig_assignment",
     "fig_alpha",
@@ -122,20 +120,6 @@ def derive(va: VoltageAssignment) -> Graph:
     return _fibred_graph(va.group, va.base.n, arcs)
 
 
-def right_action(va: VoltageAssignment) -> PermGroup:
-    """The voltage group acting on fibers by right multiplication."""
-    gens = [_translation(va.group, va.base.n, g) for g in va.group.generators()]
-    return PermGroup(va.base.n * va.group.size, gens)
-
-
-def _check_base_automorphism(va: VoltageAssignment, sigma: Permutation) -> None:
-    if sigma.degree != va.base.n:
-        raise ValueError(f"permutation degree {sigma.degree} != base order {va.base.n}")
-    for u, v in va.base.edges:
-        if not va.base.has_edge(sigma.images[u], sigma.images[v]):
-            raise ValueError(f"permutation is not a base automorphism: edge ({u},{v}) breaks")
-
-
 def lifts(
     va: VoltageAssignment, sigma: Permutation
 ) -> tuple[GroupAutomorphism, Permutation] | None:
@@ -150,7 +134,11 @@ def lifts(
     automorphism sigma*, read off the images of the (v0, g).  A disconnected
     cover is refused.  Returns (sigma*, lifted vertex permutation), or None.
     """
-    _check_base_automorphism(va, sigma)
+    if sigma.degree != va.base.n:
+        raise ValueError(f"permutation degree {sigma.degree} != base order {va.base.n}")
+    for u, v in va.base.edges:
+        if not va.base.has_edge(sigma.images[u], sigma.images[v]):
+            raise ValueError(f"permutation is not a base automorphism: edge ({u},{v}) breaks")
     cover = derive(va)
     if not is_connected(cover):
         raise ValueError(
@@ -178,23 +166,6 @@ def lifts(
         tuple(kelems[images[index[g]] - origin] for g in va.group.generators()),
     )
     return sigma_star, Permutation(tuple(images))
-
-
-def projection(va: VoltageAssignment, g: Permutation) -> Permutation:
-    """Base permutation induced by a cover automorphism normalizing the fiber action."""
-    fiber = right_action(va)
-    fiber_elems = frozenset(p.images for p in fiber.elements())
-    g_inv = g.inverse()
-    for s in fiber.generators:
-        if (g_inv * s * g).images not in fiber_elems:
-            raise ValueError("permutation does not normalize the fiber action; no projection")
-    size = va.group.size
-    images = [0] * va.base.n
-    for w in range(va.base.n):
-        images[w] = g.images[w * size] // size
-    projected = Permutation(tuple(images))
-    _check_base_automorphism(va, projected)
-    return projected
 
 
 # --- the eight-vertex quotient fixture ---------------------------------------

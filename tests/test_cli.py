@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bicayley import cli
+from bicayley import census, cli
 from bicayley.cli import main
 from bicayley.construction import build, parse_spec
 from bicayley.graphs import decode_graph6
@@ -185,6 +185,26 @@ def test_oversized_spec_refused_before_build(monkeypatch, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"bicayley {argv[0]}: graph on 1200 vertices exceeds the search bound 1024\n"
+
+
+@pytest.mark.parametrize("command", ["table1", "theorem-b"])
+def test_oversized_vertex_bound_refused_before_listing(monkeypatch, capsys, command):
+    def refuse(spec):
+        raise AssertionError("built a census member for a bound past the search bound")
+
+    monkeypatch.setattr(census, "build", refuse)
+    assert main([command, "--max-vertices", "2048", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"bicayley {command}: --max-vertices 2048 exceeds the search bound 1024\n"
+    )
+    assert captured.out == ""
+
+
+def test_table2_takes_any_vertex_bound(capsys):
+    # its largest member has 48 vertices, so no bound reaches the search bound
+    code, payload = run_json(capsys, ["table2", "--max-vertices", "2048"])
+    assert code == 0 and max(rec["vertices"] for rec in payload["instances"]) == 48
 
 
 @pytest.mark.parametrize("raw", ["0", "-5"])

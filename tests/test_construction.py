@@ -1,5 +1,5 @@
 """Built graphs vs independent models (complete bipartite, hypercube, LCF,
-Kneser), the translation symmetries, and connection-set quotients."""
+Kneser), and the translation symmetries."""
 
 import random
 
@@ -12,10 +12,9 @@ from _oracles import (
     kneser_petersen,
     layout_id,
     lcf_graph,
-    orbits,
     semiregular_with_orbits,
 )
-from bicayley.abelian import element_order, make_group, subgroup_generated
+from bicayley.abelian import make_group
 from bicayley.construction import (
     BiCayleySpec,
     build,
@@ -24,11 +23,10 @@ from bicayley.construction import (
     iota,
     parse_spec,
     predicted_connected,
-    quotient_bicayley,
     right_translation,
     right_translations,
 )
-from bicayley.graphs import is_connected, quotient_by_partition
+from bicayley.graphs import is_connected
 from bicayley.symmetry import PermGroup, certificate
 
 
@@ -197,47 +195,6 @@ def test_one_type_instance_is_gp_12_5():
     spec = parse_spec("H=[6,2]; R={(0,1)}; L={(3,0)}; S={(0,0),(1,1)}")
     b = build(spec)
     assert certificate(b.graph) == certificate(generalized_petersen(12, 5).graph)
-    # factoring out the order-3 subgroup leaves the cube
-    n = subgroup_generated(spec.group, [spec.group.element((2, 0))])
-    q = quotient_bicayley(b, n)
-    assert q.graph.n == 8
-    assert certificate(q.graph) == certificate(hypercube())
-    # the connection-set quotient agrees with contracting the R(N) orbits
-    rn = PermGroup(24, [right_translation(b, g) for g in n.elements])
-    contracted = quotient_by_partition(b.graph, orbits(rn))
-    assert certificate(contracted) == certificate(q.graph)
-
-
-def test_quotient_of_54_point_instance_is_k33():
-    big = parse_spec("H=[9,3]; S={(0,0),(1,0),(8,1)}")
-    b = build(big)
-    assert b.graph.n == 54 and is_connected(b.graph)
-    torsion = subgroup_generated(
-        b.group, [g for g in b.group.elements() if element_order(g) in (1, 3)]
-    )
-    assert torsion.size == 9
-    q = quotient_bicayley(b, torsion)
-    assert certificate(q.graph) == certificate(complete_bipartite_33())
-
-
-def test_quotient_rejects_fusing_kernels():
-    cube = _zero_type([2, 2], [(0, 0), (1, 0), (0, 1)])
-    with pytest.raises(ValueError, match="non-simple quotient"):
-        quotient_bicayley(cube, subgroup_generated(cube.group, [cube.group.element((1, 0))]))
-    with pytest.raises(ValueError, match="whole group"):
-        quotient_bicayley(
-            cube,
-            subgroup_generated(
-                cube.group, [cube.group.element((1, 0)), cube.group.element((0, 1))]
-            ),
-        )
-    # a kernel meeting R collapses ring edges to loops
-    z4 = make_group([4])
-    two = BiCayleySpec.create(z4, (z4.element(2),), (z4.element(2),), (z4.identity,))
-    with pytest.raises(ValueError, match="non-simple quotient"):
-        quotient_bicayley(build(two), subgroup_generated(z4, [z4.element(2)]))
-    with pytest.raises(ValueError):
-        quotient_bicayley(cube, subgroup_generated(z4, []))
 
 
 def test_spec_text_round_trip():

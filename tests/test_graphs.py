@@ -21,7 +21,6 @@ from bicayley.graphs import (
     encode_graph6,
     girth,
     is_connected,
-    quotient_by_partition,
 )
 
 
@@ -152,19 +151,3 @@ def test_graph6_decode_errors_carry_offsets():
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert encode_graph6(p3) == "Bg"
     assert decode_graph6("Bg") == p3
-
-
-def test_quotient_by_partition():
-    c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-    triangle = quotient_by_partition(c6, [{0, 3}, {1, 4}, {2, 5}])
-    assert triangle.n == 3 and triangle.edge_count == 3
-    same = quotient_by_partition(c6, [{v} for v in range(6)])
-    assert same == c6
-    # contracting one edge of K4 drops the intra-block edge
-    k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    t = quotient_by_partition(k4, [{0, 1}, {2}, {3}])
-    assert t.n == 3 and t.edge_count == 3
-    with pytest.raises(ValueError):
-        quotient_by_partition(c6, [{0, 1}, {1, 2}, {3, 4, 5}])
-    with pytest.raises(ValueError):
-        quotient_by_partition(c6, [{0, 1}, {2, 3}])

@@ -285,6 +285,17 @@ def test_certificates_are_relabeling_invariant():
             assert automorphism_group(copy).order() == order, inst.description
 
 
+def test_certificate_comes_from_the_best_leaf():
+    # refinement cannot tell a triangle's vertices from a square's, so the
+    # first leaf depends on which component holds vertex 0; the best does not
+    triangle_first = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
+    square_first = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)])
+    assert certificate(triangle_first) == certificate(square_first)
+    for g in (triangle_first, square_first):
+        labeling, cert = canonical_form(g)
+        assert encode_graph6(g.relabel(labeling.images)) == cert
+
+
 def test_certificates_separate_nonisomorphic_graphs():
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert certificate(C6) != certificate(two_triangles)

@@ -10,7 +10,6 @@ from _oracles import (
     circuit_pairs,
     circuit_voltage,
     hypercube,
-    is_semiregular,
     layout_id,
     lift_exists_by_scan,
     random_graph,
@@ -32,8 +31,6 @@ from bicayley.voltage import (
     fig_assignment,
     fig_base,
     lifts,
-    projection,
-    right_action,
     spanning_tree,
 )
 
@@ -41,11 +38,12 @@ from bicayley.voltage import (
 def check_lift(va, sigma, result) -> None:
     """The returned lift is the one the criterion fixes: sigma* carries each
     base-circuit voltage to its image walk's, the lift takes (0, 1) to
-    (sigma(0), 1), and it projects to sigma."""
+    (sigma(0), 1), and it maps each fiber w into the fiber sigma(w)."""
     sigma_star, lift = result
+    size = va.group.size
     assert all(sigma_star(z) == y for z, y in circuit_pairs(va, sigma))
-    assert lift.images[0] == sigma.images[0] * va.group.size
-    assert projection(va, lift) == sigma
+    assert lift.images[0] == sigma.images[0] * size
+    assert all(lift.images[v] // size == sigma.images[v // size] for v in range(lift.degree))
 
 
 def test_spanning_tree_properties():
@@ -186,8 +184,8 @@ def test_z2_cover_diagnostics():
         assert certificate(cover) != certificate(generalized_petersen(8, k).graph)
 
 
-def test_derive_and_right_action_follow_the_layout():
-    # derive joins (w, k) to (w', zeta(w, w') k); generator g maps (w, k) to (w, kg)
+def test_derive_follows_the_layout():
+    # derive joins (w, k) to (w', zeta(w, w') k)
     rng = random.Random(29)
     base = fig_base()
     tree = spanning_tree(base)
@@ -201,24 +199,6 @@ def test_derive_and_right_action_follow_the_layout():
             for k in elems
         }
         assert {frozenset(e) for e in derive(va).edges} == expected
-        gens = right_action(va).generators
-        assert len(gens) == len(va.group.generators())
-        for g, p in zip(va.group.generators(), gens):
-            for w in range(va.base.n):
-                for k in elems:
-                    assert p.images[layout_id(k, w)] == layout_id(k * g, w)
-
-
-def test_right_action_is_semiregular():
-    va = fig_assignment(4)
-    act = right_action(va)
-    assert act.order() == 4
-    assert is_semiregular(act)
-    cover = derive(va)
-    for p in act.generators:
-        for u, v in cover.edges:
-            assert cover.has_edge(p.images[u], p.images[v])
-        assert projection(va, p).is_identity
 
 
 def test_identity_lifts_to_identity():
@@ -298,19 +278,3 @@ def test_lifts_rejects_non_automorphisms():
         lifts(va, not_auto)
     with pytest.raises(ValueError, match="degree"):
         lifts(va, Permutation.identity(5))
-
-
-def test_projection_requires_normalizing_the_fibers():
-    va = fig_assignment(2)
-    fiber = right_action(va)
-    fiber_elems = frozenset(p.images for p in fiber.elements())
-    aut = automorphism_group(derive(va))
-    stray = next(
-        g
-        for g in aut.elements()
-        if any(
-            (g.inverse() * s * g).images not in fiber_elems for s in fiber.generators
-        )
-    )
-    with pytest.raises(ValueError, match="normalize"):
-        projection(va, stray)
