@@ -23,7 +23,6 @@ __all__ = [
     "quotient_group",
     "automorphism_group_of",
     "invariant_factors",
-    "abelian_isomorphism_types",
 ]
 
 _MAX_AUT_ORDER = 64  # automorphism_group_of enumerates; Z_2^6 alone has 20158709760
@@ -114,7 +113,7 @@ class GroupElement:
 
     @property
     def is_identity(self) -> bool:
-        return all(e == 0 for e in self.exponents)
+        return not any(self.exponents)
 
     def __lt__(self, other: "GroupElement") -> bool:
         return self.exponents < other.exponents
@@ -347,22 +346,3 @@ def automorphism_group_of(group: AbelianGroup) -> list[GroupAutomorphism]:
     extend(0)
     return result
 
-
-def abelian_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:
-    """One invariant-factor tuple per isomorphism type of order 2..max_order.
-
-    A type is a divisor chain: factors above 1, largest first, each dividing
-    the one before, with product the order.
-    """
-
-    def chains(n: int, cap: int):
-        if n == 1:
-            yield ()
-        for d in range(min(n, cap), 1, -1):
-            if n % d == 0 and cap % d == 0:
-                for rest in chains(n // d, d):
-                    yield (d, *rest)
-
-    types = [t for n in range(2, max_order + 1) for t in chains(n, n)]
-    types.sort(key=lambda t: (prod(t), t))
-    return types

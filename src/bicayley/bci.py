@@ -10,7 +10,7 @@ automorphisms and translations, for small groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from bicayley.abelian import AbelianGroup, automorphism_group_of
@@ -156,16 +156,17 @@ def bci_oracle(b: BiCayleyGraph) -> BciVerdict:
 
 
 def cross_check(b: BiCayleyGraph) -> BciVerdict:
-    """Run the criterion, confirm with the oracle when the group is small enough."""
+    """Run the oracle and the criterion, which must agree; the verdict carries
+    the criterion's evidence and the oracle's counterexample.  Past the
+    oracle's group-order limit the oracle's ValueError propagates."""
+    other = bci_oracle(b)
     verdict = bci_by_criterion(b)
-    if b.spec.group.size <= _ORACLE_LIMIT:
-        other = bci_oracle(b)
-        if other.is_bci != verdict.is_bci:
-            raise RuntimeError(
-                f"BCI deciders disagree on {b.spec}: "
-                f"criterion={verdict.is_bci} oracle={other.is_bci}"
-            )
-    return verdict
+    if other.is_bci != verdict.is_bci:
+        raise RuntimeError(
+            f"BCI deciders disagree on {b.spec}: "
+            f"criterion={verdict.is_bci} oracle={other.is_bci}"
+        )
+    return replace(verdict, method="cross", counterexample=other.counterexample)
 
 
 def verdict_payload(v: BciVerdict) -> dict:

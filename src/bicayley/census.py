@@ -11,11 +11,12 @@ row carries its expected arc-regularity for verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from bicayley.abelian import (
     AbelianGroup,
     GroupElement,
-    abelian_isomorphism_types,
+    element_order,
     make_group,
     quotient_group,
 )
@@ -255,36 +256,37 @@ def verify_instance(inst: CensusInstance) -> dict:
     }
 
 
-def _abelian_groups_up_to(max_order: int) -> list[AbelianGroup]:
-    return [make_group(t) for t in abelian_isomorphism_types(max_order)]
-
-
-def _has_generating_triple(group: AbelianGroup) -> bool:
-    """Whether <r, s, t> = H for some involutions r, s, H in invariant factors.
+def _generated_groups(max_order: int) -> list[AbelianGroup]:
+    """Every group <r, s, t> of order at most ``max_order`` for involutions r
+    and s, in (order, invariant factors) order.
 
     H/<t> is generated by two elements of order at most 2, so it is elementary
-    abelian of rank at most 2.  That holds for some t exactly when |H| is even,
-    H has at most three invariant factors and every one after the first is 2.
+    abelian of rank at most 2.  That holds for some t exactly when H is Z_m,
+    Z_m x Z_2 or Z_m x Z_2 x Z_2 with m even.
     """
-    first, *rest = group.orders
-    return first % 2 == 0 and len(rest) <= 2 and all(d == 2 for d in rest)
+    types = [(m, *(2,) * k) for k in range(3) for m in range(2, max_order // 2**k + 1, 2)]
+    return [make_group(t) for t in sorted(types, key=lambda t: (prod(t), t))]
 
 
-def _power_positions(t: GroupElement) -> dict[GroupElement, int]:
-    """t^k -> k for 0 <= k < ord(t): one walk over the powers of t."""
-    positions: dict[GroupElement, int] = {}
-    x = t.group.identity
-    while x not in positions:
-        positions[x] = len(positions)
-        x = x * t
-    return positions
+def _power_class(t: GroupElement) -> tuple[int, GroupElement]:
+    """All that the lattice key reads of t: n = ord(t) and the one involution
+    t^(n/2) in <t> for even n, or (n, 1) for odd n, when <t> has none."""
+    n = element_order(t)
+    return n, t ** (n // 2) if n % 2 == 0 else t.group.identity
 
 
-def _lattice_key(positions: dict[GroupElement, int], r, s, rs) -> tuple:
-    """The relation lattice of (r, s, t) for involutions r, s with product rs:
-    ord(t) and the least k with t^k = r, with t^k = s and with t^k = rs, each
-    None when there is none (``positions`` from ``_power_positions(t)``)."""
-    return (len(positions), positions.get(r), positions.get(s), positions.get(rs))
+def _lattice_key(power_class: tuple[int, GroupElement], r, s, rs) -> tuple:
+    """The relation lattice of (r, s, t) for involutions r, s with product rs,
+    from ``power_class = _power_class(t)``: n = ord(t) and the least k with
+    t^k = r, with t^k = s and with t^k = rs, each None when there is none.  An
+    element of order at most 2 in <t> is t^0 or t^(n/2), so each k is 0, n/2
+    or None."""
+    n, half = power_class
+
+    def position(x: GroupElement):
+        return 0 if x.is_identity else n // 2 if x == half else None
+
+    return (n, position(r), position(s), position(rs))
 
 
 def _generated_order(key: tuple) -> int:
@@ -298,15 +300,13 @@ def theorem_a_search(max_group_order: int = 24) -> list[dict]:
     """Exhaustive search for connected arc-transitive one-matching graphs with
     single right and left connection elements.
 
-    Scans every abelian group up to the order bound, every pair of involutions
-    (r, s) and every t != 1 with <r, s, t> the whole group, builds the graph
-    with R = {r}, L = {s}, S = {1, t}, and groups the outcomes by canonical
-    certificate.  Two isomorphisms exist in every abelian group: exchanging the
-    halves maps (r, s, t) to (s, r, t^-1), and the automorphism h -> h^-1 fixes
-    the involutions r and s and maps (r, s, t) to (r, s, t^-1).  The scan
-    therefore keeps only r <= s and t <= t^-1; the first triple of each class in
-    scan order satisfies both, so every certificate keeps the example the full
-    scan would store first.  Groups that no triple generates are skipped.
+    Scans every group that a triple can generate (``_generated_groups``),
+    every pair of involutions (r, s) and every t != 1 with <r, s, t> the whole
+    group, builds the graph with R = {r}, L = {s}, S = {1, t}, and groups the
+    outcomes by canonical certificate.  Exchanging the halves maps (r, s, t) to
+    (s, r, t^-1), and the automorphism h -> h^-1 fixes the involutions and
+    maps t to t^-1, so (r, s, t) and (s, r, t) give isomorphic graphs: the
+    scan keeps only r <= s, which the first triple of each class satisfies.
 
     Only the first triple of each relation lattice L = {(a, b, c) in Z^3 :
     r^a s^b t^c = 1} is certified.  A generating triple makes H = Z^3/L, so two
@@ -314,24 +314,26 @@ def theorem_a_search(max_group_order: int = 24) -> list[dict]:
     onto the other, and a maps BC(H, {r}, {s}, {1, t}) onto
     BC(H, {ra}, {sa}, {1, ta}): a later triple of a seen lattice repeats a
     certificate already held.  L contains 2Z + 2Z + ord(t)Z and is fixed by its
-    relations inside that box, which ``_lattice_key`` reads from one walk over
-    the powers of t; the same key gives |<r, s, t>| (``_generated_order``).
+    relations inside that box, read by ``_lattice_key`` from the pair
+    ``_power_class(t)``; the same key gives |<r, s, t>| (``_generated_order``).
+    So the scan takes only the first t of each pair in element order, which
+    opens its lattices' triples: every certificate keeps the example the full
+    scan would store first.  t^-1 shares t's pair, so that t is at most its
+    inverse.
     """
     by_cert: dict[str, tuple[BiCayleySpec, Graph]] = {}
-    for group in _abelian_groups_up_to(max_group_order):
-        if not _has_generating_triple(group):
-            continue
+    for group in _generated_groups(max_group_order):
         elems = group.elements()
         involutions = [x for x in elems if not x.is_identity and (x * x).is_identity]
-        walks = [
-            (t, _power_positions(t)) for t in elems if not t.is_identity and not t.inverse() < t
-        ]
+        classes: dict[tuple, GroupElement] = {}
+        for t in elems[1:]:  # the identity comes first
+            classes.setdefault(_power_class(t), t)
         seen: set[tuple] = set()
         for i, r in enumerate(involutions):
             for s in involutions[i:]:
                 rs = r * s
-                for t, positions in walks:
-                    key = _lattice_key(positions, r, s, rs)
+                for power_class, t in classes.items():
+                    key = _lattice_key(power_class, r, s, rs)
                     if key in seen or _generated_order(key) != group.size:
                         continue
                     seen.add(key)
@@ -371,10 +373,10 @@ def _known_certificates() -> dict[str, str]:
 def theorem_b_verify(max_vertices: int = 64, oracle_limit: int = _ORACLE_LIMIT) -> list[dict]:
     """BCI verdicts for every spoke-only census member within the bound.
 
-    The criterion runs on each instance; for groups of order at most
-    ``oracle_limit`` ``cross_check`` also runs the brute-force oracle and
-    raises RuntimeError when the two disagree.  A limit above the oracle's own
-    would mark members checked that it never ran on, so it is refused.
+    The criterion runs on each instance; on groups of order at most
+    ``oracle_limit`` it runs as ``cross_check``, with the brute-force oracle,
+    which raises RuntimeError when the two disagree.  A limit above the
+    oracle's own would fail on the first member past it, so it is refused.
     """
     if oracle_limit > _ORACLE_LIMIT:
         raise ValueError(

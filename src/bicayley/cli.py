@@ -165,6 +165,8 @@ def cmd_table2(args) -> int:
 
 
 def cmd_theorem_a(args) -> int:
+    if args.max_group_order < 2:  # Z_2 is the smallest group a triple generates
+        return _refuse_empty(args, f"within --max-group-order {args.max_group_order}")
     results = theorem_a_search(args.max_group_order)
     names = sorted(rec["name"] for rec in results)
     passed = names == ["GP(12,5)", "GP(8,3)", "K_4", "Q_3"]

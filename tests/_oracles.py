@@ -4,8 +4,9 @@ Nothing here calls into the package beyond the Graph container: automorphisms
 by filtering all vertex bijections, girth by exhaustive path search, graph6 by
 direct bit-string packing, k-arcs by listing every walk, vertex ids by
 mixed-radix arithmetic, the classical LCF and Kneser constructions, the Smith
-normal form with its transform kept as a separate matrix, and abelian
-isomorphism types combined from one partition per prime exponent.  The
+normal form with its transform kept as a separate matrix, abelian
+isomorphism types combined from one partition per prime exponent, and the
+Theorem A lattice key from a walk over every power of t.  The
 exceptions are the straightforward refinement and branching of the
 individualization-refinement search and its big-integer leaf certificate,
 written as methods to patch into ``bicayley.symmetry._Search`` in place of the
@@ -27,7 +28,6 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from bicayley.abelian import (
-    abelian_isomorphism_types,
     automorphism_group_of,
     element_order,
     make_group,
@@ -273,6 +273,17 @@ def reference_leaf_certificate(search, cells: list[list[int]]) -> tuple[bytes, l
     return mask.to_bytes((nbits + 7) // 8 or 1, "big"), position
 
 
+def reference_lattice_key(r, s, t) -> tuple:
+    """ord(t) and the least k with t^k = r, with t^k = s and with t^k = rs,
+    each None when there is none, from a walk over every power of t."""
+    positions = {}
+    x = t.group.identity
+    while x not in positions:
+        positions[x] = len(positions)
+        x = x * t
+    return (len(positions), positions.get(r), positions.get(s), positions.get(r * s))
+
+
 def reference_theorem_a_scan(max_group_order: int) -> dict:
     """Certificate -> first spec of the Theorem A scan with no reduction.
 
@@ -281,7 +292,7 @@ def reference_theorem_a_scan(max_group_order: int) -> dict:
     groups, involutions and elements are listed.
     """
     by_cert = {}
-    for orders in abelian_isomorphism_types(max_group_order):
+    for orders in reference_isomorphism_types(max_group_order):
         group = make_group(orders)
         elems = group.elements()
         involutions = [x for x in elems if not x.is_identity and (x * x).is_identity]

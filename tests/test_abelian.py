@@ -10,7 +10,6 @@ import pytest
 from _oracles import reference_isomorphism_types, reference_smith_normal_form
 from bicayley import abelian
 from bicayley.abelian import (
-    abelian_isomorphism_types,
     automorphism_group_of,
     element_order,
     invariant_factors,
@@ -251,50 +250,6 @@ def test_automorphism_bound_is_enforced():
     assert len(automorphism_group_of(make_group([64]))) == 32  # phi(64): the bound is inclusive
 
 
-def test_isomorphism_types_census():
-    types = abelian_isomorphism_types(24)
-    assert len(types) == len(set(types))
-
-    # one type per way of partitioning each prime exponent
-    def partition_count(n: int, cap: int) -> int:
-        if n == 0:
-            return 1
-        return sum(partition_count(n - first, first) for first in range(min(n, cap), 0, -1))
-
-    total = 0
-    for n in range(2, 25):
-        count = 1
-        m, d = n, 2
-        while d * d <= m:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            count *= partition_count(e, e)
-            d += 1
-        if m > 1:
-            count *= 1
-        total += count
-    assert len(types) == total
-
-    by_order: dict[int, list[tuple[int, ...]]] = {}
-    for t in types:
-        by_order.setdefault(prod(t), []).append(t)
-    assert len(by_order[16]) == 5
-    assert len(by_order[24]) == 3
-    assert set(by_order[12]) == {(6, 2), (12,)}
-    for t in types:
-        for a, b in zip(t, t[1:]):
-            assert a % b == 0
-    # order histograms separate every pair of types of equal order
-    for ts in by_order.values():
-        hists = [
-            tuple(sorted(Counter(element_order(x) for x in make_group(t).elements()).items()))
-            for t in ts
-        ]
-        assert len(set(hists)) == len(ts)
-
-
 def test_smith_normal_form_matches_reference_on_random_matrices():
     rng = random.Random(13)
     for _ in range(3000):
@@ -322,13 +277,8 @@ def test_smith_normal_form_matches_reference_on_census_relations(monkeypatch):
         assert fast(rows, ncols) == reference_smith_normal_form(rows, ncols), rows
 
 
-def test_isomorphism_types_match_prime_partitions():
-    for bound in (1, 2, 16, 200):
-        assert abelian_isomorphism_types(bound) == reference_isomorphism_types(bound)
-
-
 def test_automorphisms_match_generating_image_tuples():
-    for orders in abelian_isomorphism_types(12):
+    for orders in reference_isomorphism_types(12):
         group = make_group(orders)
         candidates = [
             [g for g in group.elements() if d % element_order(g) == 0] for d in group.orders

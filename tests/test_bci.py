@@ -5,9 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from _oracles import reference_bci_oracle
+from _oracles import reference_bci_oracle, reference_isomorphism_types
 from bicayley import bci
-from bicayley.abelian import abelian_isomorphism_types, automorphism_group_of, make_group
+from bicayley.abelian import automorphism_group_of, make_group
 from bicayley.bci import bci_by_criterion, bci_oracle, cross_check, verdict_payload
 from bicayley.census import table1_instances
 from bicayley.construction import (
@@ -87,7 +87,7 @@ def test_non_bci_pair_over_z8():
 
 def test_criterion_matches_oracle_on_all_small_triples():
     total = 0
-    for orders in abelian_isomorphism_types(8):
+    for orders in reference_isomorphism_types(8):
         group = make_group(list(orders))
         if group.size < 4:
             continue
@@ -160,12 +160,16 @@ def test_cross_check_oracle_limit():
     assert cross_check(spoke_graph([3], (0, 1, 2))).is_bci
     # the trivial group: K_2 is its own translation group's only class
     assert cross_check(spoke_graph([1], (0,))).conjugacy_class_count == 1
-    assert not cross_check(spoke_graph([8], (0, 1, 2, 5))).is_bci
-    # past the oracle bound only the criterion runs
+    bad = cross_check(spoke_graph([8], (0, 1, 2, 5)))
+    assert not bad.is_bci and bad.method == "cross"
+    # the criterion's evidence and the oracle's counterexample
+    assert bad.conjugacy_class_count == 2
+    assert bad.counterexample == ((0,), (1,), (3,), (4,))
+    # past the oracle bound the oracle refuses, and so does the cross-check
     big = spoke_graph([18], (0, 1, 3))
-    assert cross_check(big).method == "criterion"
-    with pytest.raises(ValueError, match="16"):
-        bci_oracle(big)
+    for decider in (bci_oracle, cross_check):
+        with pytest.raises(ValueError, match="16"):
+            decider(big)
 
 
 def test_rejects_graphs_with_inner_edges():

@@ -1,6 +1,7 @@
 """Census generation: instance selection under a vertex bound, row metadata,
 and the two exhaustive searches, at small bounds and Theorem A at orders 48
-and 96, with the relation-lattice key checked against subgroup closure."""
+and 96, with the relation-lattice key checked against a walk over the powers
+of t and against subgroup closure."""
 
 import dataclasses
 import re
@@ -8,14 +9,13 @@ import re
 import pytest
 
 from bicayley import bci
-from bicayley.abelian import invariant_factors, subgroup_generated
+from bicayley.abelian import invariant_factors, make_group, subgroup_generated
 from bicayley.census import (
     SCOPE_NOTE,
-    _abelian_groups_up_to,
+    _generated_groups,
     _generated_order,
-    _has_generating_triple,
     _lattice_key,
-    _power_positions,
+    _power_class,
     negative_controls,
     table1_instances,
     table2_instances,
@@ -27,7 +27,11 @@ from bicayley.construction import BiCayleySpec, build, format_spec, parse_spec
 from bicayley.graphs import bipartition, girth
 from bicayley.symmetry import certificate, k_arc_regularity
 
-from _oracles import reference_theorem_a_scan
+from _oracles import (
+    reference_isomorphism_types,
+    reference_lattice_key,
+    reference_theorem_a_scan,
+)
 
 
 def test_table1_within_64():
@@ -180,22 +184,30 @@ def test_theorem_a_search_matches_unreduced_scan():
 
 
 def test_generating_triple_rule_matches_scan():
-    for group in _abelian_groups_up_to(24):
+    # the groups the scan visits are exactly, in order, the abelian types
+    # where some triple of involutions r, s and an element t generates
+    want = []
+    for orders in reference_isomorphism_types(24):
+        group = make_group(orders)
         elems = group.elements()
         involutions = [x for x in elems if not x.is_identity and (x * x).is_identity]
-        found = any(
+        if any(
             subgroup_generated(group, [r, s, t]).is_whole_group
             for r in involutions
             for s in involutions
             for t in elems
             if not t.is_identity
-        )
-        assert _has_generating_triple(group) == found, group.orders
+        ):
+            want.append(orders)
+    assert [group.orders for group in _generated_groups(24)] == want
 
 
 def _visited_triples(max_order):
-    """(group, r, s, t, key) for every triple the Theorem A scan visits."""
-    for group in _abelian_groups_up_to(max_order):
+    """(group, r, s, t, key) for every abelian group of order at most
+    ``max_order``, involutions r <= s and t != 1 with t <= t^-1, with each key
+    checked against the walk over the powers of t."""
+    for orders in reference_isomorphism_types(max_order):
+        group = make_group(orders)
         elems = group.elements()
         involutions = [x for x in elems if not x.is_identity and (x * x).is_identity]
         for i, r in enumerate(involutions):
@@ -203,7 +215,9 @@ def _visited_triples(max_order):
                 for t in elems:
                     if t.is_identity or t.inverse() < t:
                         continue
-                    yield group, r, s, t, _lattice_key(_power_positions(t), r, s, r * s)
+                    key = _lattice_key(_power_class(t), r, s, r * s)
+                    assert key == reference_lattice_key(r, s, t), (group, r, s, t)
+                    yield group, r, s, t, key
 
 
 def test_lattice_key_gives_the_generated_order():

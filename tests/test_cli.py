@@ -104,13 +104,24 @@ def test_requires_a_subcommand(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-@pytest.mark.parametrize("command", ["table1", "table2", "theorem-b"])
-def test_empty_selection_fails(capsys, command):
-    assert main([command, "--max-vertices", "5"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([command, "--max-vertices", "5"], id=command)
+        for command in ("table1", "table2", "theorem-b")
+    ]
+    + [  # no group has order below 2
+        pytest.param(["theorem-a", "--max-group-order", bound], id=f"theorem-a={bound}")
+        for bound in ("0", "1", "-5")
+    ],
+)
+def test_empty_selection_fails(capsys, argv):
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.strip() == f"bicayley {command}: no instances within --max-vertices 5"
-    code, payload = run_json(capsys, [command, "--max-vertices", "5"])
+    command, flag, bound = argv
+    assert captured.err.strip() == f"bicayley {command}: no instances within {flag} {bound}"
+    code, payload = run_json(capsys, argv)
     assert code == 2
     assert payload["pass"] is False and payload["instances"] == []
 
@@ -148,6 +159,7 @@ def test_voltage_fig_without_orders_fails(capsys, orders):
         (["build", "H=2; S={(0.0,)}"], "bad connection set S={(0.0,)}"),
         (["build", "H=2; S={(True,)}"], "bad connection set S={(True,)}"),
         (["build", "H=[100000]; S={0,1,2}"], "graph on 200000 vertices exceeds the search bound 1024"),
+        (["bci", "H=17; S={0,1,3}", "--method", "cross"], "oracle is limited to groups"),
     ],
 )
 def test_user_errors_are_one_line(capsys, argv, message):
