@@ -241,7 +241,7 @@ def verify_instance(inst: CensusInstance) -> dict:
         "description": inst.description,
         "spec": format_spec(inst.bigraph.spec),
         "vertices": g.n,
-        "girth": girth(g),
+        "girth": girth(g, aut.orbit_roots()),
         "connected": connected,
         "cubic": cubic,
         "arc_type": k,

@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
     connected = is_connected(g)
     aut = automorphism_group(g)
     k, regular = _arc_type(g, aut) if connected and g.is_regular(3) else (None, False)
-    shortest = girth(g)
+    shortest = girth(g, aut.orbit_roots())
     payload = {
         "spec": args.spec,
         "vertices": g.n,

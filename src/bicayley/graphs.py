@@ -89,14 +89,17 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-def girth(g: Graph) -> int | float:
+def girth(g: Graph, roots=None) -> int | float:
     """Length of a shortest cycle, or math.inf for forests.
 
     One BFS per root; a non-tree edge closing at depths d(u), d(w) witnesses a
     cycle of length d(u)+d(w)+1, and the minimum over all roots is exact.
+    ``roots`` (default every vertex) may be one vertex per orbit of a group
+    of automorphisms: a shortest cycle maps onto one through any vertex of
+    its orbit, so the minimum stays exact.
     """
     best = math.inf
-    for root in range(g.n):
+    for root in range(g.n) if roots is None else roots:
         dist = [-1] * g.n
         parent = [-1] * g.n
         dist[root] = 0

@@ -15,7 +15,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import filterfalse
 from math import lcm, prod
 from operator import eq, itemgetter
 
@@ -212,6 +212,16 @@ class PermGroup:
     def orbit(self, v: int) -> frozenset[int]:
         return frozenset(_orbit((v,), [s.images for s in self.generators]))
 
+    def orbit_roots(self) -> list[int]:
+        """The least point of each orbit, ascending."""
+        roots: list[int] = []
+        covered: set[int] = set()
+        for v in range(self.degree):
+            if v not in covered:
+                roots.append(v)
+                covered |= self.orbit(v)
+        return roots
+
     def is_transitive_on(self, points) -> bool:
         points = frozenset(points)
         if not points:
@@ -268,55 +278,115 @@ class _Search:
         vertex.  So only that cell starts the queue; the others, popped, would
         split nothing.
 
-        Cell ``members[s]`` starts at position s, and ``cell_of[v]`` is the
-        start of v's cell.  A cell splits into its untouched vertices, then its
-        touched ones by ascending count; the first fragment keeps the start
-        and every fragment is queued.  Cells only shrink, so a queued
-        ``(start, size)`` whose cell has since split no longer matches its size.
+        ``at[s]`` is the cell starting at position s, and ``cell_of[v]`` is the
+        start of v's cell.  A splitter splits each cell it touches, right to
+        left, into its untouched vertices, then its touched ones by ascending
+        neighbor count; the first fragment keeps the start and every fragment
+        is queued.  Cells only shrink, so a queued ``(start, size)`` whose cell
+        has since split no longer matches its size.
+
+        A singleton splitter {w} (most pops) reads ``adj[w]`` alone: every
+        count is 1, so a cell it hits but does not cover splits into the rest
+        and the neighbors of w, with no count array and no sort.  A larger
+        splitter counts neighbors in ``cnt`` and files each touched vertex of a
+        non-singleton cell under that cell and its count.  Only the count keys
+        are sorted.  A cell with one key splits only when some vertex of it is
+        untouched; a cell's untouched fragment is its vertices of count 0.
+        Vertex order within a cell never affects the partition, which is
+        sorted cell by cell at the end.
         """
         adj = self.adj
-        members = dict(zip(accumulate(map(len, cells), initial=0), cells))
-        cell_of = [0] * self.n
-        for start, c in members.items():
-            for v in c:
-                cell_of[v] = start
+        n = self.n
+        at: list = [None] * n
+        cell_of = [0] * n
+        s = 0
+        for cell in cells:
+            at[s] = cell
+            for v in cell:
+                cell_of[v] = s
+            s += len(cell)
+        ncells = len(cells)
         queue = deque([(sum(map(len, cells[:seed])), len(cells[seed]))])
-        cnt = [0] * self.n
-        while queue and len(members) < self.n:
+        cnt = [0] * n
+        while queue and ncells < n:
             start, size = queue.popleft()
-            splitter = members[start]
+            splitter = at[start]
             if len(splitter) != size:
+                continue
+            if size == 1:
+                hit: dict[int, list[int]] = {}
+                for v in adj[splitter[0]]:
+                    s = cell_of[v]
+                    if s in hit:
+                        hit[s].append(v)
+                    elif len(at[s]) > 1:
+                        hit[s] = [v]
+                for s in sorted(hit, reverse=True):
+                    cell = at[s]
+                    mine = hit[s]
+                    if len(mine) == len(cell):
+                        continue
+                    rest = cell.copy()
+                    for v in mine:
+                        rest.remove(v)
+                    p = s + len(rest)
+                    for v in mine:
+                        cell_of[v] = p
+                    at[s] = rest
+                    at[p] = mine
+                    queue.append((s, len(rest)))
+                    queue.append((p, len(mine)))
+                    ncells += 1
                 continue
             touched: list[int] = []
             for w in splitter:
                 for v in adj[w]:
-                    if cnt[v] == 0:
+                    c = cnt[v]
+                    if not c:
                         touched.append(v)
-                    cnt[v] += 1
-            hit: dict[int, list[int]] = {}
+                    cnt[v] = c + 1
+            groups: dict[int, dict[int, list[int]]] = {}
             for v in touched:
                 s = cell_of[v]
-                if len(members[s]) > 1:
-                    hit.setdefault(s, []).append(v)
-            for s in sorted(hit, reverse=True):
-                cell = members[s]
-                mine = sorted(hit[s], key=cnt.__getitem__)
-                whole = len(mine) == len(cell)
-                if whole and cnt[mine[0]] == cnt[mine[-1]]:
-                    continue
-                fragments = [] if whole else [[u for u in cell if cnt[u] == 0]]
-                fragments += [list(g) for _, g in groupby(mine, cnt.__getitem__)]
+                if s in groups:
+                    by_count = groups[s]
+                    c = cnt[v]
+                    if c in by_count:
+                        by_count[c].append(v)
+                    else:
+                        by_count[c] = [v]
+                elif len(at[s]) > 1:
+                    groups[s] = {cnt[v]: [v]}
+            for s in sorted(groups, reverse=True):
+                cell = at[s]
+                by_count = groups[s]
+                if len(by_count) == 1:
+                    [mine] = by_count.values()
+                    if len(mine) == len(cell):
+                        continue
+                    fragments = [list(filterfalse(cnt.__getitem__, cell)), mine]
+                else:
+                    fragments = [by_count[c] for c in sorted(by_count)]
+                    if sum(map(len, fragments)) < len(cell):
+                        fragments.insert(0, list(filterfalse(cnt.__getitem__, cell)))
                 p = s
                 for frag in fragments:
                     if p > s:
                         for v in frag:
                             cell_of[v] = p
-                    members[p] = frag
+                    at[p] = frag
                     queue.append((p, len(frag)))
                     p += len(frag)
+                ncells += len(fragments) - 1
             for v in touched:
                 cnt[v] = 0
-        return [sorted(members[s]) for s in sorted(members)]
+        out = []
+        s = 0
+        while s < n:
+            cell = at[s]
+            out.append(cell if len(cell) == 1 else sorted(cell))
+            s += len(cell)
+        return out
 
     def individualize(self, cells: list[list[int]], tc: int, v: int) -> list[list[int]]:
         rest = [u for u in cells[tc] if u != v]

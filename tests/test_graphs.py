@@ -12,7 +12,9 @@ from _oracles import (
     graph6_reference,
     kneser_petersen,
     random_graph,
+    small_corpus,
 )
+from bicayley import census
 from bicayley.graphs import (
     Graph,
     Graph6ParseError,
@@ -22,6 +24,7 @@ from bicayley.graphs import (
     girth,
     is_connected,
 )
+from bicayley.symmetry import automorphism_group
 
 
 def test_from_edges_validation():
@@ -71,6 +74,19 @@ def test_girth_matches_exhaustive_search():
         n = rng.randint(2, 10)
         g = random_graph(rng, n, rng.uniform(0.1, 0.5))
         assert girth(g) == exhaustive_girth(g)
+
+
+def test_girth_from_one_root_per_orbit():
+    rng = random.Random(23)
+    members = census.table1_instances(256) + census.table2_instances(256)
+    graphs = [inst.bigraph.graph for inst in members]
+    for g in small_corpus(40, 10):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(g.relabel(perm))
+    for g in graphs:
+        roots = automorphism_group(g).orbit_roots()
+        assert girth(g, roots) == girth(g)
 
 
 def test_bipartition_valid_or_absent():

@@ -173,6 +173,45 @@ def test_search_matches_reference_refinement_and_branching(monkeypatch, patched)
         assert _same_group(g.n, autos, ref_autos)
 
 
+def test_refine_matches_reference_on_every_call(monkeypatch):
+    # individualization seeds singleton splitters; circulants of degree >= 4
+    # and random graphs give counts above 1; the whole vertex set of a
+    # non-regular graph is a splitter that splits itself
+    circulants = [
+        Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in steps])
+        for n, steps in ((9, (1, 2)), (12, (1, 3)), (13, (1, 5)), (16, (1, 2, 6)), (15, (1, 4, 6)))
+    ]
+    graphs = _relabeled(circulants + small_corpus(60, 10), 7, 1)
+    fast = _Search.refine
+    calls = []
+
+    def recorded(search, cells, seed):
+        before = [list(c) for c in cells]
+        out = fast(search, cells, seed)
+        calls.append((search, before, seed, out))
+        return out
+
+    monkeypatch.setattr(_Search, "refine", recorded)
+    for g in graphs:
+        _Search(g).run()
+    singleton_splits = counts_above_one = self_splits = 0
+    for search, cells, seed, out in calls:
+        assert out == reference_refine(search, cells, seed)
+        singleton_splits += len(cells[seed]) == 1 and len(out) > len(cells)
+        self_splits += len(cells[seed]) > 1 and sorted(cells[seed]) not in out
+        # a cell the call made was popped as a splitter at its final size, so
+        # a vertex of a non-singleton cell with two neighbors in it counted 2+
+        new = [set(c) for c in out if len(c) > 1 and c not in cells]
+        counts_above_one += any(
+            len(new_cell.intersection(search.adj[v])) > 1
+            for new_cell in new
+            for c in out
+            if len(c) > 1
+            for v in c
+        )
+    assert singleton_splits > 100 and counts_above_one > 20 and self_splits > 20
+
+
 def _hypercube(d: int) -> Graph:
     n = 1 << d
     edges = [(x, x | 1 << b) for x in range(n) for b in range(d) if not x >> b & 1]
@@ -238,6 +277,8 @@ def test_orbits_and_transitivity():
     rot = Permutation((1, 2, 3, 4, 5, 0))
     g = PermGroup(6, [rot * rot])
     assert orbits(g) == [frozenset({0, 2, 4}), frozenset({1, 3, 5})]
+    assert g.orbit_roots() == [0, 1]
+    assert PermGroup(6).orbit_roots() == list(range(6))
     assert not g.is_transitive_on(range(6))
     assert g.is_transitive_on({0, 2, 4})
     assert is_semiregular(g)
