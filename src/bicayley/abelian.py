@@ -87,7 +87,8 @@ class GroupElement:
     exponents: tuple[int, ...]
 
     def _check_same_group(self, other: "GroupElement") -> None:
-        if self.group != other.group:
+        # identity first: the dataclass comparison costs several times more
+        if self.group is not other.group and self.group != other.group:
             raise ValueError(f"elements of different groups: {self.group} vs {other.group}")
 
     # results are reduced in place; AbelianGroup.element checks outside input

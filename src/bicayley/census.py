@@ -11,6 +11,7 @@ row carries its expected arc-regularity for verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 
 from bicayley.abelian import (
@@ -29,7 +30,13 @@ from bicayley.construction import (
     generalized_petersen,
 )
 from bicayley.graphs import Graph, girth, is_connected
-from bicayley.symmetry import _arc_type, automorphism_group, certificate, k_arc_regularity
+from bicayley.symmetry import (
+    _MAX_SEARCH_VERTICES,
+    _arc_type,
+    automorphism_group,
+    certificate,
+    k_arc_regularity,
+)
 
 __all__ = [
     "CensusInstance",
@@ -256,18 +263,6 @@ def verify_instance(inst: CensusInstance) -> dict:
     }
 
 
-def _generated_groups(max_order: int) -> list[AbelianGroup]:
-    """Every group <r, s, t> of order at most ``max_order`` for involutions r
-    and s, in (order, invariant factors) order.
-
-    H/<t> is generated by two elements of order at most 2, so it is elementary
-    abelian of rank at most 2.  That holds for some t exactly when H is Z_m,
-    Z_m x Z_2 or Z_m x Z_2 x Z_2 with m even.
-    """
-    types = [(m, *(2,) * k) for k in range(3) for m in range(2, max_order // 2**k + 1, 2)]
-    return [make_group(t) for t in sorted(types, key=lambda t: (prod(t), t))]
-
-
 def _power_class(t: GroupElement) -> tuple[int, GroupElement]:
     """All that the lattice key reads of t: n = ord(t) and the one involution
     t^(n/2) in <t> for even n, or (n, 1) for odd n, when <t> has none."""
@@ -296,47 +291,146 @@ def _generated_order(key: tuple) -> int:
     return 4 * order // (1 + sum(k is not None for k in powers))
 
 
+def _lattice_keys(max_order: int):
+    """Every lattice key (n, k_r, k_s, k_rs) with |<r, s, t>| <= ``max_order``.
+
+    r and s are involutions, so k_r and k_s are n/2 or None, and k_rs is 0
+    exactly when r = s.  Both r and s in <t> forces r = s = t^(n/2); one of
+    them in <t> puts rs outside; with neither, rs is 1, t^(n/2) or outside.
+    So each n = ord(t) >= 2 has six patterns, the four naming n/2 for even n
+    only, and each is the key of a generating triple of ``_key_group(key)``.
+    """
+    for n in range(2, max_order + 1):
+        keys = [(n, None, None, None), (n, None, None, 0)]
+        if n % 2 == 0:
+            h = n // 2
+            keys += [(n, h, None, None), (n, None, h, None), (n, None, None, h), (n, h, h, 0)]
+        yield from (key for key in keys if _generated_order(key) <= max_order)
+
+
+def _key_group(key: tuple) -> tuple[int, ...]:
+    """Invariant factors of Z^3 / L: Z_n x Z_2^j with 2^j = |<r, s, t>| / n."""
+    n, j = key[0], (_generated_order(key) // key[0]).bit_length() - 1
+    return (2 * n, *(2,) * (j - 1)) if n % 2 and j else (n, *(2,) * j)
+
+
+# The two-vertex base graph of BC(H, {r}, {s}, {1, t}): vertex 0 carries the
+# semi-edge r, vertex 1 the semi-edge s, and the spokes 1 and t run from 0 to 1.
+# Per dart: tail, head, reverse dart and the step it adds to (a, b, c) in
+# the voltage r^a s^b t^c.
+_DARTS = (
+    (0, 0, 0, (1, 0, 0)),
+    (1, 1, 1, (0, 1, 0)),
+    (0, 1, 4, (0, 0, 0)),
+    (0, 1, 5, (0, 0, 1)),
+    (1, 0, 2, (0, 0, 0)),
+    (1, 0, 3, (0, 0, -1)),
+)
+_WALK_LENGTH = 8
+
+
+@cache
+def _closed_base_walks() -> tuple[dict, ...]:
+    """Per walk length 1..8: (a mod 2, b mod 2, c) -> the number of closed
+    non-backtracking base walks with that voltage starting at each dart."""
+    table = []
+    walks = {(d, d, *_DARTS[d][3]): 1 for d in range(len(_DARTS))}
+    for _ in range(_WALK_LENGTH):
+        buckets: dict[tuple, list[int]] = {}
+        grown: dict[tuple, int] = {}
+        for (first, d, a, b, c), count in walks.items():
+            if _DARTS[d][1] == _DARTS[first][0]:
+                buckets.setdefault((a, b, c), [0] * len(_DARTS))[first] += count
+            for e, (tail, _, _, (da, db, dc)) in enumerate(_DARTS):
+                if tail == _DARTS[d][1] and e != _DARTS[d][2]:
+                    step = (first, e, (a + da) % 2, (b + db) % 2, c + dc)
+                    grown[step] = grown.get(step, 0) + count
+        table.append(buckets)
+        walks = grown
+    return tuple(table)
+
+
+def _closed_walk_counts(key: tuple):
+    """Per walk length 1..8, the number of closed non-backtracking walks in
+    the cover that start at a lift of each base dart.
+
+    A base walk lifts to a closed walk exactly when its voltage r^a s^b t^c
+    is 1 (Gross and Tucker, Topological Graph Theory, 1987, ch. 2), that is
+    when t^c is 1, r, s or rs for (a, b) mod 2 = (0, 0), (1, 0), (0, 1) or
+    (1, 1): when c = k mod n for k = 0, k_r, k_s or k_rs.  A walk of length at
+    most 8 has |c| <= 8, so for n > 16 it closes only at c = 0 and the counts
+    of a pattern no longer depend on n: the walks of every group order are
+    read from n <= 16 and the patterns at one n beyond.
+    """
+    n, *powers = key
+    positions = (0, *powers)
+    for buckets in _closed_base_walks():
+        totals = [0] * len(_DARTS)
+        for (a, b, c), counts in buckets.items():
+            k = positions[a + 2 * b]
+            if k is not None and (c - k) % n == 0:
+                totals = [x + y for x, y in zip(totals, counts)]
+        yield tuple(totals)
+
+
+def _passes_sieve(key: tuple) -> bool:
+    """False when two darts start different numbers of closed walks of some
+    length: an automorphism maps an arc's closed non-backtracking walks onto
+    another's, so such a graph is not arc-transitive."""
+    return all(len(set(counts)) == 1 for counts in _closed_walk_counts(key))
+
+
 def theorem_a_search(max_group_order: int = 24) -> list[dict]:
     """Exhaustive search for connected arc-transitive one-matching graphs with
     single right and left connection elements.
 
-    Scans every group that a triple can generate (``_generated_groups``),
-    every pair of involutions (r, s) and every t != 1 with <r, s, t> the whole
-    group, builds the graph with R = {r}, L = {s}, S = {1, t}, and groups the
-    outcomes by canonical certificate.  Exchanging the halves maps (r, s, t) to
-    (s, r, t^-1), and the automorphism h -> h^-1 fixes the involutions and
-    maps t to t^-1, so (r, s, t) and (s, r, t) give isomorphic graphs: the
-    scan keeps only r <= s, which the first triple of each class satisfies.
-
-    Only the first triple of each relation lattice L = {(a, b, c) in Z^3 :
-    r^a s^b t^c = 1} is certified.  A generating triple makes H = Z^3/L, so two
+    Covers every group generated by involutions r, s and an element t != 1,
+    with the graph R = {r}, L = {s}, S = {1, t}, and groups the outcomes by
+    canonical certificate.  A generating triple makes H = Z^3/L for its
+    relation lattice L = {(a, b, c) in Z^3 : r^a s^b t^c = 1}, so two
     generating triples share L exactly when an automorphism a of H maps one
     onto the other, and a maps BC(H, {r}, {s}, {1, t}) onto
-    BC(H, {ra}, {sa}, {1, ta}): a later triple of a seen lattice repeats a
-    certificate already held.  L contains 2Z + 2Z + ord(t)Z and is fixed by its
-    relations inside that box, read by ``_lattice_key`` from the pair
+    BC(H, {ra}, {sa}, {1, ta}): one graph per lattice.  L contains 2Z + 2Z + ord(t)Z and is fixed by
+    its relations inside that box, read by ``_lattice_key`` from the pair
     ``_power_class(t)``; the same key gives |<r, s, t>| (``_generated_order``).
-    So the scan takes only the first t of each pair in element order, which
-    opens its lattices' triples: every certificate keeps the example the full
-    scan would store first.  t^-1 shares t's pair, so that t is at most its
-    inverse.
+    The keys are listed by pattern (``_lattice_keys``), and only those that
+    pass the closed-walk sieve (``_passes_sieve``) are built; a survivor past
+    the search bound is refused before any graph is built.
+
+    Each certificate's example is the first triple of a scan over the
+    survivors' groups in (order, invariant factors) order.  Exchanging the
+    halves maps (r, s, t) to (s, r, t^-1), and h -> h^-1 fixes the involutions
+    and maps t to t^-1, so the scan keeps only r <= s, which the first triple
+    of each class satisfies, and only the first t of each pair in element
+    order, which opens its lattices' triples.  An arc-transitive graph passes
+    the sieve under every key that gives it, so its example is the first
+    triple of that scan over every group.
     """
+    wanted = {key: _key_group(key) for key in _lattice_keys(max_group_order) if _passes_sieve(key)}
+    for key, orders in wanted.items():
+        if 2 * prod(orders) > _MAX_SEARCH_VERTICES:
+            raise ValueError(
+                f"lattice key {key} passes the closed-walk sieve, but its graph over "
+                f"Z_{' x Z_'.join(map(str, orders))} has {2 * prod(orders)} vertices, "
+                f"past the search bound {_MAX_SEARCH_VERTICES}"
+            )
     by_cert: dict[str, tuple[BiCayleySpec, Graph]] = {}
-    for group in _generated_groups(max_group_order):
+    for orders in sorted(set(wanted.values()), key=lambda t: (prod(t), t)):
+        group = make_group(orders)
         elems = group.elements()
         involutions = [x for x in elems if not x.is_identity and (x * x).is_identity]
         classes: dict[tuple, GroupElement] = {}
         for t in elems[1:]:  # the identity comes first
             classes.setdefault(_power_class(t), t)
-        seen: set[tuple] = set()
+        todo = {key for key, group_orders in wanted.items() if group_orders == orders}
         for i, r in enumerate(involutions):
             for s in involutions[i:]:
                 rs = r * s
                 for power_class, t in classes.items():
                     key = _lattice_key(power_class, r, s, rs)
-                    if key in seen or _generated_order(key) != group.size:
+                    if key not in todo:
                         continue
-                    seen.add(key)
+                    todo.remove(key)
                     spec = BiCayleySpec.create(group, (r,), (s,), (group.identity, t))
                     g = build(spec).graph
                     by_cert.setdefault(certificate(g), (spec, g))

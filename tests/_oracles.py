@@ -6,7 +6,8 @@ direct bit-string packing, k-arcs by listing every walk, vertex ids by
 mixed-radix arithmetic, the classical LCF and Kneser constructions, the Smith
 normal form with its transform kept as a separate matrix, abelian
 isomorphism types combined from one partition per prime exponent, and the
-Theorem A lattice key from a walk over every power of t.  The
+Theorem A lattice key from a walk over every power of t, and closed
+non-backtracking walks by listing every walk from every arc.  The
 exceptions are the straightforward refinement and branching of the
 individualization-refinement search and its big-integer leaf certificate,
 written as methods to patch into ``bicayley.symmetry._Search`` in place of the
@@ -282,6 +283,25 @@ def reference_lattice_key(r, s, t) -> tuple:
         positions[x] = len(positions)
         x = x * t
     return (len(positions), positions.get(r), positions.get(s), positions.get(r * s))
+
+
+def reference_closed_walks(g: Graph, max_length: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Arc (u, v) -> the numbers of closed non-backtracking walks of lengths
+    1..max_length that start along it, by listing every walk."""
+    adj = g.adjacency
+    out = {}
+    for u in range(g.n):
+        for v in adj[u]:
+            counts = [0] * max_length
+            stack = [(u, v, 1)]
+            while stack:
+                prev, cur, length = stack.pop()
+                if cur == u:
+                    counts[length - 1] += 1
+                if length < max_length:
+                    stack.extend((cur, w, length + 1) for w in adj[cur] if w != prev)
+            out[(u, v)] = tuple(counts)
+    return out
 
 
 def reference_theorem_a_scan(max_group_order: int) -> dict:

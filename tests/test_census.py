@@ -1,20 +1,26 @@
 """Census generation: instance selection under a vertex bound, row metadata,
-and the two exhaustive searches, at small bounds and Theorem A at orders 48
-and 96, with the relation-lattice key checked against a walk over the powers
-of t and against subgroup closure."""
+and the two exhaustive searches, at small bounds and Theorem A at orders 48,
+96 and 4096, with the relation-lattice key checked against a walk over the
+powers of t and against subgroup closure, the pattern enumeration against a
+scan over every group, and the closed-walk sieve against walks listed in the
+built graphs."""
 
 import dataclasses
 import re
+from functools import cache
 
 import pytest
 
-from bicayley import bci
+from bicayley import bci, census, cli
 from bicayley.abelian import invariant_factors, make_group, subgroup_generated
 from bicayley.census import (
     SCOPE_NOTE,
-    _generated_groups,
+    _closed_walk_counts,
     _generated_order,
+    _key_group,
     _lattice_key,
+    _lattice_keys,
+    _passes_sieve,
     _power_class,
     negative_controls,
     table1_instances,
@@ -28,6 +34,8 @@ from bicayley.graphs import bipartition, girth
 from bicayley.symmetry import certificate, k_arc_regularity
 
 from _oracles import (
+    layout_id,
+    reference_closed_walks,
     reference_isomorphism_types,
     reference_lattice_key,
     reference_theorem_a_scan,
@@ -183,23 +191,121 @@ def test_theorem_a_search_matches_unreduced_scan():
             assert rec["example"] == format_spec(reference[rec["certificate"]])
 
 
-def test_generating_triple_rule_matches_scan():
-    # the groups the scan visits are exactly, in order, the abelian types
-    # where some triple of involutions r, s and an element t generates
-    want = []
-    for orders in reference_isomorphism_types(24):
+@cache
+def _scanned_keys(max_order):
+    """Lattice key -> its first generating triple (group, r, s, t), over every
+    abelian group of order at most ``max_order``, involutions r <= s and one t
+    per cyclic subgroup: the key reads only t's order and the one involution
+    of <t>, which every generator of <t> shares.  A group of rank above 3 has
+    no generating triple, so it is skipped."""
+    keys = {}
+    for orders in reference_isomorphism_types(max_order):
+        if len(orders) > 3:
+            continue
         group = make_group(orders)
         elems = group.elements()
         involutions = [x for x in elems if not x.is_identity and (x * x).is_identity]
-        if any(
-            subgroup_generated(group, [r, s, t]).is_whole_group
-            for r in involutions
-            for s in involutions
-            for t in elems
-            if not t.is_identity
-        ):
-            want.append(orders)
-    assert [group.orders for group in _generated_groups(24)] == want
+        cyclic = {}
+        for t in elems[1:]:
+            powers, x = {group.identity}, t
+            while not x.is_identity:
+                powers.add(x)
+                x = x * t
+            cyclic.setdefault(frozenset(powers), t)
+        for i, r in enumerate(involutions):
+            for s in involutions[i:]:
+                for sub, t in cyclic.items():
+                    # <r, s, t> is the union of the cosets of <t> through 1, r, s, rs
+                    cosets = []
+                    for x in (group.identity, r, s, r * s):
+                        if not any(x * y in sub for y in cosets):
+                            cosets.append(x)
+                    if len(cosets) * len(sub) == group.size:
+                        keys.setdefault(reference_lattice_key(r, s, t), (group, r, s, t))
+    return keys
+
+
+def test_pattern_keys_match_the_scan():
+    # the six patterns per ord(t) are exactly the keys of generating triples,
+    # each over the group it names
+    scanned = {key: group.orders for key, (group, *_) in _scanned_keys(96).items()}
+    assert {key: _key_group(key) for key in _lattice_keys(96)} == scanned
+    assert len(scanned) == 190
+
+
+def _dart_arcs(group, r, s, t):
+    """The arcs from the identity of each fibre that lift the six base darts
+    r, s, spoke 1, spoke t and their reverses, in ``census._DARTS`` order."""
+    one = group.identity
+    return [
+        (layout_id(one, 0), layout_id(r, 0)),
+        (layout_id(one, 1), layout_id(s, 1)),
+        (layout_id(one, 0), layout_id(one, 1)),
+        (layout_id(one, 0), layout_id(t, 1)),
+        (layout_id(one, 1), layout_id(one, 0)),
+        (layout_id(one, 1), layout_id(t.inverse(), 0)),
+    ]
+
+
+def test_key_walk_counts_match_the_cover():
+    keys = [key for key in _scanned_keys(96) if _generated_order(key) <= 48]
+    assert len(keys) == 94
+    for key in keys:
+        group, r, s, t = _scanned_keys(96)[key]
+        g = build(BiCayleySpec.create(group, (r,), (s,), (group.identity, t))).graph
+        walks = reference_closed_walks(g, 8)
+        cover = [tuple(walks[arc][i] for arc in _dart_arcs(group, r, s, t)) for i in range(8)]
+        assert list(_closed_walk_counts(key)) == cover, key
+
+
+def test_arc_transitive_graphs_have_equal_walk_counts_on_every_arc():
+    # the sieve rejects a key only on unequal counts, so it never rejects these
+    graphs = [inst.bigraph.graph for inst in table1_instances(256) + table2_instances(256)]
+    graphs += [build(parse_spec(rec["example"])).graph for rec in theorem_a_search(48)]
+    assert len(graphs) == 59
+    for g in graphs:
+        assert len(set(reference_closed_walks(g, 8).values())) == 1
+
+
+_PATTERNS = (
+    lambda n: (n, None, None, None),
+    lambda n: (n, None, None, 0),
+    lambda n: (n, n // 2, None, None),
+    lambda n: (n, None, n // 2, None),
+    lambda n: (n, None, None, n // 2),
+    lambda n: (n, n // 2, n // 2, 0),
+)
+
+
+def test_walk_counts_stop_depending_on_n_past_twice_the_walk_length():
+    # so the keys with n <= 16 and one n beyond decide the sieve at every order
+    for i, pattern in enumerate(_PATTERNS):
+        lengths = range(17, 61) if i < 2 else range(18, 61, 2)
+        counts = {tuple(_closed_walk_counts(pattern(n))) for n in lengths}
+        assert len(counts) == 1, i
+        assert not _passes_sieve(pattern(lengths[0]))
+
+
+def test_sieve_passes_five_keys_at_every_order():
+    passed = [key for key in _lattice_keys(4096) if _passes_sieve(key)]
+    assert passed == [
+        (2, None, None, 0),
+        (2, None, None, 1),
+        (2, 1, 1, 0),
+        (4, None, None, 2),
+        (6, None, None, 3),
+    ]
+
+
+def test_theorem_a_refuses_a_survivor_past_the_search_bound(monkeypatch, capsys):
+    monkeypatch.setattr(census, "_passes_sieve", lambda key: True)
+    assert cli.main(["theorem-a", "--max-group-order", "600"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "bicayley theorem-a: lattice key (129, None, None, None) passes the closed-walk "
+        "sieve, but its graph over Z_258 x Z_2 has 1032 vertices, past the search bound 1024\n"
+    )
 
 
 def _visited_triples(max_order):
@@ -254,6 +360,11 @@ def test_theorem_a_search_order_48():
 
 def test_theorem_a_search_order_96():
     results = theorem_a_search(96)
+    assert [(rec["name"], rec["vertices"], rec["arc_type"]) for rec in results] == _THEOREM_A_GRAPHS
+
+
+def test_theorem_a_search_order_4096():
+    results = theorem_a_search(4096)
     assert [(rec["name"], rec["vertices"], rec["arc_type"]) for rec in results] == _THEOREM_A_GRAPHS
 
 
