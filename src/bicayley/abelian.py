@@ -166,18 +166,18 @@ class Subgroup:
 
 
 def subgroup_generated(group: AbelianGroup, gens) -> Subgroup:
-    """Closure of ``gens`` under multiplication and inversion."""
+    """Closure of ``gens`` under multiplication; in a finite group the
+    inverse of g is a power of g, so inversion adds nothing."""
     gens = tuple(gens)
     for g in gens:
         if g.group != group:
             raise ValueError(f"generator {g} does not belong to {group}")
     closed = {group.identity}
     frontier = [group.identity]
-    step = list(gens) + [g.inverse() for g in gens]
     while frontier:
         x = frontier.pop()
-        for s in step:
-            y = x * s
+        for g in gens:
+            y = x * g
             if y not in closed:
                 closed.add(y)
                 frontier.append(y)

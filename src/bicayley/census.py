@@ -1,21 +1,22 @@
 """Census of cubic symmetric abelian bi-Cayley graphs within a vertex bound.
 
-The spoke-only (0-type) census has seven rows; two are infinite families over
-parameterized groups and one covers the square groups, so a vertex bound
-selects finitely many instances.  The one-matching (2-type) census consists of
-seven generalized Petersen graphs plus one sporadic group.  The classification
-of the 1-type graphs is re-derived here by exhaustive search, and each census
-row carries its expected arc-regularity for verification.
+The spoke-only (0-type) census has seven rows: BC(Z_8, {1, a^2, a^3}) and one
+family of quotients of Z_rm x Z_rm, whose members make up the infinite rows
+1, 3 and 4 and the sporadic rows 5-7, so a vertex bound selects finitely many
+instances.  The one-matching (2-type) census consists of seven generalized
+Petersen graphs plus one sporadic group.  The classification of the 1-type
+graphs is re-derived here by exhaustive search, and each census row carries
+its expected arc-regularity for verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import takewhile
 from math import prod
 
 from bicayley.abelian import (
-    AbelianGroup,
     GroupElement,
     element_order,
     make_group,
@@ -31,7 +32,6 @@ from bicayley.construction import (
 )
 from bicayley.graphs import Graph, girth, is_connected
 from bicayley.symmetry import (
-    _MAX_SEARCH_VERTICES,
     _arc_type,
     automorphism_group,
     certificate,
@@ -73,113 +73,58 @@ class CensusInstance:
     claimed_k: int
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    """Prime -> exponent, by trial division."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+def _family_spec(r: int, m: int, u: int) -> BiCayleySpec:
+    """Spokes {1, a, b} over H = (Z_rm x Z_rm) / <b^m = a^(m(u+1))>."""
+    rm = r * m
+    square = make_group([rm, rm])
+    quotient, qmap = quotient_group(square, [square.element(((-m * (u + 1)) % rm, m % rm))])
+    spokes = tuple(qmap.image(square.element(e)) for e in ((0, 0), (1, 0), (0, 1)))
+    return BiCayleySpec.create(quotient, (), (), spokes)
 
 
-def _row1_radical_ok(r: int) -> bool:
-    """r = 3^s * product of primes = 1 (mod 3), s <= 1, r > 3."""
-    if r <= 3:
-        return False
-    for p, e in _prime_factors(r).items():
-        if p == 3:
-            if e > 1:
-                return False
-        elif p % 3 != 1:
-            return False
-    return True
-
-
-def _row1_unit(r: int) -> int:
-    """Smallest u with u^2 + u + 1 = 0 (mod r)."""
-    for u in range(r):
-        if (u * u + u + 1) % r == 0:
-            return u
-    raise ValueError(f"no unit with u^2+u+1 = 0 mod {r}")
-
-
-def _quotient_presented(
-    order: int, relation: tuple[int, int]
-) -> tuple[AbelianGroup, GroupElement, GroupElement]:
-    """(Z_order x Z_order) / <relation>, with the images of the two generators."""
-    square = make_group([order, order])
-    quotient, qmap = quotient_group(square, [square.element(relation)])
-    a = qmap.image(square.element((1, 0)))
-    b = qmap.image(square.element((0, 1)))
-    return quotient, a, b
-
-
-def _spoke_instance(
-    row: int, desc: str, group: AbelianGroup, spokes, expected_k: int
-) -> CensusInstance:
-    spec = BiCayleySpec.create(group, (), (), tuple(spokes))
-    return CensusInstance(1, row, desc, build(spec), expected_k, expected_k)
-
-
-# (row, description, factor orders, spoke exponents, arc type): Z_8 with
-# S = {1, a^2, a^3}, then K_3,3, the Pappus graph and the Heawood graph
-_SPORADIC_ROWS = (
-    (2, "row 2, Z_8", (8,), (0, 2, 3), 2),
-    (5, "row 5, Z_3", (3,), (0, 1, 2), 3),
-    (6, "row 6, Z_3^2", (3, 3), ((0, 0), (1, 0), (0, 1)), 3),
-    (7, "row 7, Z_7", (7,), (0, 1, 3), 4),
-)
+# The family members that the census lists as rows of their own, by (r, m):
+# K_3,3, the Pappus graph and the Heawood graph, with their arc types
+_NAMED_MEMBERS = {
+    (3, 1): (5, "row 5, Z_3", 3),
+    (1, 3): (6, "row 6, Z_3^2", 3),
+    (7, 1): (7, "row 7, Z_7", 4),
+}
 
 
 def table1_instances(max_vertices: int = 64) -> list[CensusInstance]:
-    """All spoke-only census members on at most ``max_vertices`` vertices."""
+    """All spoke-only census members on at most ``max_vertices`` vertices.
+
+    Row 2 is BC(Z_8, {1, a^2, a^3}).  Every other row is one family: for each
+    r with a root of u^2 + u + 1 = 0 (mod r), u the least, and each m >= 1,
+    the spokes {1, a, b} over H = (Z_rm x Z_rm) / <b^m = a^(m(u+1))>, a group
+    of order r m^2.  A root exists exactly when r = 3^s p_1 ... p_j with
+    s <= 1 and every p_i = 1 (mod 3).  r = 1 gives the relation 1, so
+    H = Z_m^2 (row 3); r = 3 gives u = 1 and the relation a^m b^m = 1 (row 4;
+    the a^m = b^m variant has girth 4 and is not symmetric).  r = m = 1 is
+    the trivial group, whose three spokes coincide.  (r, m) = (3, 1), (1, 3)
+    and (7, 1) are rows 5, 6 and 7 (``_NAMED_MEMBERS``), and every other
+    member with r > 3 is arc-regular (row 1).
+    """
     out: list[CensusInstance] = []
+    z8 = make_group([8])
+    if 2 * z8.size <= max_vertices:
+        spec = BiCayleySpec.create(z8, (), (), tuple(z8.element(e) for e in (0, 2, 3)))
+        out.append(CensusInstance(1, 2, "row 2, Z_8", build(spec), 2, 2))
 
-    # row 1: (Z_rm x Z_rm) / <b^m = a^(m(u+1))>, arc-regular
-    for m in range(1, max_vertices):
-        if 2 * 4 * m * m > max_vertices:
-            break
-        for r in range(4, max_vertices):
-            if 2 * r * m * m > max_vertices:
-                break
-            if not _row1_radical_ok(r):
-                continue
-            if m == 1 and r < 11:
-                continue
-            u = _row1_unit(r)
-            rm = r * m
-            group, a, b = _quotient_presented(rm, ((-m * (u + 1)) % rm, m % rm))
-            desc = f"row 1, r={r} m={m} u={u}"
-            out.append(_spoke_instance(1, desc, group, (group.identity, a, b), expected_k=1))
-
-    # row 3: Z_m^2 with S = {1, a, b}, m > 1 and m != 3
-    m = 2
-    while 2 * m * m <= max_vertices:
-        if m != 3:
-            sq = make_group([m, m])
-            spokes = (sq.identity, sq.element((1, 0)), sq.element((0, 1)))
-            out.append(_spoke_instance(3, f"row 3, m={m}", sq, spokes, expected_k=2))
-        m += 1
-
-    # row 4: (Z_3m x Z_3m) / <a^m b^m = 1>, m > 1.  The relation follows from
-    # the same orbit argument as row 1 with r = 3, where u = 1 mod 3 forces
-    # b^m = a^2m; the a^m = b^m variant has girth 4 and is not symmetric.
-    m = 2
-    while 2 * 3 * m * m <= max_vertices:
-        group, a, b = _quotient_presented(3 * m, (m, m))
-        out.append(_spoke_instance(4, f"row 4, m={m}", group, (group.identity, a, b), expected_k=2))
-        m += 1
-
-    for row, desc, orders, exponents, expected_k in _SPORADIC_ROWS:
-        group = make_group(orders)
-        if 2 * group.size <= max_vertices:
-            spokes = [group.element(e) for e in exponents]
-            out.append(_spoke_instance(row, desc, group, spokes, expected_k))
+    for r in range(1, max_vertices // 2 + 1):
+        u = next((u for u in range(r) if (u * u + u + 1) % r == 0), None)
+        m = 2 if r == 1 else 1
+        while u is not None and 2 * r * m * m <= max_vertices:
+            if (r, m) in _NAMED_MEMBERS:
+                row, desc, k = _NAMED_MEMBERS[r, m]
+            elif r == 1:
+                row, desc, k = 3, f"row 3, m={m}", 2
+            elif r == 3:
+                row, desc, k = 4, f"row 4, m={m}", 2
+            else:
+                row, desc, k = 1, f"row 1, r={r} m={m} u={u}", 1
+            out.append(CensusInstance(1, row, desc, build(_family_spec(r, m, u)), k, k))
+            m += 1
 
     out.sort(key=lambda inst: (inst.row, inst.bigraph.graph.n, inst.description))
     return out
@@ -393,9 +338,9 @@ def theorem_a_search(max_group_order: int = 24) -> list[dict]:
     BC(H, {ra}, {sa}, {1, ta}): one graph per lattice.  L contains 2Z + 2Z + ord(t)Z and is fixed by
     its relations inside that box, read by ``_lattice_key`` from the pair
     ``_power_class(t)``; the same key gives |<r, s, t>| (``_generated_order``).
-    The keys are listed by pattern (``_lattice_keys``), and only those that
-    pass the closed-walk sieve (``_passes_sieve``) are built; a survivor past
-    the search bound is refused before any graph is built.
+    The keys are listed by pattern (``_lattice_keys``) up to n = 18, past
+    which none can pass (``_closed_walk_counts``), and only those that pass
+    the closed-walk sieve (``_passes_sieve``) are built.
 
     Each certificate's example is the first triple of a scan over the
     survivors' groups in (order, invariant factors) order.  Exchanging the
@@ -406,14 +351,10 @@ def theorem_a_search(max_group_order: int = 24) -> list[dict]:
     the sieve under every key that gives it, so its example is the first
     triple of that scan over every group.
     """
-    wanted = {key: _key_group(key) for key in _lattice_keys(max_group_order) if _passes_sieve(key)}
-    for key, orders in wanted.items():
-        if 2 * prod(orders) > _MAX_SEARCH_VERTICES:
-            raise ValueError(
-                f"lattice key {key} passes the closed-walk sieve, but its graph over "
-                f"Z_{' x Z_'.join(map(str, orders))} has {2 * prod(orders)} vertices, "
-                f"past the search bound {_MAX_SEARCH_VERTICES}"
-            )
+    # past n = 16 a pattern's walk counts no longer depend on n, and every
+    # pattern fails the sieve at n = 17 and 18, so no key past n = 18 passes
+    keys = takewhile(lambda key: key[0] <= 2 * _WALK_LENGTH + 2, _lattice_keys(max_group_order))
+    wanted = {key: _key_group(key) for key in keys if _passes_sieve(key)}
     by_cert: dict[str, tuple[BiCayleySpec, Graph]] = {}
     for orders in sorted(set(wanted.values()), key=lambda t: (prod(t), t)):
         group = make_group(orders)

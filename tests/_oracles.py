@@ -15,8 +15,10 @@ fast ones, the unreduced Theorem A scan and the full-scan BCI oracle, which
 build and certify graphs through the package, and the orbit and
 semiregularity tests, the subgroup-lattice and coset-by-coset enumerations of
 semiregular subgroups and the element scans for normalizers and conjugacy,
-which work on the package's permutations, and the base-circuit lift
-criterion, which reads the package's voltage assignments.
+which work on the package's permutations, the base-circuit lift
+criterion, which reads the package's voltage assignments, and the
+row-by-row Table 1 transcription, which forms its quotients and spec strings
+through the package.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from bicayley.abelian import (
     automorphism_group_of,
     element_order,
     make_group,
+    quotient_group,
     subgroup_generated,
 )
-from bicayley.construction import BiCayleySpec, build
+from bicayley.construction import BiCayleySpec, build, format_spec
 from bicayley.graphs import Graph
 from bicayley.symmetry import Permutation, PermGroup, certificate
 from bicayley.voltage import VoltageAssignment
@@ -729,21 +732,23 @@ def reference_smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list
     return diag, v
 
 
+def _prime_factors(n: int) -> dict[int, int]:
+    """Prime -> exponent, by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
 def reference_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:
     """Invariant-factor tuples of order 2..max_order, built from one partition
     of each prime exponent and sorted by (order, tuple)."""
-
-    def prime_factors(n: int) -> dict[int, int]:
-        factors: dict[int, int] = {}
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                factors[d] = factors.get(d, 0) + 1
-                n //= d
-            d += 1
-        if n > 1:
-            factors[n] = factors.get(n, 0) + 1
-        return factors
 
     def partitions(n: int, cap: int) -> list[list[int]]:
         if n == 0:
@@ -757,7 +762,7 @@ def reference_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:
     types: list[tuple[int, ...]] = []
     for n in range(2, max_order + 1):
         per_prime = [
-            [(p, part) for part in partitions(e, e)] for p, e in sorted(prime_factors(n).items())
+            [(p, part) for part in partitions(e, e)] for p, e in sorted(_prime_factors(n).items())
         ]
         for combo in product(*per_prime):
             # combine prime partitions into invariant factors, largest first
@@ -770,3 +775,53 @@ def reference_isomorphism_types(max_order: int) -> list[tuple[int, ...]]:
             )
     types.sort(key=lambda t: (math.prod(t), t))
     return types
+
+
+def reference_table1_specs(max_vertices: int) -> list[tuple[int, str, str, int]]:
+    """(row, description, spec, expected_k) of every spoke-only census member
+    on at most ``max_vertices`` vertices, transcribed row by row: row 1 where
+    r > 3 has only prime factors 3 (once) and p = 1 (mod 3), with u the first
+    root of u^2 + u + 1 = 0 (mod r) found by scanning; rows 3 and 4 as their
+    own groups; rows 2 and 5-7 as a table of spoke exponents."""
+
+    def radical_ok(r: int) -> bool:
+        return r > 3 and all(
+            e == 1 if p == 3 else p % 3 == 1 for p, e in _prime_factors(r).items()
+        )
+
+    def quotient_spokes(order: int, relation: tuple[int, int]) -> tuple:
+        square = make_group([order, order])
+        quotient, qmap = quotient_group(square, [square.element(relation)])
+        return quotient, [quotient.identity] + [
+            qmap.image(square.element(e)) for e in ((1, 0), (0, 1))
+        ]
+
+    members = []
+    for m in range(1, max_vertices):
+        for r in range(4, max_vertices // (2 * m * m) + 1):
+            if radical_ok(r) and not (m == 1 and r < 11):
+                u = next(u for u in range(r) if (u * u + u + 1) % r == 0)
+                group, spokes = quotient_spokes(r * m, ((-m * (u + 1)) % (r * m), m))
+                members.append((1, f"row 1, r={r} m={m} u={u}", group, spokes, 1))
+    for m in range(2, max_vertices):
+        if 2 * m * m <= max_vertices and m != 3:
+            square = make_group([m, m])
+            spokes = [square.element(e) for e in ((0, 0), (1, 0), (0, 1))]
+            members.append((3, f"row 3, m={m}", square, spokes, 2))
+        if 6 * m * m <= max_vertices:
+            group, spokes = quotient_spokes(3 * m, (m, m))
+            members.append((4, f"row 4, m={m}", group, spokes, 2))
+    for row, desc, orders, exponents, k in (
+        (2, "row 2, Z_8", (8,), (0, 2, 3), 2),
+        (5, "row 5, Z_3", (3,), (0, 1, 2), 3),
+        (6, "row 6, Z_3^2", (3, 3), ((0, 0), (1, 0), (0, 1)), 3),
+        (7, "row 7, Z_7", (7,), (0, 1, 3), 4),
+    ):
+        group = make_group(orders)
+        if 2 * group.size <= max_vertices:
+            members.append((row, desc, group, [group.element(e) for e in exponents], k))
+    members.sort(key=lambda rec: (rec[0], 2 * rec[2].size, rec[1]))
+    return [
+        (row, desc, format_spec(BiCayleySpec.create(group, (), (), tuple(spokes))), k)
+        for row, desc, group, spokes, k in members
+    ]

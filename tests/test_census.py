@@ -1,6 +1,7 @@
-"""Census generation: instance selection under a vertex bound, row metadata,
-and the two exhaustive searches, at small bounds and Theorem A at orders 48,
-96 and 4096, with the relation-lattice key checked against a walk over the
+"""Census generation: instance selection under a vertex bound, row metadata
+and the Table 1 family against a row-by-row transcription, and the two
+exhaustive searches, at small bounds and Theorem A at orders 48,
+96, 4096 and 10^9, with the relation-lattice key checked against a walk over the
 powers of t and against subgroup closure, the pattern enumeration against a
 scan over every group, and the closed-walk sieve against walks listed in the
 built graphs."""
@@ -11,7 +12,7 @@ from functools import cache
 
 import pytest
 
-from bicayley import bci, census, cli
+from bicayley import bci, census
 from bicayley.abelian import invariant_factors, make_group, subgroup_generated
 from bicayley.census import (
     SCOPE_NOTE,
@@ -34,10 +35,13 @@ from bicayley.graphs import bipartition, girth
 from bicayley.symmetry import certificate, k_arc_regularity
 
 from _oracles import (
+    complete_bipartite_33,
     layout_id,
+    lcf_graph,
     reference_closed_walks,
     reference_isomorphism_types,
     reference_lattice_key,
+    reference_table1_specs,
     reference_theorem_a_scan,
 )
 
@@ -102,6 +106,27 @@ def test_table1_group_types():
 def test_table1_smaller_bound():
     picked = [(inst.row, inst.bigraph.graph.n) for inst in table1_instances(20)]
     assert picked == [(2, 16), (3, 8), (5, 6), (6, 18), (7, 14)]
+
+
+def test_table1_matches_the_row_by_row_transcription():
+    for bound in (1, 6, 8, 14, 18, 20, 64, 256, 1024):
+        got = [
+            (inst.row, inst.description, format_spec(inst.bigraph.spec), inst.expected_k)
+            for inst in table1_instances(bound)
+        ]
+        assert got == reference_table1_specs(bound), bound
+
+
+def test_named_members_are_k33_pappus_and_heawood():
+    named = {
+        (3, 1): complete_bipartite_33(),
+        (1, 3): lcf_graph([5, 7, -7, 7, -7, -5], 3),
+        (7, 1): lcf_graph([5, -5], 7),
+    }
+    assert named.keys() == census._NAMED_MEMBERS.keys()
+    for (r, m), want in named.items():
+        u = next(u for u in range(r) if (u * u + u + 1) % r == 0)
+        assert certificate(build(census._family_spec(r, m, u)).graph) == certificate(want), (r, m)
 
 
 def test_verify_instance_fields():
@@ -297,15 +322,18 @@ def test_sieve_passes_five_keys_at_every_order():
     ]
 
 
-def test_theorem_a_refuses_a_survivor_past_the_search_bound(monkeypatch, capsys):
-    monkeypatch.setattr(census, "_passes_sieve", lambda key: True)
-    assert cli.main(["theorem-a", "--max-group-order", "600"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == (
-        "bicayley theorem-a: lattice key (129, None, None, None) passes the closed-walk "
-        "sieve, but its graph over Z_258 x Z_2 has 1032 vertices, past the search bound 1024\n"
-    )
+def test_theorem_a_sieves_no_key_past_n_18(monkeypatch):
+    seen = []
+    sieve = census._passes_sieve
+
+    def recorded(key):
+        seen.append(key[0])
+        return sieve(key)
+
+    monkeypatch.setattr(census, "_passes_sieve", recorded)
+    results = theorem_a_search(10**9)
+    assert max(seen) == 18
+    assert results == theorem_a_search(192)
 
 
 def _visited_triples(max_order):
