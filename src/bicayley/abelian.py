@@ -8,6 +8,7 @@ with an explicit isomorphism, not just an abstract type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _cartesian
 from math import gcd, lcm, prod
 
@@ -312,38 +313,59 @@ class GroupAutomorphism:
         return self.images == self.group.generators()
 
 
-def automorphism_group_of(group: AbelianGroup) -> list[GroupAutomorphism]:
-    """Every automorphism, by exhaustive choice of generator images.
+@lru_cache(maxsize=None)
+def _index_table(group: AbelianGroup):
+    """``group.elements()`` as a tuple, its sum table (``sums[i][j]`` is the
+    index of elements i * j) and its negation table; the identity is index 0."""
+    elems = tuple(group.elements())
+    index = {g: i for i, g in enumerate(elems)}
+    sums = tuple(tuple(index[g * h] for h in elems) for g in elems)
+    return elems, sums, tuple(index[g.inverse()] for g in elems)
+
+
+@lru_cache(maxsize=None)
+def _automorphism_tables(group: AbelianGroup) -> tuple[tuple[int, ...], ...]:
+    """Every automorphism as the indices of its images of the elements, by
+    exhaustive choice of generator images.
 
     An endomorphism is determined by images x_i of the standard generators and
-    is well-defined iff order(x_i) divides the i-th factor order.  An
-    automorphism is injective on the first i+1 factors, so x_0..x_i must span
-    exactly d_0 * ... * d_i elements (they can span no more); at the last
-    factor that is the whole group.
+    is well-defined iff order(x_i) divides the i-th factor order d_i.  The
+    table of the first i factors lists the subgroup P they span, and x_i adds
+    a factor d_i, as an automorphism needs, iff no multiple j x_i with
+    0 < j < d_i lies in P.  The table of the first i+1 factors then lists the
+    cosets P + j x_i, j running fastest as in ``group.elements()``.
     """
     if group.size > _MAX_AUT_ORDER:
         raise ValueError(
             f"group of order {group.size} too large for exhaustive Aut (max {_MAX_AUT_ORDER})"
         )
-    orders = group.orders
-    all_elems = group.elements()
+    elems, sums, _ = _index_table(group)
     candidates = [
-        [g for g in all_elems if orders[i] % element_order(g) == 0]
-        for i in range(group.rank)
+        [x for x, g in enumerate(elems) if d % element_order(g) == 0] for d in group.orders
     ]
-    result: list[GroupAutomorphism] = []
-    chosen: list[GroupElement] = []
+    result = []
 
-    def extend(i: int) -> None:
+    def extend(i: int, table: list[int]) -> None:
         if i == group.rank:
-            result.append(GroupAutomorphism(group, tuple(chosen)))
+            result.append(tuple(table))
             return
+        d, image = group.orders[i], set(table)
         for x in candidates[i]:
-            chosen.append(x)
-            if subgroup_generated(group, chosen).size == prod(orders[: i + 1]):
-                extend(i + 1)
-            chosen.pop()
+            multiples = [0]
+            for _ in range(d - 1):
+                multiples.append(sums[multiples[-1]][x])
+            if image.isdisjoint(multiples[1:]):
+                extend(i + 1, [sums[t][m] for t in table for m in multiples])
 
-    extend(0)
-    return result
+    extend(0, [0])
+    return tuple(result)
 
+
+def automorphism_group_of(group: AbelianGroup) -> list[GroupAutomorphism]:
+    """Every automorphism, in the order of their generator image tuples."""
+    elems = _index_table(group)[0]
+    gens = [elems.index(g) for g in group.generators()]
+    return [
+        GroupAutomorphism(group, tuple(elems[table[i]] for i in gens))
+        for table in _automorphism_tables(group)
+    ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from bicayley.abelian import AbelianGroup, automorphism_group_of
+from bicayley.abelian import AbelianGroup, _automorphism_tables, _index_table
 from bicayley.construction import (
     BiCayleyGraph,
     BiCayleySpec,
@@ -66,8 +66,8 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
     members = enumerate_semiregular(aut, b.parts, group.orders)
     trans = right_translations(b)
     reached, schreier = _conjugates(aut, trans)
-    keys = [frozenset(sub.elements()) for sub in members]
-    if frozenset(trans.elements()) not in keys:
+    keys = [frozenset(sub._images()) for sub in members]
+    if frozenset(trans._images()) not in keys:
         raise RuntimeError("internal error: translation group missing from its own class")
     transitive = PermGroup(b.graph.n, schreier).is_transitive_on(range(b.graph.n))
 
@@ -89,14 +89,15 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
     )
 
 
-def _identity_translates(spokes, autos) -> set[frozenset]:
-    """The identity-containing members of the class {h T^sigma} of ``spokes``."""
+def _identity_translates(spokes, autos, sums, neg) -> set[frozenset[int]]:
+    """The identity-containing members of the class {h T^sigma} of ``spokes``,
+    all as element indices: t^-1 T^sigma, for t in T^sigma, is T^sigma read
+    through row t^-1 of the sum table."""
     members = set()
-    for sigma in autos:
-        image = [sigma(s) for s in spokes]
+    for table in autos:
+        image = [table[s] for s in spokes]
         for t in image:
-            t_inv = t.inverse()
-            members.add(frozenset(t_inv * x for x in image))
+            members.add(frozenset(map(sums[neg[t]].__getitem__, image)))
     return members
 
 
@@ -109,18 +110,19 @@ def _first_match(group: AbelianGroup, k: int, target: str, skip=()) -> BiCayleyS
     all isomorphic to a given graph or none is.  Every class meets the sets
     containing the identity, which open the lexicographic scan of all
     k-subsets (the identity comes first in ``group.elements()``): a scan for a
-    graph finds the same first match among these representatives."""
+    graph finds the same first match among these representatives.  The scan
+    runs on element indices; only a certified set becomes group elements."""
     if k == 0:
         return None  # no 0-subset contains the identity
-    autos = automorphism_group_of(group)
-    marked = _identity_translates(skip, autos) if skip else set()
-    identity, *others = group.elements()
-    for rest in combinations(others, k - 1):
-        raw = (identity, *rest)
+    elems, sums, neg = _index_table(group)
+    autos = _automorphism_tables(group)
+    marked = _identity_translates([elems.index(s) for s in skip], autos, sums, neg)
+    for rest in combinations(range(1, group.size), k - 1):
+        raw = (0, *rest)
         if frozenset(raw) in marked:
             continue
-        marked |= _identity_translates(raw, autos)
-        spec = BiCayleySpec.create(group, (), (), raw)
+        marked |= _identity_translates(raw, autos, sums, neg)
+        spec = BiCayleySpec.create(group, (), (), tuple(map(elems.__getitem__, raw)))
         if certificate(build(spec).graph) == target:
             return spec
     return None

@@ -175,22 +175,22 @@ class PermGroup:
                 gens.append(g)
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self._order = order
-        self._elements: list[Permutation] | None = None
+        self._listed: list[tuple[int, ...]] | None = None
         self._members: set[tuple[int, ...]] | None = None
 
     def order(self) -> int:
         if self._order is None:
-            self._order = len(self.elements())
+            self._order = len(self._images())
         return self._order
 
     def contains(self, p: Permutation) -> bool:
         if self._members is None:
-            self._members = {x.images for x in self.elements()}
+            self._members = set(self._images())
         return p.images in self._members  # no member has another degree
 
-    def elements(self) -> list[Permutation]:
-        """Every element; refuses when the order exceeds the enumeration bound."""
-        if self._elements is None:
+    def _images(self) -> list[tuple[int, ...]]:
+        """Every element as an image tuple; refuses past the enumeration bound."""
+        if self._listed is None:
             bound = max_enumeration_bound()
             refusal = (
                 f"group of order {{}} exceeds the enumeration bound {bound}; "
@@ -206,8 +206,12 @@ class PermGroup:
                 raise RuntimeError(
                     f"closure lists {len(listed)} elements of a group of order {self._order}"
                 )
-            self._elements = [Permutation(x) for x in listed]
-        return self._elements
+            self._listed = listed
+        return self._listed
+
+    def elements(self) -> list[Permutation]:
+        """Every element; refuses when the order exceeds the enumeration bound."""
+        return [Permutation(x) for x in self._images()]
 
     def orbit(self, v: int) -> frozenset[int]:
         return frozenset(_orbit((v,), [s.images for s in self.generators]))
@@ -568,16 +572,17 @@ def _conjugates(group: PermGroup, sub: PermGroup):
     the elements x s y^-1, for x reaching a conjugate C, s a generator and y
     reaching s^-1 C s, generate the stabilizer of ``sub``: N_group(sub).
     """
-    gens = [(s, s.inverse()) for s in group.generators]
-    start = frozenset(sub.elements())
+    # element sets of image tuples; s^-1 h s sends v to s[h[s^-1[v]]]
+    gens = [(s, itemgetter(*s.inverse().images)) for s in group.generators]
+    start = frozenset(sub._images())
     reach = {start: Permutation.identity(group.degree)}
     queue = deque([start])
     schreier = []
     while queue:
         conj = queue.popleft()
         x = reach[conj]
-        for s, s_inv in gens:
-            image = frozenset(s_inv * h * s for h in conj)
+        for s, by_inverse in gens:
+            image = frozenset(by_inverse(itemgetter(*h)(s.images)) for h in conj)
             if image in reach:
                 schreier.append(x * s * reach[image].inverse())
             else:
@@ -591,24 +596,24 @@ def normalizer(sub: PermGroup, group: PermGroup) -> PermGroup:
     return PermGroup(group.degree, _conjugates(group, sub)[1])
 
 
-def _grow(sub, orbit, v0: int, g: Permutation, d: int, cand_set):
+def _grow(sub, orbit, v0: int, g: tuple[int, ...], d: int, cand_set):
     """<sub, g>, g of order d commuting with sub, if every coset sub g^j
     (0 < j < d) is made of candidates, else None.  A g^j mapping v0 into sub's
     ``orbit`` of it maps the orbit into itself, so h g^j fixes v0 for some h
-    in sub: that coset is rejected before any product permutation is built."""
+    in sub: that coset is rejected before any product tuple is built."""
     w = v0
     for _ in range(d - 1):
-        w = g.images[w]
+        w = g[w]
         if w in orbit:
             return None
     grown = set(sub)
     power = g
     for _ in range(d - 1):
-        coset = [h * power for h in sub]
+        coset = [itemgetter(*h)(power) for h in sub]
         if not cand_set.issuperset(coset):
             return None
         grown.update(coset)
-        power = power * g
+        power = itemgetter(*power)(g)
     return grown
 
 
@@ -629,7 +634,8 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
     under an isomorphism form such a tuple, so every subgroup isomorphic to H
     is found.  Tuples generating the same partial subgroup are merged: P grows
     once per group it reaches, since a g inside a group already grown from P
-    would grow it to that same group, whose earlier tuple is kept.
+    would grow it to that same group, whose earlier tuple is kept.  Elements
+    are image tuples, x y = itemgetter(*x)(y), until the returned generators.
     """
     m = prod(orders)
     part0, part1 = (frozenset(p) for p in parts)
@@ -638,46 +644,45 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
             f"parts of sizes {len(part0)},{len(part1)} cannot be the orbits of an order-{m} group"
         )
     degree = group.degree
+    identity = _identity_images(degree)
     candidates = [
         x
-        for x in group.elements()
-        if not any(map(eq, x.images, range(degree)))  # the identity fixes every point
-        and all(x.images[v] in part0 for v in part0)
+        for x in group._images()
+        if not any(map(eq, x, identity))  # the identity fixes every point
+        and part0.issuperset(map(x.__getitem__, part0))
     ]
     cand_set = frozenset(candidates)
     v0 = min(part0)
     # _grow rejects a g of order d whose cycle through v0 is shorter than d,
-    # so that cycle's length d is read first and x.order() only checked for it
-    cyclic: dict[int, list[Permutation]] = {}
+    # so that cycle's length d is read first and the order (the number of
+    # powers the closure of x under x lists) only checked for it
+    cyclic: dict[int, list[tuple[int, ...]]] = {}
     for x in candidates:
-        d, w = 1, x.images[v0]
+        d, w = 1, x[v0]
         while w != v0:
-            d, w = d + 1, x.images[w]
-        if d in orders and x.order() == d:
+            d, w = d + 1, x[w]
+        if d in orders and len(_closure(x, [x])) == d:
             cyclic.setdefault(d, []).append(x)
     # partial subgroup -> the generators of the first tuple reaching it
-    layer = {frozenset({Permutation.identity(degree)}): ()}
+    layer = {frozenset({identity}): ()}
     for d in orders:
         if d == 1:
             continue  # the identity generates an order-1 factor
-        grown_layer: dict[frozenset[Permutation], tuple[Permutation, ...]] = {}
+        grown_layer: dict[frozenset[tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
         for sub, picks in layer.items():
-            orbit = {h.images[v0] for h in sub}
-            covered: set[Permutation] = set()  # the groups grown from sub so far
+            orbit = {h[v0] for h in sub}
+            covered: set[tuple[int, ...]] = set()  # the groups grown from sub so far
             for g in cyclic.get(d, ()):
-                if g in covered or any(g * p != p * g for p in picks):
+                if g in covered or any(itemgetter(*g)(p) != itemgetter(*p)(g) for p in picks):
                     continue
                 grown = _grow(sub, orbit, v0, g, d, cand_set)
                 if grown is not None:
                     covered |= grown
                     grown_layer.setdefault(frozenset(grown), picks + (g,))
         layer = grown_layer
-    return [
-        PermGroup(degree, layer[s])
-        for s in sorted(layer, key=lambda s: sorted(p.images for p in s))
-    ]
+    return [PermGroup(degree, map(Permutation, layer[s])) for s in sorted(layer, key=sorted)]
 
 
 def are_conjugate(group: PermGroup, a: PermGroup, b: PermGroup) -> Permutation | None:
     """A conjugating element x of ``group`` with x^-1 a x = b, or None."""
-    return _conjugates(group, a)[0].get(frozenset(b.elements()))
+    return _conjugates(group, a)[0].get(frozenset(b._images()))

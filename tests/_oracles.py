@@ -5,7 +5,8 @@ by filtering all vertex bijections, girth by exhaustive path search, graph6 by
 direct bit-string packing, k-arcs by listing every walk, vertex ids by
 mixed-radix arithmetic, the classical LCF and Kneser constructions, the Smith
 normal form with its transform kept as a separate matrix, abelian
-isomorphism types combined from one partition per prime exponent, and the
+isomorphism types combined from one partition per prime exponent, abelian
+automorphisms from every tuple of generator images that spans the group, and the
 Theorem A lattice key from a walk over every power of t, and closed
 non-backtracking walks by listing every walk from every arc.  The
 exceptions are the straightforward refinement and branching of the
@@ -31,7 +32,6 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from bicayley.abelian import (
-    automorphism_group_of,
     element_order,
     make_group,
     quotient_group,
@@ -546,9 +546,31 @@ def reference_bci_oracle(b) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def reference_automorphism_images(group) -> list[tuple]:
+    """Every automorphism as its images of the standard generators, in product
+    order: the images whose orders divide the factor orders give an
+    endomorphism, and an automorphism when they generate the group."""
+    candidates = [[g for g in group.elements() if d % element_order(g) == 0] for d in group.orders]
+    return [
+        images
+        for images in product(*candidates)
+        if subgroup_generated(group, images).is_whole_group
+    ]
+
+
 @lru_cache(maxsize=None)
 def _automorphisms(group) -> tuple:
-    return tuple(automorphism_group_of(group))
+    """Each automorphism as the lookup of its element-to-image table."""
+    out = []
+    for images in reference_automorphism_images(group):
+        table = {}
+        for g in group.elements():
+            acc = group.identity
+            for e, img in zip(g.exponents, images):
+                acc = acc * img**e
+            table[g] = acc
+        out.append(table.__getitem__)
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)
@@ -647,7 +669,7 @@ def lift_exists_by_scan(va: VoltageAssignment, sigma: Permutation) -> bool:
     Skoviera 2000)."""
     pairs = circuit_pairs(va, sigma)
     return any(
-        all(phi(z) == y for z, y in pairs) for phi in automorphism_group_of(va.group)
+        all(phi(z) == y for z, y in pairs) for phi in _automorphisms(va.group)
     )
 
 

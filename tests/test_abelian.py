@@ -2,12 +2,16 @@
 
 import random
 from collections import Counter
-from itertools import permutations, product
+from itertools import permutations
 from math import prod
 
 import pytest
 
-from _oracles import reference_isomorphism_types, reference_smith_normal_form
+from _oracles import (
+    reference_automorphism_images,
+    reference_isomorphism_types,
+    reference_smith_normal_form,
+)
 from bicayley import abelian
 from bicayley.abelian import (
     automorphism_group_of,
@@ -278,14 +282,34 @@ def test_smith_normal_form_matches_reference_on_census_relations(monkeypatch):
 
 
 def test_automorphisms_match_generating_image_tuples():
-    for orders in reference_isomorphism_types(12):
+    # the same list in the product order of the generator image candidates
+    for orders in reference_isomorphism_types(16):
+        if orders == (2, 2, 2, 2):
+            continue  # 65,536 closures in the reference; checked below instead
         group = make_group(orders)
-        candidates = [
-            [g for g in group.elements() if d % element_order(g) == 0] for d in group.orders
-        ]
-        want = [
-            images
-            for images in product(*candidates)
-            if subgroup_generated(group, images).is_whole_group
-        ]
+        want = reference_automorphism_images(group)
         assert [a.images for a in automorphism_group_of(group)] == want, orders
+
+    group = make_group([2, 2, 2, 2])
+    autos = automorphism_group_of(group)
+    assert len(autos) == 20160  # |GL(4, 2)|
+
+    def mask(g):  # the element's index in group.elements()
+        return int("".join(map(str, g.exponents)), 2)
+
+    # each automorphism's images of the elements in mask order
+    tables = []
+    for a in autos:
+        table = [0]
+        for x in a.images:
+            table = [t ^ m for t in table for m in (0, mask(x))]
+        assert sorted(table) == list(range(16))
+        tables.append(tuple(table))
+    known = set(tables)
+    assert len(known) == len(autos)
+    elems = group.elements()
+    for a, table in zip(autos[::997], tables[::997]):
+        assert [mask(a(g)) for g in elems] == list(table)
+    for a in tables[:20]:
+        for b in tables[::1000]:
+            assert tuple(b[i] for i in a) in known

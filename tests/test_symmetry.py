@@ -523,7 +523,7 @@ def test_are_conjugate():
         members = enumerate_semiregular(aut, b.parts, b.spec.group.orders)
         reach, _ = _conjugates(aut, trans)  # the one orbit each are_conjugate call walks
         for sub in members:
-            x = reach.get(frozenset(sub.elements()))
+            x = reach.get(frozenset(p.images for p in sub.elements()))
             assert (x is None) == (reference_are_conjugate(aut, trans, sub) is None), b.spec
             if x is not None:
                 assert aut.contains(x)
