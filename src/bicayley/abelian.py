@@ -313,14 +313,23 @@ class GroupAutomorphism:
         return self.images == self.group.generators()
 
 
+def _shifted(orders: tuple[int, ...], exponents, sign: int = 1) -> list[int]:
+    """The index of sign*x + g for each element index x, g with ``exponents``: the
+    order of ``group.elements()`` is mixed radix, a product of per-digit terms."""
+    terms, stride = [], 1
+    for d, c in zip(reversed(orders), reversed(exponents)):
+        terms.append([(sign * e + c) % d * stride for e in range(d)])
+        stride *= d
+    return list(map(sum, _cartesian(*reversed(terms))))
+
+
 @lru_cache(maxsize=None)
 def _index_table(group: AbelianGroup):
     """``group.elements()`` as a tuple, its sum table (``sums[i][j]`` is the
     index of elements i * j) and its negation table; the identity is index 0."""
     elems = tuple(group.elements())
-    index = {g: i for i, g in enumerate(elems)}
-    sums = tuple(tuple(index[g * h] for h in elems) for g in elems)
-    return elems, sums, tuple(index[g.inverse()] for g in elems)
+    sums = tuple(tuple(_shifted(group.orders, g.exponents)) for g in elems)
+    return elems, sums, tuple(_shifted(group.orders, group.identity.exponents, -1))
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ from bicayley.construction import (
     BiCayleyGraph,
     BiCayleySpec,
     build,
+    known_automorphisms,
     right_translations,
 )
 from bicayley.symmetry import (
@@ -62,7 +63,7 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
     single conjugacy class."""
     _require_spoke_only(b)
     group = b.spec.group
-    aut = automorphism_group(b.graph)
+    aut = automorphism_group(b.graph, known_automorphisms(b))
     members = enumerate_semiregular(aut, b.parts, group.orders)
     trans = right_translations(b)
     reached, schreier = _conjugates(aut, trans)
@@ -122,9 +123,9 @@ def _first_match(group: AbelianGroup, k: int, target: str, skip=()) -> BiCayleyS
         if frozenset(raw) in marked:
             continue
         marked |= _identity_translates(raw, autos, sums, neg)
-        spec = BiCayleySpec.create(group, (), (), tuple(map(elems.__getitem__, raw)))
-        if certificate(build(spec).graph) == target:
-            return spec
+        b = build(BiCayleySpec.create(group, (), (), tuple(map(elems.__getitem__, raw))))
+        if certificate(b.graph, known_automorphisms(b)) == target:
+            return b.spec
     return None
 
 
@@ -146,7 +147,7 @@ def bci_oracle(b: BiCayleyGraph) -> BciVerdict:
             f"oracle is limited to groups of order <= {_ORACLE_LIMIT}, got {group.size}"
         )
     spokes = b.spec.spokes
-    match = _first_match(group, len(spokes), certificate(b.graph), skip=spokes)
+    match = _first_match(group, len(spokes), certificate(b.graph, known_automorphisms(b)), spokes)
     counterexample = None if match is None else _spoke_exponents(match)
     return BciVerdict(
         group_orders=group.orders,

@@ -29,6 +29,7 @@ from bicayley.construction import (
     build,
     format_spec,
     generalized_petersen,
+    known_automorphisms,
 )
 from bicayley.graphs import Graph, girth, is_connected
 from bicayley.symmetry import (
@@ -182,7 +183,7 @@ def verify_instance(inst: CensusInstance) -> dict:
     g = inst.bigraph.graph
     connected = is_connected(g)
     cubic = g.is_regular(3)
-    aut = automorphism_group(g)
+    aut = automorphism_group(g, known_automorphisms(inst.bigraph))
     k, regular = _arc_type(g, aut) if connected and cubic else (None, False)
     # exact k-regularity implies transitivity on all shorter arcs
     claim_ok = k is not None and k >= inst.claimed_k

@@ -19,7 +19,9 @@ from bicayley.census import (
     theorem_b_verify,
     verify_instance,
 )
-from bicayley.construction import build, generalized_petersen, parse_spec, predicted_connected
+from bicayley.construction import (
+    build, generalized_petersen, known_automorphisms, parse_spec, predicted_connected
+)
 from bicayley.graphs import bipartition, encode_graph6, girth, is_connected
 from bicayley.symmetry import (
     _MAX_SEARCH_VERTICES,
@@ -95,9 +97,9 @@ def _searchable_spec(text: str):
 
 
 def cmd_analyze(args) -> int:
-    g = build(_searchable_spec(args.spec)).graph
+    g = (bigraph := build(_searchable_spec(args.spec))).graph
     connected = is_connected(g)
-    aut = automorphism_group(g)
+    aut = automorphism_group(g, known_automorphisms(bigraph))
     k, regular = _arc_type(g, aut) if connected and g.is_regular(3) else (None, False)
     shortest = girth(g, aut.orbit_roots())
     payload = {

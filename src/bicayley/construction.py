@@ -14,7 +14,7 @@ import ast
 import re
 from dataclasses import dataclass
 
-from bicayley.abelian import AbelianGroup, GroupElement, make_group, subgroup_generated
+from bicayley.abelian import AbelianGroup, GroupElement, _shifted, make_group, subgroup_generated
 from bicayley.graphs import Graph
 from bicayley.symmetry import PermGroup, Permutation
 
@@ -25,6 +25,7 @@ __all__ = [
     "right_translation",
     "right_translations",
     "iota",
+    "known_automorphisms",
     "generalized_petersen",
     "predicted_connected",
     "parse_spec",
@@ -93,18 +94,12 @@ class BiCayleyGraph:
         return frozenset(range(size)), frozenset(range(size, 2 * size))
 
 
-def _element_index(group: AbelianGroup) -> tuple[list[GroupElement], dict[GroupElement, int]]:
-    elems = group.elements()
-    return elems, {g: i for i, g in enumerate(elems)}
-
-
 def _fibred_graph(group: AbelianGroup, fibres: int, arcs) -> Graph:
     """The derived cover: edge {(u, k), (v, z*k)} for each arc (u, v, z) and k in H."""
-    elems, index = _element_index(group)
-    size = len(elems)
+    size = group.size
+    shifts = [(u, v, _shifted(group.orders, z.exponents)) for u, v, z in arcs]
     return Graph.from_edges(
-        fibres * size,
-        [(u * size + i, v * size + index[z * k]) for u, v, z in arcs for i, k in enumerate(elems)],
+        fibres * size, [(u * size + i, v * size + j) for u, v, t in shifts for i, j in enumerate(t)]
     )
 
 
@@ -134,9 +129,8 @@ def predicted_connected(spec: BiCayleySpec) -> bool:
 
 def right_translation(b: BiCayleyGraph, h: GroupElement) -> Permutation:
     """The permutation (x_i) -> (xh)_i."""
-    elems, index = _element_index(b.group)
-    shifted = [index[k * h] for k in elems]
-    return Permutation(tuple(i * len(elems) + j for i in (0, 1) for j in shifted))
+    shifted = _shifted(b.group.orders, h.exponents)
+    return Permutation(tuple(shifted + [b.group.size + j for j in shifted]))
 
 
 def right_translations(b: BiCayleyGraph) -> PermGroup:
@@ -151,9 +145,44 @@ def iota(b: BiCayleyGraph) -> Permutation:
     Together with the right translations it generates a group regular on the
     vertices; it is a graph automorphism whenever R = L.
     """
-    elems, index = _element_index(b.group)
-    inverted = [index[x.inverse()] for x in elems]
-    return Permutation(tuple((1 - i) * len(elems) + j for i in (0, 1) for j in inverted))
+    inverted = _shifted(b.group.orders, b.group.identity.exponents, -1)
+    return Permutation(tuple([b.group.size + j for j in inverted] + inverted))
+
+
+def _group_automorphism(orders, gens, images) -> list[int] | None:
+    """The index table of the automorphism phi of H with phi(gens) = ``images``, or
+    None: x + g -> phi(x) + phi(g), breadth-first from 0, must reach all of H, and
+    then hold for every x and g and give each element one preimage."""
+    steps = [[_shifted(orders, x.exponents) for x in pair] for pair in zip(gens, images)]
+    phi: list = [0] + [None] * (len(steps[0][0]) - 1)
+    for x in (reached := [0]):  # grows while walked
+        for step, image_step in steps:
+            if phi[step[x]] is None:
+                phi[step[x]] = image_step[phi[x]]
+                reached.append(step[x])
+    homomorphism = all(phi[step[x]] == image[phi[x]] for step, image in steps for x in reached)
+    return phi if homomorphism and len(reached) == len(phi) == len(set(phi)) else None
+
+
+def known_automorphisms(b: BiCayleyGraph):
+    """Automorphisms the construction gives, as image tuples made while iterated:
+    right translations by H's standard generators, iota if R = L and, for spokes
+    {1, a, b} alone, lifts of the base dipole's symmetries (Malnic, Nedela and
+    Skoviera, Europ. J. Combin. 21 (2000)) x_0 -> phi(x)_0, x_1 -> (phi(x) + c)_1:
+    rho (phi(a) = b - a, phi(b) = -a, c = a) and tau (phi(a) = b, phi(b) = a, c = 0),
+    each where phi is an automorphism of H."""
+    spec, size = b.spec, b.group.size
+    yield from (right_translation(b, g).images for g in b.group.generators() if not g.is_identity)
+    if spec.right == spec.left:
+        yield iota(b).images
+    if spec.right or spec.left or len(spec.spokes) != 3 or not spec.spokes[0].is_identity:
+        return
+    one, a, c = spec.spokes
+    for images, shift in (((c * a.inverse(), a.inverse()), a), ((c, a), one)):
+        phi = _group_automorphism(b.group.orders, (a, c), images)
+        if phi is not None:
+            shifted = _shifted(b.group.orders, shift.exponents)
+            yield tuple(phi + [size + shifted[x] for x in phi])
 
 
 def generalized_petersen(n: int, k: int) -> BiCayleyGraph:

@@ -3,9 +3,11 @@
 The automorphism and canonical-form engine is a backtracking search over
 equitable ordered partitions (individualization-refinement).  Its first path
 is a base and the automorphisms it keeps a strong generating set for it, so
-|Aut| is the product of the first-path orbit lengths.  Every other group is
-listed by closure over its generators, bounded by BICAYLEY_MAX_AUT (default
-100000).  Normalizers and conjugacy come from the orbit of a subgroup under
+|Aut| is the product of the first-path orbit lengths.  The search may start
+from known automorphisms: true ones prune soundly, never the best leaf, so
+the output is that of an unseeded search.  Every other group is listed by
+closure over its generators, bounded by BICAYLEY_MAX_AUT (default 100000).
+Normalizers and conjugacy come from the orbit of a subgroup under
 conjugation by the group's generators.
 """
 
@@ -36,6 +38,7 @@ __all__ = [
 
 _DEFAULT_MAX_ENUM = 100_000
 _MAX_SEARCH_VERTICES = 1024
+_ANALYZED: dict[Graph, tuple] = {}  # the 4096 graphs last analyzed, least recent first
 
 
 def max_enumeration_bound() -> int:
@@ -256,12 +259,21 @@ class _Search:
     certificates and generated automorphisms.  The best leaf, the first in
     tree order with the least certificate, is never skipped: labelings and
     certificates are those of the exhaustive search.
+
+    The search starts from the ``known`` automorphisms (a non-automorphism
+    raises ValueError).  Both prunings need only true automorphisms, so seeds
+    skip more and change nothing: a skipped subtree is the image of an
+    explored one, and the first-path orbits still grow to Aut's.
     """
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, known=()):
         self.n = graph.n
         self.adj = graph.adjacency
-        self.autos: list[Permutation] = []
+        self.autos = [Permutation(tuple(images)) for images in known]
+        edges = graph.edges if self.autos else []
+        for p in (a.images for a in self.autos):  # a bijection taking every edge to an edge
+            if sorted(p) != [*range(self.n)] or not all(p[w] in self.adj[p[u]] for u, w in edges):
+                raise ValueError(f"a known automorphism of {graph} is not an automorphism")
         self.first: tuple[tuple[int, ...], list[int]] | None = None
         self.first_path: list[int] = []
         self.best: tuple[tuple[int, ...], list[int]] | None = None
@@ -478,23 +490,30 @@ def _check_search_bound(n: int) -> None:
         raise ValueError(f"graph on {n} vertices exceeds the search bound {_MAX_SEARCH_VERTICES}")
 
 
-@lru_cache(maxsize=4096)
-def _analyzed(graph: Graph) -> tuple[tuple[Permutation, ...], int, Permutation, str]:
-    """Automorphism generators, |Aut|, canonical labeling and certificate."""
-    _check_search_bound(graph.n)
-    search = _Search(graph)
-    search.run()
-    assert search.best is not None
-    path = search.first_path
-    order = prod(len(search.orbit_fixing([v], path[:i])) for i, v in enumerate(path))
-    # the best leaf's keys are the graph6 bits of the relabeled graph
-    cert = _graph6(graph.n, search.best[0])
-    return tuple(search.autos), order, Permutation(tuple(search.best[1])), cert
+def _analyzed(graph: Graph, known=()) -> tuple[tuple[Permutation, ...], int, Permutation, str]:
+    """Automorphism generators, |Aut|, canonical labeling and certificate, cached
+    on the graph alone: ``known`` seeds only a search, so the cached generators
+    are those of the caller that came first, while the rest cannot differ."""
+    result = _ANALYZED.pop(graph, None)
+    if result is None:
+        _check_search_bound(graph.n)
+        search = _Search(graph, known)
+        search.run()
+        assert search.best is not None
+        path = search.first_path
+        order = prod(len(search.orbit_fixing([v], path[:i])) for i, v in enumerate(path))
+        # the best leaf's keys are the graph6 bits of the relabeled graph
+        cert = _graph6(graph.n, search.best[0])
+        result = tuple(search.autos), order, Permutation(tuple(search.best[1])), cert
+    _ANALYZED[graph] = result  # the most recently used last
+    if len(_ANALYZED) > 4096:
+        del _ANALYZED[next(iter(_ANALYZED))]
+    return result
 
 
-def automorphism_group(graph: Graph) -> PermGroup:
-    """Full automorphism group of the graph."""
-    autos, order, _, _ = _analyzed(graph)
+def automorphism_group(graph: Graph, known=()) -> PermGroup:
+    """Full automorphism group; a search, if one runs, starts from ``known``."""
+    autos, order, _, _ = _analyzed(graph, known)
     return PermGroup(graph.n, autos, order)
 
 
@@ -508,8 +527,8 @@ def canonical_form(graph: Graph) -> tuple[Permutation, str]:
     return labeling, cert
 
 
-def certificate(graph: Graph) -> str:
-    return _analyzed(graph)[3]
+def certificate(graph: Graph, known=()) -> str:
+    return _analyzed(graph, known)[3]
 
 
 # --- k-arc machinery ---------------------------------------------------------
@@ -654,14 +673,13 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
     cand_set = frozenset(candidates)
     v0 = min(part0)
     # _grow rejects a g of order d whose cycle through v0 is shorter than d,
-    # so that cycle's length d is read first and the order (the number of
-    # powers the closure of x under x lists) only checked for it
+    # so that cycle's length d is read first and the order only checked for it
     cyclic: dict[int, list[tuple[int, ...]]] = {}
     for x in candidates:
         d, w = 1, x[v0]
         while w != v0:
             d, w = d + 1, x[w]
-        if d in orders and len(_closure(x, [x])) == d:
+        if d in orders and Permutation(x).order() == d:
             cyclic.setdefault(d, []).append(x)
     # partial subgroup -> the generators of the first tuple reaching it
     layer = {frozenset({identity}): ()}

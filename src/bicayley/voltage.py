@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from bicayley.abelian import AbelianGroup, GroupAutomorphism, GroupElement, make_group
-from bicayley.construction import _element_index, _fibred_graph
+from bicayley.construction import _fibred_graph
 from bicayley.graphs import Graph, is_connected
 from bicayley.symmetry import Permutation
 
@@ -160,10 +160,10 @@ def lifts(
                 queue.append(u)
             elif images[u] != y:
                 return None
-    kelems, index = _element_index(va.group)
+    kelems = va.group.elements()
     sigma_star = GroupAutomorphism(
         va.group,
-        tuple(kelems[images[index[g]] - origin] for g in va.group.generators()),
+        tuple(kelems[images[kelems.index(g)] - origin] for g in va.group.generators()),
     )
     return sigma_star, Permutation(tuple(images))
 

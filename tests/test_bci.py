@@ -146,9 +146,9 @@ def test_oracle_certifies_one_spoke_set_per_class(monkeypatch):
         classes += 1
     calls = []
 
-    def counting(graph):
+    def counting(graph, known=()):
         calls.append(graph)
-        return certificate(graph)
+        return certificate(graph, known)
 
     monkeypatch.setattr(bci, "certificate", counting)
     v = bci_oracle(spoke_graph([13], (0, 1, 4)))

@@ -14,6 +14,7 @@ from _oracles import (
     lcf_graph,
     semiregular_with_orbits,
 )
+from bicayley import census, symmetry
 from bicayley.abelian import make_group
 from bicayley.construction import (
     BiCayleySpec,
@@ -21,13 +22,14 @@ from bicayley.construction import (
     format_spec,
     generalized_petersen,
     iota,
+    known_automorphisms,
     parse_spec,
     predicted_connected,
     right_translation,
     right_translations,
 )
 from bicayley.graphs import is_connected
-from bicayley.symmetry import PermGroup, certificate
+from bicayley.symmetry import PermGroup, _Search, automorphism_group, certificate
 
 
 def _zero_type(orders, spokes):
@@ -189,6 +191,80 @@ def test_tau_swaps_parts_and_inverts_translations():
         assert left == right_translation(heawood, y.inverse())
     joined = PermGroup(14, list(right_translations(heawood).generators) + [tau])
     assert joined.is_transitive_on(range(14))
+
+
+def _is_automorphism(graph, images) -> bool:
+    return sorted(images) == list(range(graph.n)) and all(
+        graph.has_edge(images[u], images[v]) for u, v in graph.edges
+    )
+
+
+def _affine_seeds(b):
+    """The seeds that fix vertex 0, (rho, tau) as lists: translations move it
+    and iota takes it to the other part.  rho rotates the spokes at vertex 0,
+    so it moves the identity of part 1; tau swaps a and b and fixes it."""
+    size = b.group.size
+    fixing = [p for p in known_automorphisms(b) if p[0] == 0]
+    return [p for p in fixing if p[size] != size], [p for p in fixing if p[size] == size]
+
+
+def test_known_automorphisms_hold_on_every_census_member_to_512_vertices():
+    kinds = {}
+    for inst in census.table1_instances(512) + census.table2_instances(512):
+        b = inst.bigraph
+        seeds = list(known_automorphisms(b))
+        assert all(_is_automorphism(b.graph, p) for p in seeds), inst.description
+        rho, tau = _affine_seeds(b)
+        translations = sum(not g.is_identity for g in b.group.generators())
+        iotas = int(b.spec.right == b.spec.left)
+        assert len(seeds) == translations + iotas + len(rho) + len(tau)
+        kinds.setdefault((inst.table, inst.row), set()).add((len(rho), len(tau)))
+    # rho on rows 1 and 3-7, tau on rows 3-6; row 2, BC(Z_8, {0, 2, 3}), has neither
+    assert kinds == {
+        (1, 1): {(1, 0)},
+        (1, 2): {(0, 0)},
+        **{(1, row): {(1, 1)} for row in (3, 4, 5, 6)},
+        (1, 7): {(1, 0)},
+        **{(2, row): {(0, 0)} for row in (1, 2, 3, 4)},
+    }
+
+
+def test_rho_and_tau_are_the_affine_lifts():
+    # read back phi from part 0 and check the defining images with group
+    # arithmetic: rho has phi(a) = b - a, phi(b) = -a and part-1 shift a,
+    # tau has phi(a) = b, phi(b) = a and no shift
+    checked = 0
+    for inst in census.table1_instances(128):
+        b = inst.bigraph
+        elems = b.group.elements()
+        index = {g: i for i, g in enumerate(elems)}
+        size = len(elems)
+        one, a, c = b.spec.spokes
+        rho, tau = _affine_seeds(b)
+        lifts = ((rho, c * a.inverse(), a.inverse(), a), (tau, c, a, one))
+        for seeds, phi_a, phi_c, shift in lifts:
+            for p in seeds:
+                phi = dict(zip(elems, (elems[p[i]] for i in range(size))))
+                assert phi[a] == phi_a and phi[c] == phi_c
+                assert all(phi[x * y] == phi[x] * phi[y] for x in elems for y in (a, c))
+                assert list(p[size:]) == [size + index[phi[x] * shift] for x in elems]
+                checked += 1
+    assert checked > 20
+
+
+def test_a_seed_that_is_not_an_automorphism_is_refused():
+    heawood = _zero_type([7], [0, 1, 3]).graph
+    swap = list(range(14))
+    swap[0], swap[1] = 1, 0
+    for bad in (tuple(swap), tuple(range(13)), (0,) * 14, tuple(range(13)) + (12,)):
+        with pytest.raises(ValueError, match="not an automorphism"):
+            _Search(heawood, [bad])
+    # iota breaks an edge of GP(5,2), where R != L: refused through the public
+    # entry point too, whenever a search runs
+    gp = generalized_petersen(5, 2)
+    symmetry._ANALYZED.pop(gp.graph, None)
+    with pytest.raises(ValueError, match="not an automorphism"):
+        automorphism_group(gp.graph, [iota(gp).images])
 
 
 def test_one_type_instance_is_gp_12_5():

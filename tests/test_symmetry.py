@@ -28,7 +28,7 @@ from _oracles import (
     semiregular_with_orbits,
     small_corpus,
 )
-from bicayley import census
+from bicayley import census, symmetry
 from bicayley.abelian import make_group
 from bicayley.bci import bci_by_criterion
 from bicayley.construction import (
@@ -36,6 +36,7 @@ from bicayley.construction import (
     build,
     generalized_petersen,
     iota,
+    known_automorphisms,
     predicted_connected,
     right_translations,
 )
@@ -210,6 +211,48 @@ def test_refine_matches_reference_on_every_call(monkeypatch):
             for v in c
         )
     assert singleton_splits > 100 and counts_above_one > 20 and self_splits > 20
+
+
+def _fresh_analysis(graph: Graph, known=()):
+    """A new search's generators, |Aut|, labeling, certificate and orbit roots."""
+    symmetry._ANALYZED.pop(graph, None)
+    autos, order, labeling, cert = symmetry._analyzed(graph, known)
+    return autos, (order, labeling, cert, PermGroup(graph.n, autos).orbit_roots())
+
+
+def test_seeded_search_gives_the_unseeded_output(monkeypatch):
+    # true automorphisms only prune: every census member to 256 vertices, and
+    # a relabeling of each with its seeds carried through the relabeling, gets
+    # the unseeded certificate, labeling, |Aut| and orbits, from fewer leaves
+    leaves = []
+    handle_leaf = _Search.handle_leaf
+
+    def counted(search, cells, prefix):
+        leaves.append(search)
+        return handle_leaf(search, cells, prefix)
+
+    monkeypatch.setattr(_Search, "handle_leaf", counted)
+    totals = [0, 0]  # leaves unseeded, seeded
+    rng = random.Random(29)
+    for inst in census.table1_instances(256) + census.table2_instances(256):
+        g = inst.bigraph.graph
+        seeds = list(known_automorphisms(inst.bigraph))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        moved = [[0] * g.n for _ in seeds]
+        for p, q in zip(seeds, moved):
+            for v in range(g.n):
+                q[perm[v]] = perm[p[v]]
+        for graph, known in ((g, seeds), (g.relabel(perm), [tuple(q) for q in moved])):
+            start = len(leaves)
+            _, unseeded = _fresh_analysis(graph)
+            middle = len(leaves)
+            autos, seeded = _fresh_analysis(graph, known)
+            totals[0] += middle - start
+            totals[1] += len(leaves) - middle
+            assert seeded == unseeded, inst.description
+            assert [a.images for a in autos[: len(known)]] == known  # the search kept its seeds
+    assert totals[1] < 0.6 * totals[0], totals
 
 
 def _hypercube(d: int) -> Graph:
