@@ -13,18 +13,16 @@ from bicayley.abelian import (
     subgroup_generated,
     quotient_group,
     automorphism_group_of,
-    invariant_factors,
 )
-from bicayley.graphs import Graph, girth, bipartition, is_connected, encode_graph6, decode_graph6
+from bicayley.graphs import Graph, girth, bipartition, is_connected, encode_graph6
 from bicayley.construction import BiCayleySpec, BiCayleyGraph, build, generalized_petersen
 from bicayley.symmetry import (
     Permutation,
     PermGroup,
     automorphism_group,
-    canonical_form,
     k_arc_regularity,
 )
-from bicayley.voltage import VoltageAssignment, spanning_tree, derive, lifts
+from bicayley.voltage import VoltageAssignment, derive, lifts
 from bicayley.bci import BciVerdict, bci_by_criterion, bci_oracle, cross_check
 from bicayley.census import (
     table1_instances,
@@ -44,13 +42,11 @@ __all__ = [
     "subgroup_generated",
     "quotient_group",
     "automorphism_group_of",
-    "invariant_factors",
     "Graph",
     "girth",
     "bipartition",
     "is_connected",
     "encode_graph6",
-    "decode_graph6",
     "BiCayleySpec",
     "BiCayleyGraph",
     "build",
@@ -58,10 +54,8 @@ __all__ = [
     "Permutation",
     "PermGroup",
     "automorphism_group",
-    "canonical_form",
     "k_arc_regularity",
     "VoltageAssignment",
-    "spanning_tree",
     "derive",
     "lifts",
     "BciVerdict",

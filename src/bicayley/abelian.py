@@ -23,10 +23,10 @@ __all__ = [
     "subgroup_generated",
     "quotient_group",
     "automorphism_group_of",
-    "invariant_factors",
 ]
 
-_MAX_AUT_ORDER = 64  # automorphism_group_of enumerates; Z_2^6 alone has 20158709760
+# Aut is listed exhaustively: Z_2^4 has 20160 automorphisms, Z_2^5 9999360
+_MAX_AUT_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -283,11 +283,6 @@ def quotient_group(group: AbelianGroup, gens) -> tuple[AbelianGroup, QuotientMap
     kept = sorted(((i, d) for i, d in enumerate(diag) if d > 1), key=lambda t: -t[1]) or [(0, 1)]
     q = make_group([d for _, d in kept])
     return q, QuotientMap(group, q, tuple(tuple(r) for r in v), tuple(kept))
-
-
-def invariant_factors(group: AbelianGroup) -> tuple[int, ...]:
-    """Canonical invariant factors, largest first; (1,) for the trivial group."""
-    return quotient_group(group, [])[0].orders
 
 
 @dataclass(frozen=True)

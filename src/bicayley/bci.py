@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from bicayley.abelian import AbelianGroup, _automorphism_tables, _index_table
+from bicayley.abelian import _MAX_AUT_ORDER, AbelianGroup, _automorphism_tables, _index_table
 from bicayley.construction import (
     BiCayleyGraph,
     BiCayleySpec,
@@ -31,7 +31,7 @@ from bicayley.symmetry import (
 
 __all__ = ["BciVerdict", "bci_by_criterion", "bci_oracle", "cross_check", "verdict_payload"]
 
-_ORACLE_LIMIT = 16
+_ORACLE_LIMIT = _MAX_AUT_ORDER  # the oracle lists Aut(H)
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,6 @@ class BiCayleySpec:
                     )
         return BiCayleySpec(group, right, left, spokes)
 
-    @property
-    def degree(self) -> int:
-        return len(self.right) + len(self.spokes)
-
 
 @dataclass(frozen=True)
 class BiCayleyGraph:

@@ -1,4 +1,4 @@
-"""Simple undirected graphs with sorted adjacency, plus a graph6 codec."""
+"""Simple undirected graphs with sorted adjacency, plus a graph6 encoder."""
 
 from __future__ import annotations
 
@@ -9,21 +9,11 @@ from dataclasses import dataclass
 
 __all__ = [
     "Graph",
-    "Graph6ParseError",
     "girth",
     "bipartition",
     "is_connected",
     "encode_graph6",
-    "decode_graph6",
 ]
-
-
-class Graph6ParseError(ValueError):
-    """Malformed graph6 text; carries the byte offset of the offense."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
 
 
 @dataclass(frozen=True)
@@ -54,9 +44,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def is_regular(self, d: int) -> bool:
         return all(len(a) == d for a in self.adjacency)
@@ -182,49 +169,3 @@ def encode_graph6(g: Graph) -> str:
     """Standard graph6: size header, then the upper triangle column-major."""
     keys = (j * (j - 1) // 2 + i for j, row in enumerate(g.adjacency) for i in row if i < j)
     return _graph6(g.n, keys)
-
-
-def decode_graph6(text: str) -> Graph:
-    """Inverse of :func:`encode_graph6`; strict about padding and length."""
-    if not text:
-        raise Graph6ParseError("empty input", 0)
-    for off, ch in enumerate(text):
-        if not (63 <= ord(ch) <= 126):
-            raise Graph6ParseError(f"byte {ord(ch)} outside graph6 range", off)
-    pos = 0
-    if text[0] == "~":
-        if len(text) < 4:
-            raise Graph6ParseError("truncated size header", len(text))
-        if text[1] == "~":
-            raise Graph6ParseError("8-byte size form not supported here", 1)
-        n = 0
-        for off in range(1, 4):
-            n = (n << 6) | (ord(text[off]) - 63)
-        pos = 4
-    else:
-        n = ord(text[0]) - 63
-        pos = 1
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    if len(text) - pos < nbytes:
-        raise Graph6ParseError(
-            f"need {nbytes} data bytes for n={n}, found {len(text) - pos}", len(text)
-        )
-    if len(text) - pos > nbytes:
-        raise Graph6ParseError("trailing bytes after graph data", pos + nbytes)
-    bits = []
-    for off in range(pos, pos + nbytes):
-        val = ord(text[off]) - 63
-        for s in (5, 4, 3, 2, 1, 0):
-            bits.append((val >> s) & 1)
-    for extra in range(nbits, len(bits)):
-        if bits[extra]:
-            raise Graph6ParseError("nonzero padding bits", pos + extra // 6)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph.from_edges(n, edges)

@@ -1,6 +1,6 @@
 """Permutation groups and graph symmetry.
 
-The automorphism and canonical-form engine is a backtracking search over
+The automorphism and certificate engine is a backtracking search over
 equitable ordered partitions (individualization-refinement).  Its first path
 is a base and the automorphisms it keeps a strong generating set for it, so
 |Aut| is the product of the first-path orbit lengths.  The search may start
@@ -27,7 +27,6 @@ __all__ = [
     "Permutation",
     "PermGroup",
     "automorphism_group",
-    "canonical_form",
     "certificate",
     "k_arc_regularity",
     "normalizer",
@@ -490,10 +489,11 @@ def _check_search_bound(n: int) -> None:
         raise ValueError(f"graph on {n} vertices exceeds the search bound {_MAX_SEARCH_VERTICES}")
 
 
-def _analyzed(graph: Graph, known=()) -> tuple[tuple[Permutation, ...], int, Permutation, str]:
-    """Automorphism generators, |Aut|, canonical labeling and certificate, cached
-    on the graph alone: ``known`` seeds only a search, so the cached generators
-    are those of the caller that came first, while the rest cannot differ."""
+def _analyzed(graph: Graph, known=()) -> tuple[tuple[Permutation, ...], int, str]:
+    """Automorphism generators, |Aut| and certificate, cached on the graph
+    alone: ``known`` seeds only a search, so the cached generators are those
+    of the caller that came first, while |Aut| and the certificate cannot
+    differ."""
     result = _ANALYZED.pop(graph, None)
     if result is None:
         _check_search_bound(graph.n)
@@ -504,7 +504,7 @@ def _analyzed(graph: Graph, known=()) -> tuple[tuple[Permutation, ...], int, Per
         order = prod(len(search.orbit_fixing([v], path[:i])) for i, v in enumerate(path))
         # the best leaf's keys are the graph6 bits of the relabeled graph
         cert = _graph6(graph.n, search.best[0])
-        result = tuple(search.autos), order, Permutation(tuple(search.best[1])), cert
+        result = tuple(search.autos), order, cert
     _ANALYZED[graph] = result  # the most recently used last
     if len(_ANALYZED) > 4096:
         del _ANALYZED[next(iter(_ANALYZED))]
@@ -513,22 +513,12 @@ def _analyzed(graph: Graph, known=()) -> tuple[tuple[Permutation, ...], int, Per
 
 def automorphism_group(graph: Graph, known=()) -> PermGroup:
     """Full automorphism group; a search, if one runs, starts from ``known``."""
-    autos, order, _, _ = _analyzed(graph, known)
+    autos, order, _ = _analyzed(graph, known)
     return PermGroup(graph.n, autos, order)
 
 
-def canonical_form(graph: Graph) -> tuple[Permutation, str]:
-    """A canonical relabeling and its graph6 certificate.
-
-    Isomorphic graphs receive equal certificates; the labeling maps each
-    vertex to its canonical position.
-    """
-    _, _, labeling, cert = _analyzed(graph)
-    return labeling, cert
-
-
 def certificate(graph: Graph, known=()) -> str:
-    return _analyzed(graph, known)[3]
+    return _analyzed(graph, known)[2]
 
 
 # --- k-arc machinery ---------------------------------------------------------

@@ -1,9 +1,9 @@
 """Voltage assignments on graphs, derived covering graphs, and lift tests.
 
-Assignments are tree-reduced: arcs of a chosen spanning tree carry the
-identity, so a closed walk's voltage is the product over its cotree arcs.
-Whether an automorphism lifts is decided by propagating its lift over the
-derived cover.
+Assignments are tree-reduced: arcs of the spanning tree given with the
+assignment carry the identity, so a closed walk's voltage is the product over
+its cotree arcs.  Whether an automorphism lifts is decided by propagating its
+lift over the derived cover.
 """
 
 from __future__ import annotations
@@ -18,35 +18,12 @@ from bicayley.symmetry import Permutation
 
 __all__ = [
     "VoltageAssignment",
-    "spanning_tree",
     "derive",
     "lifts",
     "fig_base",
     "fig_assignment",
     "fig_alpha",
 ]
-
-
-def spanning_tree(graph: Graph) -> frozenset[tuple[int, int]]:
-    """BFS tree from vertex 0 over sorted adjacency; edges as (min, max) pairs."""
-    if graph.n == 0:
-        return frozenset()
-    seen = [False] * graph.n
-    seen[0] = True
-    count = 1
-    edges = set()
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in graph.adjacency[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                edges.add((min(u, w), max(u, w)))
-                queue.append(w)
-    if count != graph.n:
-        raise ValueError("graph is disconnected; no spanning tree exists")
-    return frozenset(edges)
 
 
 @dataclass(frozen=True)

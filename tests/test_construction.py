@@ -49,8 +49,8 @@ def test_spec_validation():
         BiCayleySpec.create(z5, spokes=(z5.element(1), z5.element(1)))
     with pytest.raises(ValueError):
         BiCayleySpec.create(z5, spokes=(make_group([7]).element(1),))
-    spec = BiCayleySpec.create(z5, (z5.element(1), z5.element(4)), (), (z5.identity,))
-    assert spec.degree == 3
+    spec = BiCayleySpec.create(z5, (z5.element(4), z5.element(1)), (), (z5.identity,))
+    assert spec.right == (z5.element(1), z5.element(4)) and spec.spokes == (z5.identity,)
 
 
 def test_build_matches_connection_rule():

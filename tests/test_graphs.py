@@ -1,4 +1,4 @@
-"""Graph metrics vs exhaustive search; graph6 codec vs direct bit packing."""
+"""Graph metrics vs exhaustive search; graph6 encoder vs direct bit packing."""
 
 import math
 import random
@@ -17,9 +17,7 @@ from _oracles import (
 from bicayley import census
 from bicayley.graphs import (
     Graph,
-    Graph6ParseError,
     bipartition,
-    decode_graph6,
     encode_graph6,
     girth,
     is_connected,
@@ -41,7 +39,7 @@ def test_adjacency_is_sorted_and_deduplicated():
     assert g.adjacency[0] == (1, 2, 3)
     assert g.edge_count == 3
     assert g.edges == [(0, 1), (0, 2), (0, 3)]
-    assert g.degree(0) == 3 and g.degree(1) == 1
+    assert len(g.adjacency[0]) == 3 and len(g.adjacency[1]) == 1
     assert g.has_edge(2, 0) and not g.has_edge(1, 2)
 
 
@@ -135,35 +133,8 @@ def test_graph6_matches_reference_packer():
     k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert encode_graph6(k4) == "C~"
     assert encode_graph6(Graph.from_edges(1, [])) == "@"
+    assert encode_graph6(Graph.from_edges(3, [(0, 1), (1, 2)])) == "Bg"
     rng = random.Random(31)
     for n in (0, 1, 2, 3, 4, 5, 8, 62, 63, 100, 256):
         g = random_graph(rng, n, 0.2)
         assert encode_graph6(g) == graph6_reference(g)
-
-
-def test_graph6_round_trip():
-    rng = random.Random(37)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(0, 70), rng.uniform(0.05, 0.6))
-        back = decode_graph6(encode_graph6(g))
-        assert back.n == g.n and back.adjacency == g.adjacency
-
-
-def test_graph6_decode_errors_carry_offsets():
-    cases = [
-        ("", 0),
-        ("C" + chr(30), 1),
-        ("~B", 2),
-        ("C~~", None),
-        ("Bh", None),  # P3 with a padding bit forced on
-    ]
-    for text, offset in cases:
-        with pytest.raises(Graph6ParseError) as err:
-            decode_graph6(text)
-        assert isinstance(err.value.offset, int)
-        if offset is not None:
-            assert err.value.offset == offset
-    # the clean P3 encoding decodes fine
-    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert encode_graph6(p3) == "Bg"
-    assert decode_graph6("Bg") == p3

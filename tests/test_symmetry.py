@@ -49,7 +49,6 @@ from bicayley.symmetry import (
     Permutation,
     are_conjugate,
     automorphism_group,
-    canonical_form,
     certificate,
     enumerate_semiregular,
     k_arc_regularity,
@@ -213,10 +212,12 @@ def test_refine_matches_reference_on_every_call(monkeypatch):
     assert singleton_splits > 100 and counts_above_one > 20 and self_splits > 20
 
 
-def _fresh_analysis(graph: Graph, known=()):
-    """A new search's generators, |Aut|, labeling, certificate and orbit roots."""
+def _fresh_analysis(graph: Graph, leaves: list, known=()):
+    """A new search's generators, |Aut|, labeling, certificate and orbit roots;
+    ``leaves`` lists the search of every leaf reached, so this one's last."""
     symmetry._ANALYZED.pop(graph, None)
-    autos, order, labeling, cert = symmetry._analyzed(graph, known)
+    autos, order, cert = symmetry._analyzed(graph, known)
+    labeling = leaves[-1].best[1]
     return autos, (order, labeling, cert, PermGroup(graph.n, autos).orbit_roots())
 
 
@@ -245,9 +246,9 @@ def test_seeded_search_gives_the_unseeded_output(monkeypatch):
                 q[perm[v]] = perm[p[v]]
         for graph, known in ((g, seeds), (g.relabel(perm), [tuple(q) for q in moved])):
             start = len(leaves)
-            _, unseeded = _fresh_analysis(graph)
+            _, unseeded = _fresh_analysis(graph, leaves)
             middle = len(leaves)
-            autos, seeded = _fresh_analysis(graph, known)
+            autos, seeded = _fresh_analysis(graph, leaves, known)
             totals[0] += middle - start
             totals[1] += len(leaves) - middle
             assert seeded == unseeded, inst.description
@@ -350,10 +351,10 @@ def test_certificates_are_relabeling_invariant():
     rng = random.Random(53)
     for g in small_corpus(12):
         cert = certificate(g)
-        labeling, cert2 = canonical_form(g)
-        assert cert2 == cert
+        search = _Search(g)
+        search.run()
         # the canonical labeling actually produces the certificate graph
-        assert encode_graph6(g.relabel(labeling.images)) == cert
+        assert encode_graph6(g.relabel(search.best[1])) == cert
         for _ in range(3):
             perm = list(range(g.n))
             rng.shuffle(perm)
@@ -376,8 +377,9 @@ def test_certificate_comes_from_the_best_leaf():
     square_first = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)])
     assert certificate(triangle_first) == certificate(square_first)
     for g in (triangle_first, square_first):
-        labeling, cert = canonical_form(g)
-        assert encode_graph6(g.relabel(labeling.images)) == cert
+        search = _Search(g)
+        search.run()
+        assert encode_graph6(g.relabel(search.best[1])) == certificate(g)
 
 
 def test_certificates_separate_nonisomorphic_graphs():

@@ -25,13 +25,13 @@ from bicayley.symmetry import (
     k_arc_regularity,
 )
 from bicayley.voltage import (
+    _FIG_TREE,
     VoltageAssignment,
     derive,
     fig_alpha,
     fig_assignment,
     fig_base,
     lifts,
-    spanning_tree,
 )
 
 
@@ -44,30 +44,6 @@ def check_lift(va, sigma, result) -> None:
     assert all(sigma_star(z) == y for z, y in circuit_pairs(va, sigma))
     assert lift.images[0] == sigma.images[0] * size
     assert all(lift.images[v] // size == sigma.images[v // size] for v in range(lift.degree))
-
-
-def test_spanning_tree_properties():
-    rng = random.Random(61)
-    found = 0
-    while found < 10:
-        g = random_graph(rng, rng.randint(2, 9), 0.5)
-        if not is_connected(g):
-            with pytest.raises(ValueError, match="disconnected"):
-                spanning_tree(g)
-            continue
-        tree = spanning_tree(g)
-        assert len(tree) == g.n - 1
-        assert all(g.has_edge(u, v) for u, v in tree)
-        reach = {0}
-        while True:
-            grown = {w for u, v in tree for w in (u, v) if u in reach or v in reach}
-            if grown <= reach:
-                break
-            reach |= grown
-        assert reach == set(range(g.n))
-        found += 1
-    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert spanning_tree(path) == frozenset({(0, 1), (1, 2), (2, 3)})
 
 
 def test_assignment_validation():
@@ -188,7 +164,7 @@ def test_derive_follows_the_layout():
     # derive joins (w, k) to (w', zeta(w, w') k)
     rng = random.Random(29)
     base = fig_base()
-    tree = spanning_tree(base)
+    tree = {(min(e), max(e)) for e in _FIG_TREE}
     group = make_group([2, 4])
     cotree = {e: rng.choice(group.elements()) for e in base.edges if e not in tree}
     for va in (VoltageAssignment.create(base, group, tree, cotree), fig_assignment(6)):
@@ -249,7 +225,12 @@ def test_lift_decision_matches_scan_on_random_assignments():
         if not is_connected(g) or g.edge_count == g.n - 1:
             continue
         group = make_group(rng.choice([[2], [3], [4], [2, 2], [2, 4]]))
-        tree = spanning_tree(g)
+        seen, tree = [0], []
+        for u in seen:  # breadth first from vertex 0: seen grows while walked
+            for w in g.adjacency[u]:
+                if w not in seen:
+                    seen.append(w)
+                    tree.append((min(u, w), max(u, w)))
         cotree = {
             (u, v): rng.choice(group.elements())
             for u, v in g.edges
