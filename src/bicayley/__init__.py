@@ -11,7 +11,6 @@ from bicayley.abelian import (
     make_group,
     element_order,
     subgroup_generated,
-    quotient_group,
     automorphism_group_of,
 )
 from bicayley.graphs import Graph, girth, bipartition, is_connected, encode_graph6
@@ -40,7 +39,6 @@ __all__ = [
     "make_group",
     "element_order",
     "subgroup_generated",
-    "quotient_group",
     "automorphism_group_of",
     "Graph",
     "girth",

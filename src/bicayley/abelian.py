@@ -1,8 +1,6 @@
 """Finite abelian groups as direct products of cyclic factors.
 
-Elements are exponent vectors reduced mod the factor orders.  Quotients are
-computed through an integer Smith normal form so that the returned group comes
-with an explicit isomorphism, not just an abstract type.
+Elements are exponent vectors reduced mod the factor orders.
 """
 
 from __future__ import annotations
@@ -17,11 +15,9 @@ __all__ = [
     "GroupElement",
     "Subgroup",
     "GroupAutomorphism",
-    "QuotientMap",
     "make_group",
     "element_order",
     "subgroup_generated",
-    "quotient_group",
     "automorphism_group_of",
 ]
 
@@ -183,106 +179,6 @@ def subgroup_generated(group: AbelianGroup, gens) -> Subgroup:
                 closed.add(y)
                 frontier.append(y)
     return Subgroup(group, gens, frozenset(closed))
-
-
-# --- Smith normal form over the integers, tracking the right transform -----
-
-
-def _smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize the integer matrix with unimodular row/column operations.
-
-    Returns (diag, V) where V is the ncols x ncols right transform: for the
-    input matrix A one has U*A*V diagonal for some unimodular U (not tracked),
-    with diag[0] | diag[1] | ... .  The lattice spanned by the rows of A maps
-    onto the lattice spanned by diag under x -> x*V.  V starts as the identity
-    stacked under A, so every column operation acts on both at once; row
-    operations and the pivot search touch A's m rows only.
-    """
-    m = len(rows)
-    a = [list(r) for r in rows] + [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    t = 0
-    while t < min(m, ncols):
-        # a pivot of minimal absolute value in the remaining block, first in row order
-        nonzero = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, ncols) if a[i][j]]
-        if not nonzero:
-            break
-        _, pi, pj = min(nonzero)
-        a[t], a[pi] = a[pi], a[t]
-        for r in a:
-            r[t], r[pj] = r[pj], r[t]
-        # clear row and column t; restart if a remainder creates a smaller pivot
-        dirty = False
-        for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                dirty = dirty or a[i][t] != 0
-        for j in range(t + 1, ncols):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                for r in a:
-                    r[j] -= q * r[t]
-                dirty = dirty or a[t][j] != 0
-        if dirty:
-            continue
-        # enforce the divisibility chain: add the first offending column to column t
-        offender = next(
-            (j for i in range(t + 1, m) for j in range(t + 1, ncols) if a[i][j] % a[t][t]), None
-        )
-        if offender is not None:
-            for r in a:
-                r[t] += r[offender]
-            continue
-        if a[t][t] < 0:
-            for r in a:
-                r[t] = -r[t]
-        t += 1
-
-    diag = [a[i][i] if i < m else 0 for i in range(ncols)]
-    return diag, a[m:]
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """The map H -> H/<gens> with an explicit coordinate isomorphism."""
-
-    source: AbelianGroup
-    quotient: AbelianGroup
-    # column i of _transform gives the i-th coordinate form; _kept maps
-    # quotient coordinates back to transform columns
-    _transform: tuple[tuple[int, ...], ...]
-    _kept: tuple[tuple[int, int], ...]  # (column index, modulus) per quotient factor
-
-    def image(self, h: GroupElement) -> GroupElement:
-        if h.group != self.source:
-            raise ValueError(f"{h} is not an element of {self.source}")
-        x = h.exponents
-        coords = []
-        for col, mod in self._kept:
-            s = sum(x[j] * self._transform[j][col] for j in range(len(x)))
-            coords.append(s % mod)
-        return self.quotient.element(tuple(coords))
-
-
-def quotient_group(group: AbelianGroup, gens) -> tuple[AbelianGroup, QuotientMap]:
-    """H/<gens> as a new group in invariant-factor form, plus the quotient map.
-
-    The relation lattice of H/<gens> in the exponent coordinates is spanned by
-    the factor-order rows together with the generators; its Smith normal form
-    yields both the abstract type and the change of coordinates.
-    """
-    k = group.rank
-    rows = [[group.orders[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    for g in gens:
-        if g.group != group:
-            raise ValueError(f"generator {g} does not belong to {group}")
-        rows.append(list(g.exponents))
-    diag, v = _smith_normal_form(rows, k)
-    # nontrivial cyclic factors, largest first; the stable sort keeps equal
-    # factors in column order
-    kept = sorted(((i, d) for i, d in enumerate(diag) if d > 1), key=lambda t: -t[1]) or [(0, 1)]
-    q = make_group([d for _, d in kept])
-    return q, QuotientMap(group, q, tuple(tuple(r) for r in v), tuple(kept))
 
 
 @dataclass(frozen=True)

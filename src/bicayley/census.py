@@ -1,12 +1,13 @@
 """Census of cubic symmetric abelian bi-Cayley graphs within a vertex bound.
 
 The spoke-only (0-type) census has seven rows: BC(Z_8, {1, a^2, a^3}) and one
-family of quotients of Z_rm x Z_rm, whose members make up the infinite rows
-1, 3 and 4 and the sporadic rows 5-7, so a vertex bound selects finitely many
-instances.  The one-matching (2-type) census consists of seven generalized
-Petersen graphs plus one sporadic group.  The classification of the 1-type
-graphs is re-derived here by exhaustive search, and each census row carries
-its expected arc-regularity for verification.
+family, the spokes (0, 0), (1, 0), (u+1-r, 1) over H = Z_rm x Z_m, whose
+members make up the infinite rows 1, 3 and 4 and the sporadic rows 5-7, so a
+vertex bound selects finitely many instances.  The one-matching (2-type)
+census consists of seven generalized Petersen graphs plus one sporadic group.
+The classification of the 1-type graphs is re-derived here by exhaustive
+search, and each census row carries its expected arc-regularity for
+verification.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from functools import cache
 from itertools import takewhile
 from math import prod
 
-from bicayley.abelian import (
-    GroupElement,
-    element_order,
-    make_group,
-    quotient_group,
-)
+from bicayley.abelian import GroupElement, element_order, make_group
 from bicayley.bci import _ORACLE_LIMIT, _first_match, bci_by_criterion, cross_check
 from bicayley.construction import (
     BiCayleyGraph,
@@ -75,12 +71,21 @@ class CensusInstance:
 
 
 def _family_spec(r: int, m: int, u: int) -> BiCayleySpec:
-    """Spokes {1, a, b} over H = (Z_rm x Z_rm) / <b^m = a^(m(u+1))>."""
-    rm = r * m
-    square = make_group([rm, rm])
-    quotient, qmap = quotient_group(square, [square.element(((-m * (u + 1)) % rm, m % rm))])
-    spokes = tuple(qmap.image(square.element(e)) for e in ((0, 0), (1, 0), (0, 1)))
-    return BiCayleySpec.create(quotient, (), (), spokes)
+    """Spokes {1, a, b} over H = (Z_rm x Z_rm) / <b^m = a^(m(u+1))>.
+
+    (x, y) -> (x + (u+1-r) y mod rm, y mod m) maps Z_rm x Z_rm onto
+    Z_rm x Z_m, and its kernel is exactly the relation's subgroup: the
+    relation (-m(u+1), m) maps to (-rm, 0) = 0, and both have order r.  So
+    H = Z_rm x Z_m with spokes (0, 0), (1, 0) and (u+1-r, 1), or H = Z_r
+    with spokes 0, 1 and u+1 when m = 1.
+    """
+    if m == 1:
+        group = make_group([r])
+        exponents = (0, 1, u + 1)
+    else:
+        group = make_group([r * m, m])
+        exponents = ((0, 0), (1, 0), (u + 1 - r, 1))
+    return BiCayleySpec.create(group, (), (), tuple(map(group.element, exponents)))
 
 
 # The family members that the census lists as rows of their own, by (r, m):
@@ -98,8 +103,9 @@ def table1_instances(max_vertices: int = 64) -> list[CensusInstance]:
     Row 2 is BC(Z_8, {1, a^2, a^3}).  Every other row is one family: for each
     r with a root of u^2 + u + 1 = 0 (mod r), u the least, and each m >= 1,
     the spokes {1, a, b} over H = (Z_rm x Z_rm) / <b^m = a^(m(u+1))>, a group
-    of order r m^2.  A root exists exactly when r = 3^s p_1 ... p_j with
-    s <= 1 and every p_i = 1 (mod 3).  r = 1 gives the relation 1, so
+    of order r m^2: H = Z_rm x Z_m with spokes (0, 0), (1, 0) and
+    (u+1-r, 1) (``_family_spec``).  A root exists exactly when
+    r = 3^s p_1 ... p_j with s <= 1 and every p_i = 1 (mod 3).  r = 1 gives the relation 1, so
     H = Z_m^2 (row 3); r = 3 gives u = 1 and the relation a^m b^m = 1 (row 4;
     the a^m = b^m variant has girth 4 and is not symmetric).  r = m = 1 is
     the trivial group, whose three spokes coincide.  (r, m) = (3, 1), (1, 3)

@@ -606,10 +606,11 @@ def normalizer(sub: PermGroup, group: PermGroup) -> PermGroup:
 
 
 def _grow(sub, orbit, v0: int, g: tuple[int, ...], d: int, cand_set):
-    """<sub, g>, g of order d commuting with sub, if every coset sub g^j
-    (0 < j < d) is made of candidates, else None.  A g^j mapping v0 into sub's
-    ``orbit`` of it maps the orbit into itself, so h g^j fixes v0 for some h
-    in sub: that coset is rejected before any product tuple is built."""
+    """<sub, g>, g commuting with sub, if g has order d and every coset
+    sub g^j (0 < j < d) is made of candidates, else None.  A g^j mapping v0
+    into sub's ``orbit`` of it maps the orbit into itself, so h g^j fixes v0
+    for some h in sub: that coset is rejected before any product tuple is
+    built.  The coset loop leaves g^d in ``power``, which settles the order."""
     w = v0
     for _ in range(d - 1):
         w = g[w]
@@ -623,7 +624,7 @@ def _grow(sub, orbit, v0: int, g: tuple[int, ...], d: int, cand_set):
             return None
         grown.update(coset)
         power = itemgetter(*power)(g)
-    return grown
+    return grown if power == _identity_images(len(g)) else None
 
 
 def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
@@ -662,14 +663,15 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
     ]
     cand_set = frozenset(candidates)
     v0 = min(part0)
-    # _grow rejects a g of order d whose cycle through v0 is shorter than d,
-    # so that cycle's length d is read first and the order only checked for it
+    # a usable g of order d has a cycle of length exactly d through v0 (a
+    # shorter one makes some g^j, 0 < j < d, fix v0, so it is no candidate),
+    # so g is only tried for that length; _grow checks that g^d = 1
     cyclic: dict[int, list[tuple[int, ...]]] = {}
     for x in candidates:
         d, w = 1, x[v0]
         while w != v0:
             d, w = d + 1, x[w]
-        if d in orders and Permutation(x).order() == d:
+        if d in orders:
             cyclic.setdefault(d, []).append(x)
     # partial subgroup -> the generators of the first tuple reaching it
     layer = {frozenset({identity}): ()}

@@ -18,8 +18,9 @@ semiregularity tests, the subgroup-lattice and coset-by-coset enumerations of
 semiregular subgroups and the element scans for normalizers and conjugacy,
 which work on the package's permutations, the base-circuit lift
 criterion, which reads the package's voltage assignments, and the
-row-by-row Table 1 transcription, which forms its quotients and spec strings
-through the package.
+row-by-row Table 1 transcription, which forms its quotients through the
+reference Smith normal form and its groups and spec strings through the
+package.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from bicayley.abelian import (
-    element_order,
-    make_group,
-    quotient_group,
-    subgroup_generated,
-)
+from bicayley.abelian import element_order, make_group, subgroup_generated
 from bicayley.construction import BiCayleySpec, build, format_spec
 from bicayley.graphs import Graph
 from bicayley.symmetry import Permutation, PermGroup, certificate
@@ -673,13 +669,15 @@ def lift_exists_by_scan(va: VoltageAssignment, sigma: Permutation) -> bool:
     )
 
 
-# --- Smith normal form and isomorphism types by prime partitions -------------
+# --- Smith normal form, quotients and isomorphism types by prime partitions ---
 
 
 def reference_smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
     """The Smith normal form with a separate transform V, each column operation
-    applied to the matrix and to V in turn: (diag, V) as in
-    ``abelian._smith_normal_form``."""
+    applied to the matrix and to V in turn.  For the input matrix A,
+    U A V is diagonal for some unimodular U (not tracked), with
+    diag[0] | diag[1] | ..., so the lattice spanned by A's rows maps onto the
+    one spanned by diag under x -> x V."""
     a = [list(r) for r in rows]
     m = len(a)
     v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
@@ -754,6 +752,29 @@ def reference_smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list
     return diag, v
 
 
+def reference_quotient(group, gens):
+    """H/<gens> in invariant-factor form, largest factor first, and the
+    quotient map as a function.  The relation lattice is spanned by the
+    factor-order rows and the generators; column i of the Smith transform V
+    is the i-th coordinate form, and equal factors keep their column order."""
+    k = group.rank
+    rows = [[group.orders[i] if j == i else 0 for j in range(k)] for i in range(k)]
+    for g in gens:
+        if g.group != group:
+            raise ValueError(f"generator {g} does not belong to {group}")
+        rows.append(list(g.exponents))
+    diag, v = reference_smith_normal_form(rows, k)
+    kept = sorted(((i, d) for i, d in enumerate(diag) if d > 1), key=lambda t: -t[1]) or [(0, 1)]
+    quotient = make_group([d for _, d in kept])
+
+    def image(h):
+        return quotient.element(
+            tuple(sum(x * v[j][col] for j, x in enumerate(h.exponents)) for col, _ in kept)
+        )
+
+    return quotient, image
+
+
 def _prime_factors(n: int) -> dict[int, int]:
     """Prime -> exponent, by trial division."""
     factors: dict[int, int] = {}
@@ -813,9 +834,9 @@ def reference_table1_specs(max_vertices: int) -> list[tuple[int, str, str, int]]
 
     def quotient_spokes(order: int, relation: tuple[int, int]) -> tuple:
         square = make_group([order, order])
-        quotient, qmap = quotient_group(square, [square.element(relation)])
+        quotient, image = reference_quotient(square, [square.element(relation)])
         return quotient, [quotient.identity] + [
-            qmap.image(square.element(e)) for e in ((1, 0), (0, 1))
+            image(square.element(e)) for e in ((1, 0), (0, 1))
         ]
 
     members = []

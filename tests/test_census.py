@@ -13,7 +13,7 @@ from functools import cache
 import pytest
 
 from bicayley import bci, census
-from bicayley.abelian import make_group, quotient_group, subgroup_generated
+from bicayley.abelian import make_group, subgroup_generated
 from bicayley.census import (
     SCOPE_NOTE,
     _closed_walk_counts,
@@ -41,6 +41,7 @@ from _oracles import (
     reference_closed_walks,
     reference_isomorphism_types,
     reference_lattice_key,
+    reference_quotient,
     reference_table1_specs,
     reference_theorem_a_scan,
 )
@@ -82,7 +83,7 @@ def test_row1_parameters_rederived():
         r, m, u = map(int, re.match(r"row 1, r=(\d+) m=(\d+) u=(\d+)", inst.description).groups())
         assert solvable[r] == u
         assert inst.bigraph.graph.n == 2 * r * m * m
-        seen[(r, m)] = quotient_group(inst.bigraph.spec.group, [])[0].orders
+        seen[(r, m)] = reference_quotient(inst.bigraph.spec.group, [])[0].orders
     # m = 1 members with r < 11 coincide with rows 5-7 and are omitted
     assert seen == {
         (13, 1): (13,),
@@ -94,7 +95,7 @@ def test_row1_parameters_rederived():
 
 
 def test_table1_group_types():
-    types = {inst.description: quotient_group(inst.bigraph.spec.group, [])[0].orders
+    types = {inst.description: reference_quotient(inst.bigraph.spec.group, [])[0].orders
              for inst in table1_instances(64)}
     assert types["row 2, Z_8"] == (8,)
     assert types["row 3, m=4"] == (4, 4)
@@ -115,6 +116,27 @@ def test_table1_matches_the_row_by_row_transcription():
             for inst in table1_instances(bound)
         ]
         assert got == reference_table1_specs(bound), bound
+
+
+def test_family_spec_is_the_smith_quotient_for_every_root():
+    # every root u, not only the least that table1_instances takes, so the
+    # closed form Z_rm x Z_m is checked on the root pairs of r = 91, 133, ...
+    triples = 0
+    for r in range(1, 2049):
+        for u in (u for u in range(r) if (u * u + u + 1) % r == 0):
+            m = 2 if r == 1 else 1
+            while 2 * r * m * m <= 4096:
+                rm = r * m
+                square = make_group([rm, rm])
+                relation = square.element(((-m * (u + 1)) % rm, m % rm))
+                quotient, image = reference_quotient(square, [relation])
+                want = sorted(image(square.element(e)) for e in ((0, 0), (1, 0), (0, 1)))
+                spec = census._family_spec(r, m, u)
+                assert spec.group.orders == quotient.orders, (r, m, u)
+                assert list(spec.spokes) == want, (r, m, u)
+                triples += 1
+                m += 1
+    assert triples == 1240
 
 
 def test_named_members_are_k33_pappus_and_heawood():
@@ -177,7 +199,7 @@ def test_table2_sporadic_row_is_three_regular():
     # the census column records 2-arc-transitivity; the graph is exactly
     # 3-regular, so the claim is a lower bound and verification still passes
     inst = next(i for i in table2_instances(64) if i.row == 2)
-    assert quotient_group(inst.bigraph.spec.group, [])[0].orders == (10, 2)
+    assert reference_quotient(inst.bigraph.spec.group, [])[0].orders == (10, 2)
     rec = verify_instance(inst)
     assert rec["ok"]
     assert rec["arc_type"] == 3 and rec["claimed_k"] == 2 and rec["claim_ok"]

@@ -1,10 +1,13 @@
 """Every name a module exports resolves, so a deletion cannot leave a stale
-entry in ``__all__`` for ``from bicayley.<module> import *`` to trip over, and
-every function the benchmark's tracer wraps by name still exists."""
+entry in ``__all__`` for ``from bicayley.<module> import *`` to trip over,
+every function the benchmark's tracer wraps by name still exists, and no
+import, function, class or method in ``src/`` is left that nothing uses."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import bicayley
@@ -19,15 +22,77 @@ def test_every_export_resolves():
         assert not missing, f"{name}.__all__ names missing attributes {missing}"
 
 
-def test_every_traced_name_resolves():
-    """The benchmark's tracer wraps these by name; a rename must not break it."""
+def _traced_targets():
+    """``perfbench.tracing.TARGETS``: (module, attribute, span) triples."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.TARGETS
-    for module, attribute, _ in tracing.TARGETS:
+    return tracing.TARGETS
+
+
+def test_every_traced_name_resolves():
+    """The benchmark's tracer wraps these by name; a rename must not break it."""
+    targets = _traced_targets()
+    assert targets
+    for module, attribute, _ in targets:
         obj = importlib.import_module(f"bicayley.{module}")
         for part in attribute.split("."):
             assert hasattr(obj, part), f"bicayley.{module}.{attribute} does not resolve"
             obj = getattr(obj, part)
+
+
+def _references(node):
+    """Every name read in ``node``'s tree, bare or as an attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_no_dead_imports_or_definitions():
+    """Each import is used in its module, and each module-level function or
+    class and each non-dunder method is referenced outside its own body
+    somewhere in ``src/`` (an import or an ``__all__`` entry does not count).
+    Exempt are the names the benchmark's tracer wraps, read from its list,
+    and the two voltage methods the test oracles read."""
+    root = Path(bicayley.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(root.glob("*.py"))}
+
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert imported <= used, f"bicayley.{module} never uses {sorted(imported - used)}"
+
+    exempt = {f"{module}.{attribute}" for module, attribute, _ in _traced_targets()}
+    exempt |= {"voltage.VoltageAssignment.voltage", "voltage.VoltageAssignment.cotree_arcs"}
+
+    definitions = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                definitions.extend(
+                    (f"{module}.{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+    everywhere = Counter(name for tree in trees.values() for name in _references(tree))
+    unreferenced = [
+        qualified
+        for qualified, node in definitions
+        if qualified not in exempt
+        and everywhere[node.name] == Counter(_references(node))[node.name]
+    ]
+    assert not unreferenced, f"nothing in src/ references {unreferenced}"

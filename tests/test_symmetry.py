@@ -44,6 +44,7 @@ from bicayley.graphs import Graph, encode_graph6
 from bicayley.symmetry import (
     _conjugates,
     _first_arc,
+    _grow,
     _Search,
     PermGroup,
     Permutation,
@@ -519,6 +520,18 @@ def test_enumerate_semiregular_matches_coset_by_coset_growth():
         assert [sub.generators for sub in got] == [sub.generators for sub in want], b.spec
         checked += 1
     assert checked == 28
+
+
+def test_grow_refuses_a_generator_of_order_above_its_cycle_through_v0():
+    # g = (0 1)(2 3 4 5) has a 2-cycle through v0 = 0 and order 4; the coset
+    # {g} is made of candidates, so only g^2 != 1 refuses it.  On the census
+    # graphs later layers drop such partial sets anyway, so this is the test
+    # that fails without the check.
+    identity = tuple(range(6))
+    g = (1, 0, 3, 4, 5, 2)
+    assert _grow({identity}, {0}, 0, g, 2, {g}) is None
+    h = (1, 0, 3, 2, 5, 4)
+    assert _grow({identity}, {0}, 0, h, 2, {h}) == {identity, h}
 
 
 def test_enumerate_semiregular_returns_one_isomorphism_type():
