@@ -16,7 +16,6 @@ from bicayley.abelian import (
 from bicayley.graphs import Graph, girth, bipartition, is_connected, encode_graph6
 from bicayley.construction import BiCayleySpec, BiCayleyGraph, build, generalized_petersen
 from bicayley.symmetry import (
-    Permutation,
     PermGroup,
     automorphism_group,
     k_arc_regularity,
@@ -49,7 +48,6 @@ __all__ = [
     "BiCayleyGraph",
     "build",
     "generalized_petersen",
-    "Permutation",
     "PermGroup",
     "automorphism_group",
     "k_arc_regularity",

@@ -67,8 +67,8 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
     members = enumerate_semiregular(aut, b.parts, group.orders)
     trans = right_translations(b)
     reached, schreier = _conjugates(aut, trans)
-    keys = [frozenset(sub._images()) for sub in members]
-    if frozenset(trans._images()) not in keys:
+    keys = [frozenset(sub.elements()) for sub in members]
+    if frozenset(trans.elements()) not in keys:
         raise RuntimeError("internal error: translation group missing from its own class")
     transitive = PermGroup(b.graph.n, schreier).is_transitive_on(range(b.graph.n))
 

@@ -170,8 +170,10 @@ def cmd_theorem_a(args) -> int:
     if args.max_group_order < 2:  # Z_2 is the smallest group a triple generates
         return _refuse_empty(args, f"within --max-group-order {args.max_group_order}")
     results = theorem_a_search(args.max_group_order)
-    names = sorted(rec["name"] for rec in results)
-    passed = names == ["GP(12,5)", "GP(8,3)", "K_4", "Q_3"]
+    # Theorem A's graphs by vertex count; one over H has 2|H| vertices
+    theorem = {"K_4": 4, "Q_3": 8, "GP(8,3)": 16, "GP(12,5)": 24}
+    expected = sorted(name for name, n in theorem.items() if n <= 2 * args.max_group_order)
+    passed = sorted(rec["name"] for rec in results) == expected
     lines = [
         f"{rec['name']}: n={rec['vertices']} k={rec['arc_type']} example {rec['example']}"
         for rec in results

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from bicayley.abelian import AbelianGroup, GroupElement, _shifted, make_group, subgroup_generated
 from bicayley.graphs import Graph
-from bicayley.symmetry import PermGroup, Permutation
+from bicayley.symmetry import PermGroup
 
 __all__ = [
     "BiCayleySpec",
@@ -123,10 +123,10 @@ def predicted_connected(spec: BiCayleySpec) -> bool:
     return subgroup_generated(spec.group, gens).is_whole_group
 
 
-def right_translation(b: BiCayleyGraph, h: GroupElement) -> Permutation:
-    """The permutation (x_i) -> (xh)_i."""
+def right_translation(b: BiCayleyGraph, h: GroupElement) -> tuple[int, ...]:
+    """The permutation (x_i) -> (xh)_i, as an image tuple."""
     shifted = _shifted(b.group.orders, h.exponents)
-    return Permutation(tuple(shifted + [b.group.size + j for j in shifted]))
+    return tuple(shifted + [b.group.size + j for j in shifted])
 
 
 def right_translations(b: BiCayleyGraph) -> PermGroup:
@@ -135,14 +135,14 @@ def right_translations(b: BiCayleyGraph) -> PermGroup:
     return PermGroup(2 * b.group.size, gens)
 
 
-def iota(b: BiCayleyGraph) -> Permutation:
-    """The involution (x_0) -> (x^-1)_1, (x_1) -> (x^-1)_0.
+def iota(b: BiCayleyGraph) -> tuple[int, ...]:
+    """The involution (x_0) -> (x^-1)_1, (x_1) -> (x^-1)_0, as an image tuple.
 
     Together with the right translations it generates a group regular on the
     vertices; it is a graph automorphism whenever R = L.
     """
     inverted = _shifted(b.group.orders, b.group.identity.exponents, -1)
-    return Permutation(tuple([b.group.size + j for j in inverted] + inverted))
+    return tuple([b.group.size + j for j in inverted] + inverted)
 
 
 def _group_automorphism(orders, gens, images) -> list[int] | None:
@@ -168,9 +168,9 @@ def known_automorphisms(b: BiCayleyGraph):
     rho (phi(a) = b - a, phi(b) = -a, c = a) and tau (phi(a) = b, phi(b) = a, c = 0),
     each where phi is an automorphism of H."""
     spec, size = b.spec, b.group.size
-    yield from (right_translation(b, g).images for g in b.group.generators() if not g.is_identity)
+    yield from (right_translation(b, g) for g in b.group.generators() if not g.is_identity)
     if spec.right == spec.left:
-        yield iota(b).images
+        yield iota(b)
     if spec.right or spec.left or len(spec.spokes) != 3 or not spec.spokes[0].is_identity:
         return
     one, a, c = spec.spokes

@@ -1,6 +1,8 @@
 """Permutation groups and graph symmetry.
 
-The automorphism and certificate engine is a backtracking search over
+A permutation of 0..n-1 is its image tuple p, sending v to p[v]; products act
+left to right, so x y = itemgetter(*x)(y) sends v to y[x[v]].  The
+automorphism and certificate engine is a backtracking search over
 equitable ordered partitions (individualization-refinement).  Its first path
 is a base and the automorphisms it keeps a strong generating set for it, so
 |Aut| is the product of the first-path orbit lengths.  The search may start
@@ -15,16 +17,14 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import filterfalse
-from math import lcm, prod
+from math import prod
 from operator import eq, itemgetter
 
 from bicayley.graphs import Graph, _graph6, is_connected
 
 __all__ = [
-    "Permutation",
     "PermGroup",
     "automorphism_group",
     "certificate",
@@ -59,69 +59,11 @@ def _identity_images(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of 0..n-1; composition acts left-to-right (v^(pq) = (v^p)^q)."""
-
-    images: tuple[int, ...]
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(_identity_images(n))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.images == _identity_images(len(self.images))
-
-    def __call__(self, v: int) -> int:
-        return self.images[v]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if len(self.images) != len(other.images):
-            raise ValueError("permutations of different degrees")
-        if len(self.images) < 2:
-            return other  # the identity is the only permutation of degree < 2
-        return Permutation(itemgetter(*self.images)(other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation(tuple(inv))
-
-    def order(self) -> int:
-        result = 1
-        for c in self.cycles():
-            result = lcm(result, len(c))
-        return result
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its least point."""
-        seen = [False] * len(self.images)
-        out = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            v = self.images[start]
-            while v != start:
-                seen[v] = True
-                cyc.append(v)
-                v = self.images[v]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def __repr__(self) -> str:
-        cyc = self.cycles()
-        if not cyc:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
+def _inverse(x: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(x)
+    for i, v in enumerate(x):
+        inv[v] = i
+    return tuple(inv)
 
 
 def _orbit(points, images) -> set[int]:
@@ -170,27 +112,28 @@ class PermGroup:
         seen: set[tuple[int, ...]] = set()
         gens = []
         for g in generators:
-            if g.degree != degree:
-                raise ValueError(f"generator degree {g.degree} != group degree {degree}")
-            if not g.is_identity and g.images not in seen:
-                seen.add(g.images)
+            if len(g) != degree:
+                raise ValueError(f"generator degree {len(g)} != group degree {degree}")
+            if g != _identity_images(degree) and g not in seen:
+                seen.add(g)
                 gens.append(g)
-        self.generators: tuple[Permutation, ...] = tuple(gens)
+        self.generators: tuple[tuple[int, ...], ...] = tuple(gens)
         self._order = order
         self._listed: list[tuple[int, ...]] | None = None
         self._members: set[tuple[int, ...]] | None = None
 
     def order(self) -> int:
         if self._order is None:
-            self._order = len(self._images())
+            self._order = len(self.elements())
         return self._order
 
-    def contains(self, p: Permutation) -> bool:
+    def contains(self, p: tuple[int, ...]) -> bool:
+        """Whether the image tuple ``p`` is an element."""
         if self._members is None:
-            self._members = set(self._images())
-        return p.images in self._members  # no member has another degree
+            self._members = set(self.elements())
+        return p in self._members  # no member has another degree
 
-    def _images(self) -> list[tuple[int, ...]]:
+    def elements(self) -> list[tuple[int, ...]]:
         """Every element as an image tuple; refuses past the enumeration bound."""
         if self._listed is None:
             bound = max_enumeration_bound()
@@ -200,8 +143,7 @@ class PermGroup:
             )
             if self._order is not None and self._order > bound:
                 raise ValueError(refusal.format(self._order))
-            gens = [s.images for s in self.generators]
-            listed = _closure(_identity_images(self.degree), gens, bound)
+            listed = _closure(_identity_images(self.degree), self.generators, bound)
             if listed is None:
                 raise ValueError(refusal.format(f"over {bound}"))
             if self._order is not None and len(listed) != self._order:
@@ -211,12 +153,8 @@ class PermGroup:
             self._listed = listed
         return self._listed
 
-    def elements(self) -> list[Permutation]:
-        """Every element; refuses when the order exceeds the enumeration bound."""
-        return [Permutation(x) for x in self._images()]
-
     def orbit(self, v: int) -> frozenset[int]:
-        return frozenset(_orbit((v,), [s.images for s in self.generators]))
+        return frozenset(_orbit((v,), self.generators))
 
     def orbit_roots(self) -> list[int]:
         """The least point of each orbit, ascending."""
@@ -268,9 +206,9 @@ class _Search:
     def __init__(self, graph: Graph, known=()):
         self.n = graph.n
         self.adj = graph.adjacency
-        self.autos = [Permutation(tuple(images)) for images in known]
+        self.autos = [tuple(images) for images in known]
         edges = graph.edges if self.autos else []
-        for p in (a.images for a in self.autos):  # a bijection taking every edge to an edge
+        for p in self.autos:  # a bijection taking every edge to an edge
             if sorted(p) != [*range(self.n)] or not all(p[w] in self.adj[p[u]] for u, w in edges):
                 raise ValueError(f"a known automorphism of {graph} is not an automorphism")
         self.first: tuple[tuple[int, ...], list[int]] | None = None
@@ -448,7 +386,7 @@ class _Search:
 
     def orbit_fixing(self, points: list[int], prefix: list[int]) -> set[int]:
         """Orbit of ``points`` under the automorphisms found that fix ``prefix``."""
-        fixing = [a.images for a in self.autos]
+        fixing = self.autos
         for p in prefix:
             fixing = [a for a in fixing if a[p] == p]
         return _orbit(points, fixing)
@@ -477,10 +415,10 @@ class _Search:
             return None
         # two labelings onto the same canonical graph compose to an automorphism
         inv = sorted(range(self.n), key=position.__getitem__)
-        perm = Permutation(tuple(map(inv.__getitem__, other[1])))
-        if not perm.is_identity and perm not in self.autos:
+        perm = tuple(map(inv.__getitem__, other[1]))
+        if perm != _identity_images(self.n) and perm not in self.autos:
             self.autos.append(perm)
-        return perm.images
+        return perm
 
 
 def _check_search_bound(n: int) -> None:
@@ -489,7 +427,7 @@ def _check_search_bound(n: int) -> None:
         raise ValueError(f"graph on {n} vertices exceeds the search bound {_MAX_SEARCH_VERTICES}")
 
 
-def _analyzed(graph: Graph, known=()) -> tuple[tuple[Permutation, ...], int, str]:
+def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], int, str]:
     """Automorphism generators, |Aut| and certificate, cached on the graph
     alone: ``known`` seeds only a search, so the cached generators are those
     of the caller that came first, while |Aut| and the certificate cannot
@@ -552,7 +490,7 @@ def k_arc_regularity(graph: Graph) -> tuple[int | None, bool]:
 
 def _arc_type(graph: Graph, aut: PermGroup) -> tuple[int | None, bool]:
     """k_arc_regularity for a connected cubic graph with automorphism group aut."""
-    gens = [s.images for s in aut.generators]
+    gens = aut.generators
     if len(_closure(_first_arc(graph, 1), gens)) != 2 * graph.edge_count:
         return None, False
     a = aut.order()
@@ -581,21 +519,21 @@ def _conjugates(group: PermGroup, sub: PermGroup):
     the elements x s y^-1, for x reaching a conjugate C, s a generator and y
     reaching s^-1 C s, generate the stabilizer of ``sub``: N_group(sub).
     """
-    # element sets of image tuples; s^-1 h s sends v to s[h[s^-1[v]]]
-    gens = [(s, itemgetter(*s.inverse().images)) for s in group.generators]
-    start = frozenset(sub._images())
-    reach = {start: Permutation.identity(group.degree)}
+    # s^-1 h s sends v to s[h[s^-1[v]]]; x y is itemgetter(*x)(y)
+    gens = [(s, itemgetter(*_inverse(s))) for s in group.generators]
+    start = frozenset(sub.elements())
+    reach = {start: _identity_images(group.degree)}
     queue = deque([start])
     schreier = []
     while queue:
         conj = queue.popleft()
-        x = reach[conj]
+        times = itemgetter(*reach[conj])  # times(s) is x s
         for s, by_inverse in gens:
-            image = frozenset(by_inverse(itemgetter(*h)(s.images)) for h in conj)
+            image = frozenset(by_inverse(itemgetter(*h)(s)) for h in conj)
             if image in reach:
-                schreier.append(x * s * reach[image].inverse())
+                schreier.append(itemgetter(*times(s))(_inverse(reach[image])))
             else:
-                reach[image] = x * s
+                reach[image] = times(s)
                 queue.append(image)
     return reach, schreier
 
@@ -645,7 +583,7 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
     is found.  Tuples generating the same partial subgroup are merged: P grows
     once per group it reaches, since a g inside a group already grown from P
     would grow it to that same group, whose earlier tuple is kept.  Elements
-    are image tuples, x y = itemgetter(*x)(y), until the returned generators.
+    are image tuples, x y = itemgetter(*x)(y).
     """
     m = prod(orders)
     part0, part1 = (frozenset(p) for p in parts)
@@ -657,7 +595,7 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
     identity = _identity_images(degree)
     candidates = [
         x
-        for x in group._images()
+        for x in group.elements()
         if not any(map(eq, x, identity))  # the identity fixes every point
         and part0.issuperset(map(x.__getitem__, part0))
     ]
@@ -690,9 +628,9 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
                     covered |= grown
                     grown_layer.setdefault(frozenset(grown), picks + (g,))
         layer = grown_layer
-    return [PermGroup(degree, map(Permutation, layer[s])) for s in sorted(layer, key=sorted)]
+    return [PermGroup(degree, layer[s]) for s in sorted(layer, key=sorted)]
 
 
-def are_conjugate(group: PermGroup, a: PermGroup, b: PermGroup) -> Permutation | None:
+def are_conjugate(group: PermGroup, a: PermGroup, b: PermGroup) -> tuple[int, ...] | None:
     """A conjugating element x of ``group`` with x^-1 a x = b, or None."""
-    return _conjugates(group, a)[0].get(frozenset(b._images()))
+    return _conjugates(group, a)[0].get(frozenset(b.elements()))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from bicayley.abelian import AbelianGroup, GroupAutomorphism, GroupElement, make_group
 from bicayley.construction import _fibred_graph
 from bicayley.graphs import Graph, is_connected
-from bicayley.symmetry import Permutation
 
 __all__ = [
     "VoltageAssignment",
@@ -98,8 +97,8 @@ def derive(va: VoltageAssignment) -> Graph:
 
 
 def lifts(
-    va: VoltageAssignment, sigma: Permutation
-) -> tuple[GroupAutomorphism, Permutation] | None:
+    va: VoltageAssignment, sigma: tuple[int, ...]
+) -> tuple[GroupAutomorphism, tuple[int, ...]] | None:
     """Decide whether a base automorphism lifts to the derived graph.
 
     The lift taking (v0, 1) to (sigma(v0), 1) is propagated breadth-first over
@@ -109,12 +108,13 @@ def lifts(
     (Malnic, Nedela and Skoviera, Europ. J. Combin. 21, 2000).  A lift of a
     connected cover is then a bijection, and it induces the voltage-group
     automorphism sigma*, read off the images of the (v0, g).  A disconnected
-    cover is refused.  Returns (sigma*, lifted vertex permutation), or None.
+    cover is refused.  ``sigma`` is an image tuple, v -> sigma[v].  Returns
+    (sigma*, the lift as an image tuple on the cover's vertices), or None.
     """
-    if sigma.degree != va.base.n:
-        raise ValueError(f"permutation degree {sigma.degree} != base order {va.base.n}")
+    if len(sigma) != va.base.n:
+        raise ValueError(f"permutation degree {len(sigma)} != base order {va.base.n}")
     for u, v in va.base.edges:
-        if not va.base.has_edge(sigma.images[u], sigma.images[v]):
+        if not va.base.has_edge(sigma[u], sigma[v]):
             raise ValueError(f"permutation is not a base automorphism: edge ({u},{v}) breaks")
     cover = derive(va)
     if not is_connected(cover):
@@ -123,7 +123,7 @@ def lifts(
         )
     size = va.group.size
     adj = cover.adjacency
-    origin = sigma.images[0] * size
+    origin = sigma[0] * size
     images: list[int | None] = [None] * cover.n
     images[0] = origin
     queue = deque([0])
@@ -131,7 +131,7 @@ def lifts(
         v = queue.popleft()
         image_by_fiber = {y // size: y for y in adj[images[v]]}
         for u in adj[v]:
-            y = image_by_fiber[sigma.images[u // size]]
+            y = image_by_fiber[sigma[u // size]]
             if images[u] is None:
                 images[u] = y
                 queue.append(u)
@@ -142,7 +142,7 @@ def lifts(
         va.group,
         tuple(kelems[images[kelems.index(g)] - origin] for g in va.group.generators()),
     )
-    return sigma_star, Permutation(tuple(images))
+    return sigma_star, tuple(images)
 
 
 # --- the eight-vertex quotient fixture ---------------------------------------
@@ -171,9 +171,10 @@ def fig_assignment(order: int) -> VoltageAssignment:
     return VoltageAssignment.create(fig_base(), group, _FIG_TREE, cotree)
 
 
-def fig_alpha() -> Permutation:
-    """The order-3 base automorphism (r0 rs1 e1)(r1 rs0 s1) fixing e0 and s0."""
+def fig_alpha() -> tuple[int, ...]:
+    """The order-3 base automorphism (r0 rs1 e1)(r1 rs0 s1) fixing e0 and s0,
+    as an image tuple."""
     images = list(range(8))
     for a, b, c in ((1, 7, 4), (5, 3, 6)):
         images[a], images[b], images[c] = b, c, a
-    return Permutation(tuple(images))
+    return tuple(images)

@@ -16,7 +16,7 @@ fast ones, the unreduced Theorem A scan and the full-scan BCI oracle, which
 build and certify graphs through the package, and the orbit and
 semiregularity tests, the subgroup-lattice and coset-by-coset enumerations of
 semiregular subgroups and the element scans for normalizers and conjugacy,
-which work on the package's permutations, the base-circuit lift
+which work on the package's permutation groups, the base-circuit lift
 criterion, which reads the package's voltage assignments, and the
 row-by-row Table 1 transcription, which forms its quotients through the
 reference Smith normal form and its groups and spec strings through the
@@ -35,8 +35,30 @@ from itertools import combinations, permutations, product
 from bicayley.abelian import element_order, make_group, subgroup_generated
 from bicayley.construction import BiCayleySpec, build, format_spec
 from bicayley.graphs import Graph
-from bicayley.symmetry import Permutation, PermGroup, certificate
+from bicayley.symmetry import PermGroup, certificate
 from bicayley.voltage import VoltageAssignment
+
+
+def compose(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """x then y, as image tuples: v goes to y[x[v]]."""
+    return tuple(y[v] for v in x)
+
+
+def inverse(x: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple sending x[v] back to v."""
+    inv = [0] * len(x)
+    for v, image in enumerate(x):
+        inv[image] = v
+    return tuple(inv)
+
+
+def perm_order(x: tuple[int, ...]) -> int:
+    """The least k >= 1 with x^k the identity, by repeated composition."""
+    identity = tuple(range(len(x)))
+    k, power = 1, x
+    while power != identity:
+        k, power = k + 1, compose(power, x)
+    return k
 
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -229,13 +251,13 @@ def reference_descend(search, cells: list[list[int]], prefix: list[int]) -> None
     def equivalent_to_done(v: int, done: list[int]) -> bool:
         if not done:
             return False
-        fixing = [a for a in search.autos if all(a.images[p] == p for p in prefix)]
+        fixing = [a for a in search.autos if all(a[p] == p for p in prefix)]
         reach = set(done)
         queue = deque(done)
         while queue:
             u = queue.popleft()
             for a in fixing:
-                w = a.images[u]
+                w = a[u]
                 if w == v:
                     return True
                 if w not in reach:
@@ -354,16 +376,17 @@ def semiregular_with_orbits(group: PermGroup, parts) -> bool:
 
 def _mul_close(perms, degree: int, limit: int):
     """Closure under multiplication; None when it exceeds ``limit`` elements."""
-    closed = {Permutation.identity(degree)}
+    identity = tuple(range(degree))
+    closed = {identity}
     closed.update(perms)
     if len(closed) > limit:
         return None
     frontier = list(closed)
-    gens = [p for p in perms if not p.is_identity]
+    gens = [p for p in perms if p != identity]
     while frontier:
         x = frontier.pop()
         for s in gens:
-            y = x * s
+            y = compose(x, s)
             if y not in closed:
                 if len(closed) >= limit:
                     return None
@@ -383,15 +406,16 @@ def reference_semiregular_members(aut: PermGroup, parts, group) -> list[PermGrou
     m = group.size
     part0 = frozenset(parts[0])
     degree = aut.degree
+    identity = tuple(range(degree))
     candidates = [
         x
         for x in aut.elements()
-        if not x.is_identity
-        and all(x.images[v] != v for v in range(degree))
-        and all(x.images[v] in part0 for v in part0)
+        if x != identity
+        and all(x[v] != v for v in range(degree))
+        and all(x[v] in part0 for v in part0)
     ]
     cand_set = frozenset(candidates)
-    start = frozenset({Permutation.identity(degree)})
+    start = frozenset({identity})
     seen = {start}
     frontier = [start]
     found = set()
@@ -407,7 +431,7 @@ def reference_semiregular_members(aut: PermGroup, parts, group) -> list[PermGrou
             if fs in seen:
                 continue
             seen.add(fs)
-            if any(p not in cand_set for p in fs if not p.is_identity):
+            if any(p not in cand_set for p in fs if p != identity):
                 continue
             if len(fs) == m:
                 found.add(fs)
@@ -415,12 +439,12 @@ def reference_semiregular_members(aut: PermGroup, parts, group) -> list[PermGrou
                 frontier.append(fs)
     histogram = sorted(element_order(x) for x in group.elements())
     members = []
-    for fs in sorted(found, key=lambda s: sorted(p.images for p in s)):
+    for fs in sorted(found, key=sorted):
         sub = PermGroup(degree, fs)
         gens = sub.generators
-        if any(a * b != b * a for i, a in enumerate(gens) for b in gens[i + 1 :]):
+        if any(compose(a, b) != compose(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]):
             continue
-        if sorted(p.order() for p in fs) == histogram:
+        if sorted(perm_order(p) for p in fs) == histogram:
             members.append(sub)
     return members
 
@@ -441,60 +465,62 @@ def reference_enumerate_semiregular(group: PermGroup, parts, orders) -> list[Per
             f"parts of sizes {len(part0)},{len(part1)} cannot be the orbits of an order-{m} group"
         )
     degree = group.degree
+    identity = tuple(range(degree))
     candidates = []
     for x in group.elements():
-        if x.is_identity:
+        if x == identity:
             continue
-        if any(x.images[v] == v for v in range(degree)):
+        if any(x[v] == v for v in range(degree)):
             continue
-        if any(x.images[v] not in part0 for v in part0):
+        if any(x[v] not in part0 for v in part0):
             continue
         candidates.append(x)
     cand_set = frozenset(candidates)
-    cyclic: dict[int, list[tuple[Permutation, list[Permutation]]]] = {}
+    cyclic: dict[int, list[tuple[tuple[int, ...], list[tuple[int, ...]]]]] = {}
     for x in candidates:
-        d = x.order()
+        d = perm_order(x)
         if d in orders:
             powers = [x]
             while len(powers) < d - 1:
-                powers.append(powers[-1] * x)
+                powers.append(compose(powers[-1], x))
             cyclic.setdefault(d, []).append((x, powers))
-    layer = {frozenset({Permutation.identity(degree)}): ()}
+    layer = {frozenset({identity}): ()}
     for d in orders:
         if d == 1:
             continue
-        grown_layer: dict[frozenset[Permutation], tuple[Permutation, ...]] = {}
+        grown_layer: dict[frozenset[tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
         for sub, picks in layer.items():
             for g, powers in cyclic.get(d, ()):
-                if any(g * p != p * g for p in picks):
+                if any(compose(g, p) != compose(p, g) for p in picks):
                     continue
                 grown = set(sub)
                 for power in powers:
-                    coset = [h * power for h in sub]
+                    coset = [compose(h, power) for h in sub]
                     if not cand_set.issuperset(coset):
                         break
                     grown.update(coset)
                 else:
                     grown_layer.setdefault(frozenset(grown), picks + (g,))
         layer = grown_layer
-    return [
-        PermGroup(degree, layer[s])
-        for s in sorted(layer, key=lambda s: sorted(p.images for p in s))
-    ]
+    return [PermGroup(degree, layer[s]) for s in sorted(layer, key=sorted)]
 
 
 def _element_set(sub: PermGroup) -> frozenset[tuple[int, ...]]:
-    return frozenset(p.images for p in sub.elements())
+    return frozenset(sub.elements())
 
 
-def reference_normalizer(sub: PermGroup, group: PermGroup) -> list[Permutation]:
+def _conjugate(x: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
+    """x^-1 h x."""
+    return compose(compose(inverse(x), h), x)
+
+
+def reference_normalizer(sub: PermGroup, group: PermGroup) -> list[tuple[int, ...]]:
     """Every element x of ``group`` with x^-1 sub x = sub, by scanning them all."""
     sub_elems = _element_set(sub)
-    sub_gens = sub.generators or (Permutation.identity(sub.degree),)
+    sub_gens = sub.generators or (tuple(range(sub.degree)),)
     keep = []
     for x in group.elements():
-        x_inv = x.inverse()
-        if all((x_inv * h * x).images in sub_elems for h in sub_gens):
+        if all(_conjugate(x, h) in sub_elems for h in sub_gens):
             keep.append(x)
     return keep
 
@@ -504,10 +530,9 @@ def reference_are_conjugate(group: PermGroup, a: PermGroup, b: PermGroup):
     b_elems = _element_set(b)
     if len(_element_set(a)) != len(b_elems):
         return None
-    a_gens = a.generators or (Permutation.identity(a.degree),)
+    a_gens = a.generators or (tuple(range(a.degree)),)
     for x in group.elements():
-        x_inv = x.inverse()
-        if all((x_inv * h * x).images in b_elems for h in a_gens):
+        if all(_conjugate(x, h) in b_elems for h in a_gens):
             return x
     return None
 
@@ -649,17 +674,17 @@ def circuit_voltage(va: VoltageAssignment, circuit: BaseCircuit):
     return acc
 
 
-def circuit_pairs(va: VoltageAssignment, sigma: Permutation) -> list[tuple]:
+def circuit_pairs(va: VoltageAssignment, sigma: tuple[int, ...]) -> list[tuple]:
     """(voltage of each base circuit, voltage of its image walk under sigma)."""
     pairs = []
     for c in base_circuits(va):
-        image = [sigma.images[v] for v in c.vertices]
+        image = [sigma[v] for v in c.vertices]
         image.append(image[0])
         pairs.append((circuit_voltage(va, c), walk_voltage(va, image)))
     return pairs
 
 
-def lift_exists_by_scan(va: VoltageAssignment, sigma: Permutation) -> bool:
+def lift_exists_by_scan(va: VoltageAssignment, sigma: tuple[int, ...]) -> bool:
     """Some voltage-group automorphism maps every base-circuit voltage onto the
     voltage of the circuit's image walk: sigma lifts (Malnic, Nedela and
     Skoviera 2000)."""

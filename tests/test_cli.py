@@ -62,11 +62,25 @@ def test_table_commands(capsys):
     assert len(payload["instances"]) == 6
 
 
-def test_theorem_a_bound_too_small(capsys):
-    # groups of order <= 4 only reach K_4 and the cube
-    code, payload = run_json(capsys, ["theorem-a", "--max-group-order", "4"])
-    assert code == 1 and not payload["pass"]
-    assert sorted(rec["name"] for rec in payload["instances"]) == ["K_4", "Q_3"]
+# the graphs theorem-a finds at a group-order bound: one over H has 2|H|
+# vertices, so a bound below 12 misses the larger of K_4 (4), Q_3 (8),
+# GP(8,3) (16) and GP(12,5) (24)
+THEOREM_A_AT = {
+    2: ["K_4"],
+    3: ["K_4"],
+    4: ["K_4", "Q_3"],
+    7: ["K_4", "Q_3"],
+    8: ["GP(8,3)", "K_4", "Q_3"],
+    11: ["GP(8,3)", "K_4", "Q_3"],
+    12: ["GP(12,5)", "GP(8,3)", "K_4", "Q_3"],
+}
+
+
+@pytest.mark.parametrize("bound", sorted(THEOREM_A_AT))
+def test_theorem_a_bound_too_small(capsys, bound):
+    code, payload = run_json(capsys, ["theorem-a", "--max-group-order", str(bound)])
+    assert code == 0 and payload["pass"] is True
+    assert sorted(rec["name"] for rec in payload["instances"]) == THEOREM_A_AT[bound]
 
 
 def test_theorem_b_small(capsys):

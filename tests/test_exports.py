@@ -1,7 +1,8 @@
 """Every name a module exports resolves, so a deletion cannot leave a stale
 entry in ``__all__`` for ``from bicayley.<module> import *`` to trip over,
-every function the benchmark's tracer wraps by name still exists, and no
-import, function, class or method in ``src/`` is left that nothing uses."""
+every function the benchmark's tracer wraps by name still exists, no
+import, function, class or method in ``src/`` is left that nothing uses, and
+every permutation handed out is a plain image tuple."""
 
 import ast
 import importlib
@@ -11,6 +12,10 @@ from collections import Counter
 from pathlib import Path
 
 import bicayley
+from bicayley.abelian import make_group
+from bicayley.construction import BiCayleySpec, build, iota, right_translation, right_translations
+from bicayley.symmetry import are_conjugate, automorphism_group, enumerate_semiregular
+from bicayley.voltage import fig_alpha, fig_assignment, lifts
 
 
 def test_every_export_resolves():
@@ -96,3 +101,29 @@ def test_no_dead_imports_or_definitions():
         and everywhere[node.name] == Counter(_references(node))[node.name]
     ]
     assert not unreferenced, f"nothing in src/ references {unreferenced}"
+
+
+def _is_image_tuple(x, degree: int) -> bool:
+    return type(x) is tuple and len(x) == degree and all(type(v) is int for v in x)
+
+
+def test_permutations_are_plain_image_tuples():
+    """Every permutation the package hands out is a plain tuple of ints, and
+    no wrapper class is exported."""
+    assert not hasattr(bicayley, "Permutation")
+    z7 = make_group([7])
+    heawood = build(BiCayleySpec.create(z7, (), (), tuple(z7.element(s) for s in (0, 1, 3))))
+    assert _is_image_tuple(right_translation(heawood, z7.element(2)), 14)
+    assert _is_image_tuple(iota(heawood), 14)
+    alpha = fig_alpha()
+    assert _is_image_tuple(alpha, 8)
+    assert _is_image_tuple(lifts(fig_assignment(3), alpha)[1], 24)
+
+    aut = automorphism_group(heawood.graph)
+    members = enumerate_semiregular(aut, heawood.parts, (7,))
+    trans = right_translations(heawood)
+    assert _is_image_tuple(are_conjugate(aut, trans, members[-1]), 14)
+    for group in [aut, trans, *members]:
+        assert group.generators
+        assert all(_is_image_tuple(g, 14) for g in group.generators)
+        assert all(_is_image_tuple(x, 14) for x in group.elements())

@@ -12,6 +12,7 @@ from _oracles import (
     hypercube,
     layout_id,
     lift_exists_by_scan,
+    perm_order,
     random_graph,
     walk_voltage,
 )
@@ -19,7 +20,6 @@ from bicayley.abelian import make_group, subgroup_generated
 from bicayley.graphs import Graph, bipartition, girth, is_connected
 from bicayley.construction import generalized_petersen
 from bicayley.symmetry import (
-    Permutation,
     automorphism_group,
     certificate,
     k_arc_regularity,
@@ -42,8 +42,8 @@ def check_lift(va, sigma, result) -> None:
     sigma_star, lift = result
     size = va.group.size
     assert all(sigma_star(z) == y for z, y in circuit_pairs(va, sigma))
-    assert lift.images[0] == sigma.images[0] * size
-    assert all(lift.images[v] // size == sigma.images[v // size] for v in range(lift.degree))
+    assert lift[0] == sigma[0] * size
+    assert all(lift[v] // size == sigma[v // size] for v in range(len(lift)))
 
 
 def test_assignment_validation():
@@ -107,8 +107,8 @@ def test_fig_fixture_shape():
     assert len(charged) == 4
     assert len(va.cotree_arcs()) == 5
     alpha = fig_alpha()
-    assert alpha.order() == 3
-    assert alpha.images[0] == 0 and alpha.images[2] == 2
+    assert perm_order(alpha) == 3
+    assert alpha[0] == 0 and alpha[2] == 2
     with pytest.raises(ValueError):
         fig_assignment(0)
 
@@ -179,11 +179,11 @@ def test_derive_follows_the_layout():
 
 def test_identity_lifts_to_identity():
     va = fig_assignment(3)
-    sigma_star, lift = lifts(va, Permutation.identity(8))
+    sigma_star, lift = lifts(va, tuple(range(8)))
     assert all(
         img == gen for img, gen in zip(sigma_star.images, va.group.generators())
     )
-    assert lift.is_identity
+    assert lift == tuple(range(len(lift)))
 
 
 def test_alpha_lifts_exactly_over_one_and_three():
@@ -197,7 +197,7 @@ def test_alpha_lifts_exactly_over_one_and_three():
             lift = result[1]
             cover = derive(va)
             for u, v in cover.edges:
-                assert cover.has_edge(lift.images[u], lift.images[v])
+                assert cover.has_edge(lift[u], lift[v])
 
 
 def test_lift_decision_matches_automorphism_scan():
@@ -254,8 +254,8 @@ def test_lift_decision_matches_scan_on_random_assignments():
 
 def test_lifts_rejects_non_automorphisms():
     va = fig_assignment(3)
-    not_auto = Permutation((1, 0) + tuple(range(2, 8)))
+    not_auto = (1, 0) + tuple(range(2, 8))
     with pytest.raises(ValueError, match="not a base automorphism"):
         lifts(va, not_auto)
     with pytest.raises(ValueError, match="degree"):
-        lifts(va, Permutation.identity(5))
+        lifts(va, tuple(range(5)))
