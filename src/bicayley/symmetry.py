@@ -5,12 +5,15 @@ left to right, so x y = itemgetter(*x)(y) sends v to y[x[v]].  The
 automorphism and certificate engine is a backtracking search over
 equitable ordered partitions (individualization-refinement).  Its first path
 is a base and the automorphisms it keeps a strong generating set for it, so
-|Aut| is the product of the first-path orbit lengths.  The search may start
+|Aut| is the product of the first-path orbit lengths, and the kept
+generators that fix its first vertex w generate Aut_w.  The search may start
 from known automorphisms: true ones prune soundly, never the best leaf, so
-the output is that of an unseeded search.  Every other group is listed by
-closure over its generators, bounded by BICAYLEY_MAX_AUT (default 100000).
-Normalizers and conjugacy come from the orbit of a subgroup under
-conjugation by the group's generators.
+the output is that of an unseeded search.  Arc types and the semiregular
+candidates are read off Aut_w, so no step lists all of Aut.  Aut_w and the
+groups from bare generators are listed by closure over their generators,
+bounded by BICAYLEY_MAX_AUT (default 100000); the semiregular enumeration
+refuses an Aut of larger order.  Normalizers and conjugacy come from the
+orbit of a subgroup under conjugation by the group's generators.
 """
 
 from __future__ import annotations
@@ -52,6 +55,14 @@ def max_enumeration_bound() -> int:
     if bound < 1:
         raise ValueError(f"BICAYLEY_MAX_AUT must be a positive integer, got {raw!r}")
     return bound
+
+
+def _refusal(order, bound: int) -> ValueError:
+    """The error refusing to list a group of ``order`` past ``bound``."""
+    return ValueError(
+        f"group of order {order} exceeds the enumeration bound {bound}; "
+        "raise BICAYLEY_MAX_AUT to override"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -101,13 +112,15 @@ def _closure(start: tuple[int, ...], images, bound: int | None = None):
 class PermGroup:
     """Permutation group on 0..degree-1 given by generators.
 
-    An automorphism group carries its order from the search.  Any other group
-    lists its elements by breadth-first closure over its generators, and its
-    order and membership read that list.  Listing refuses a group larger than
-    BICAYLEY_MAX_AUT, before it starts when the order is known.
+    An automorphism group carries its order from the search, and the search's
+    first path as ``base``: the generators that fix ``base[0]`` generate its
+    stabilizer.  A group from bare generators has no base, and lists its
+    elements by breadth-first closure over its generators to learn its order
+    and membership.  Listing refuses a group larger than BICAYLEY_MAX_AUT,
+    before it starts when the order is known.
     """
 
-    def __init__(self, degree: int, generators=(), order: int | None = None):
+    def __init__(self, degree: int, generators=(), order: int | None = None, base=()):
         self.degree = degree
         seen: set[tuple[int, ...]] = set()
         gens = []
@@ -119,6 +132,7 @@ class PermGroup:
                 gens.append(g)
         self.generators: tuple[tuple[int, ...], ...] = tuple(gens)
         self._order = order
+        self.base: tuple[int, ...] = tuple(base)
         self._listed: list[tuple[int, ...]] | None = None
         self._members: set[tuple[int, ...]] | None = None
 
@@ -137,15 +151,11 @@ class PermGroup:
         """Every element as an image tuple; refuses past the enumeration bound."""
         if self._listed is None:
             bound = max_enumeration_bound()
-            refusal = (
-                f"group of order {{}} exceeds the enumeration bound {bound}; "
-                "raise BICAYLEY_MAX_AUT to override"
-            )
             if self._order is not None and self._order > bound:
-                raise ValueError(refusal.format(self._order))
+                raise _refusal(self._order, bound)
             listed = _closure(_identity_images(self.degree), self.generators, bound)
             if listed is None:
-                raise ValueError(refusal.format(f"over {bound}"))
+                raise _refusal(f"over {bound}", bound)
             if self._order is not None and len(listed) != self._order:
                 raise RuntimeError(
                     f"closure lists {len(listed)} elements of a group of order {self._order}"
@@ -155,6 +165,16 @@ class PermGroup:
 
     def orbit(self, v: int) -> frozenset[int]:
         return frozenset(_orbit((v,), self.generators))
+
+    def point_stabilizer(self) -> tuple[int, list[tuple[int, ...]]]:
+        """``base[0]`` and the generators that fix it, which generate its
+        stabilizer.  A group with no generators is trivial, so 0 serves."""
+        if not self.base:
+            if self.generators:
+                raise ValueError(f"{self!r} has no base, so its point stabilizers are unknown")
+            return 0, []
+        w = self.base[0]
+        return w, [g for g in self.generators if g[w] == w]
 
     def orbit_roots(self) -> list[int]:
         """The least point of each orbit, ascending."""
@@ -427,11 +447,11 @@ def _check_search_bound(n: int) -> None:
         raise ValueError(f"graph on {n} vertices exceeds the search bound {_MAX_SEARCH_VERTICES}")
 
 
-def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], int, str]:
-    """Automorphism generators, |Aut| and certificate, cached on the graph
-    alone: ``known`` seeds only a search, so the cached generators are those
-    of the caller that came first, while |Aut| and the certificate cannot
-    differ."""
+def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], int, str, tuple]:
+    """Automorphism generators, |Aut|, certificate and the first path, cached
+    on the graph alone: ``known`` seeds only a search, so the cached
+    generators are those of the caller that came first, while |Aut|, the
+    certificate and the first path, always the leftmost, cannot differ."""
     result = _ANALYZED.pop(graph, None)
     if result is None:
         _check_search_bound(graph.n)
@@ -442,7 +462,7 @@ def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], int,
         order = prod(len(search.orbit_fixing([v], path[:i])) for i, v in enumerate(path))
         # the best leaf's keys are the graph6 bits of the relabeled graph
         cert = _graph6(graph.n, search.best[0])
-        result = tuple(search.autos), order, cert
+        result = tuple(search.autos), order, cert, tuple(path)
     _ANALYZED[graph] = result  # the most recently used last
     if len(_ANALYZED) > 4096:
         del _ANALYZED[next(iter(_ANALYZED))]
@@ -451,8 +471,8 @@ def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], int,
 
 def automorphism_group(graph: Graph, known=()) -> PermGroup:
     """Full automorphism group; a search, if one runs, starts from ``known``."""
-    autos, order, _ = _analyzed(graph, known)
-    return PermGroup(graph.n, autos, order)
+    autos, order, _, base = _analyzed(graph, known)
+    return PermGroup(graph.n, autos, order, base)
 
 
 def certificate(graph: Graph, known=()) -> str:
@@ -462,11 +482,11 @@ def certificate(graph: Graph, known=()) -> str:
 # --- k-arc machinery ---------------------------------------------------------
 
 
-def _first_arc(graph: Graph, k: int) -> tuple[int, ...]:
-    """The first k-arc in lexicographic order: from vertex 0, each step goes to
-    the least neighbour other than the previous vertex.  Every vertex needs
+def _first_arc(graph: Graph, k: int, start: int) -> tuple[int, ...]:
+    """The first k-arc from ``start`` in lexicographic order: each step goes
+    to the least neighbour other than the previous vertex.  Every vertex needs
     two neighbours, as in a cubic graph."""
-    walk = [0]
+    walk = [start]
     for _ in range(k):
         back = walk[-2] if len(walk) > 1 else None
         walk.append(next(w for w in graph.adjacency[walk[-1]] if w != back))
@@ -478,8 +498,8 @@ def k_arc_regularity(graph: Graph) -> tuple[int | None, bool]:
 
     For a connected cubic graph with arc-transitive automorphism group of
     order a, the unique candidate is the k with a = n*3*2^(k-1); regularity is
-    then equivalent to transitivity on k-arcs, verified by an explicit orbit
-    computation.
+    then equivalent to transitivity on k-arcs, verified by an orbit
+    computation in the stabilizer of one vertex.
     """
     if not graph.is_regular(3):
         raise ValueError("k-arc-regularity analysis requires a cubic graph")
@@ -489,15 +509,19 @@ def k_arc_regularity(graph: Graph) -> tuple[int | None, bool]:
 
 
 def _arc_type(graph: Graph, aut: PermGroup) -> tuple[int | None, bool]:
-    """k_arc_regularity for a connected cubic graph with automorphism group aut."""
-    gens = aut.generators
-    if len(_closure(_first_arc(graph, 1), gens)) != 2 * graph.edge_count:
+    """k_arc_regularity for a connected cubic graph with automorphism group
+    aut, which must carry a base.  Aut is transitive on k-arcs exactly when it
+    is transitive on vertices and Aut_w, for w = base[0], is transitive on the
+    3*2^(k-1) k-arcs that start at w, so the only orbits closed are w's and
+    those of k-arcs at w."""
+    w, stabilizer = aut.point_stabilizer()
+    n = graph.n
+    if len(aut.orbit(w)) != n or len(_closure(_first_arc(graph, 1, w), stabilizer)) != 3:
         return None, False
     a = aut.order()
-    n = graph.n
     for k in range(1, 6):
         if a == n * 3 * 2 ** (k - 1):
-            if len(_closure(_first_arc(graph, k), gens)) != a:
+            if len(_closure(_first_arc(graph, k, w), stabilizer)) != a // n:
                 raise RuntimeError(
                     f"automorphism order {a} matches k={k} but the action is not "
                     f"transitive on {k}-arcs"
@@ -567,7 +591,8 @@ def _grow(sub, orbit, v0: int, g: tuple[int, ...], d: int, cand_set):
 
 def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
     """Subgroups isomorphic to H = Z_d1 x ... x Z_dr (``orders``), semiregular,
-    whose orbits are exactly the two parts.
+    whose orbits are exactly the two parts.  ``group`` must carry a base, as
+    an automorphism group does, and is refused past BICAYLEY_MAX_AUT.
 
     Candidate elements must preserve both parts and be fixed-point-free; a
     group of such elements is semiregular, and at order m = |H| = |part| its
@@ -584,6 +609,12 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
     once per group it reaches, since a g inside a group already grown from P
     would grow it to that same group, whose earlier tuple is kept.  Elements
     are image tuples, x y = itemgetter(*x)(y).
+
+    The candidates come without listing the group.  With w = base[0] and
+    t_u an element sending w to u, from one breadth-first transversal of w's
+    orbit, every element is sigma t_u for one sigma in the stabilizer G_w and
+    one u.  A part-preserving, fixed-point-free element sends w to some
+    u != w of w's part, so only those u are taken, with G_w listed by closure.
     """
     m = prod(orders)
     part0, part1 = (frozenset(p) for p in parts)
@@ -591,14 +622,28 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
         raise ValueError(
             f"parts of sizes {len(part0)},{len(part1)} cannot be the orbits of an order-{m} group"
         )
+    w, fixing = group.point_stabilizer()
+    bound = max_enumeration_bound()
+    if group.order() > bound:
+        raise _refusal(group.order(), bound)
     degree = group.degree
     identity = _identity_images(degree)
-    candidates = [
-        x
-        for x in group.elements()
-        if not any(map(eq, x, identity))  # the identity fixes every point
-        and part0.issuperset(map(x.__getitem__, part0))
-    ]
+    transversal = [(w, identity)]  # (u, t_u)
+    reached = {w}
+    for u, t in transversal:  # grows while walked
+        for g in group.generators:
+            v = g[u]
+            if v not in reached:
+                reached.add(v)
+                transversal.append((v, itemgetter(*t)(g)))
+    side = part0 if w in part0 else part1
+    ends = [t for u, t in transversal if u in side and u != w]
+    candidates = []
+    for sigma in _closure(identity, fixing):
+        times = itemgetter(*sigma)  # times(t) is sigma t
+        for x in map(times, ends):
+            if not any(map(eq, x, identity)) and part0.issuperset(map(x.__getitem__, part0)):
+                candidates.append(x)
     cand_set = frozenset(candidates)
     v0 = min(part0)
     # a usable g of order d has a cycle of length exactly d through v0 (a
@@ -606,9 +651,9 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
     # so g is only tried for that length; _grow checks that g^d = 1
     cyclic: dict[int, list[tuple[int, ...]]] = {}
     for x in candidates:
-        d, w = 1, x[v0]
-        while w != v0:
-            d, w = d + 1, x[w]
+        d, v = 1, x[v0]
+        while v != v0:
+            d, v = d + 1, x[v]
         if d in orders:
             cyclic.setdefault(d, []).append(x)
     # partial subgroup -> the generators of the first tuple reaching it

@@ -14,9 +14,10 @@ individualization-refinement search and its big-integer leaf certificate,
 written as methods to patch into ``bicayley.symmetry._Search`` in place of the
 fast ones, the unreduced Theorem A scan and the full-scan BCI oracle, which
 build and certify graphs through the package, and the orbit and
-semiregularity tests, the subgroup-lattice and coset-by-coset enumerations of
-semiregular subgroups and the element scans for normalizers and conjugacy,
-which work on the package's permutation groups, the base-circuit lift
+semiregularity tests, the arc type from orbits on every arc and k-arc, the
+subgroup-lattice and coset-by-coset enumerations of semiregular subgroups
+and the element scans for normalizers and conjugacy, which work on the
+package's permutation groups, the base-circuit lift
 criterion, which reads the package's voltage assignments, and the
 row-by-row Table 1 transcription, which forms its quotients through the
 reference Smith normal form and its groups and spec strings through the
@@ -123,6 +124,35 @@ def k_arcs(graph: Graph, k: int) -> list[tuple[int, ...]]:
                     nxt.append(walk + (w,))
         arcs = nxt
     return arcs
+
+
+def reference_arc_type(graph: Graph, aut: PermGroup) -> tuple[int | None, bool]:
+    """The arc type of a connected cubic graph from orbits on all of its arcs:
+    None unless the orbit of the first 1-arc under ``aut``'s generators holds
+    every arc, else the k with |Aut| = n*3*2^(k-1), once the first k-arc's
+    orbit is checked to hold |Aut| walks, one per automorphism."""
+
+    def orbit_size(walk: tuple[int, ...]) -> int:
+        seen = {walk}
+        frontier = [walk]
+        while frontier:
+            x = frontier.pop()
+            for g in aut.generators:
+                y = tuple(g[v] for v in x)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return len(seen)
+
+    if orbit_size(k_arcs(graph, 1)[0]) != 2 * graph.edge_count:
+        return None, False
+    a = aut.order()
+    for k in range(1, 6):
+        if a == graph.n * 3 * 2 ** (k - 1):
+            if orbit_size(k_arcs(graph, k)[0]) != a:
+                raise RuntimeError(f"|Aut| = {a} matches k={k}, but Aut moves {k}-arcs apart")
+            return k, True
+    raise RuntimeError(f"|Aut| = {a} on {graph.n} vertices fits no k <= 5")
 
 
 def layout_id(element, fibre: int) -> int:

@@ -19,6 +19,7 @@ from _oracles import (
     lcf_graph,
     orbits,
     random_graph,
+    reference_arc_type,
     reference_are_conjugate,
     reference_conjugacy_class_count,
     reference_descend,
@@ -44,6 +45,7 @@ from bicayley.construction import (
 )
 from bicayley.graphs import Graph, encode_graph6
 from bicayley.symmetry import (
+    _arc_type,
     _conjugates,
     _first_arc,
     _grow,
@@ -176,12 +178,14 @@ def test_refine_matches_reference_on_every_call(monkeypatch):
 
 
 def _fresh_analysis(graph: Graph, leaves: list, known=()):
-    """A new search's generators, |Aut|, labeling, certificate and orbit roots;
-    ``leaves`` lists the search of every leaf reached, so this one's last."""
+    """A new search's generators, |Aut|, labeling, certificate, orbit roots
+    and first path; ``leaves`` lists the search of every leaf reached, so this
+    one's last."""
     symmetry._ANALYZED.pop(graph, None)
-    autos, order, cert = symmetry._analyzed(graph, known)
+    autos, order, cert, base = symmetry._analyzed(graph, known)
     labeling = leaves[-1].best[1]
-    return autos, (order, labeling, cert, PermGroup(graph.n, autos).orbit_roots())
+    assert base == tuple(leaves[-1].first_path)
+    return autos, (order, labeling, cert, PermGroup(graph.n, autos).orbit_roots(), base)
 
 
 def test_seeded_search_gives_the_unseeded_output(monkeypatch):
@@ -251,6 +255,34 @@ def test_aut_order_from_search_matches_closure():
     ):
         assert automorphism_group(graph).order() == order
     assert len(automorphism_group(k14).generators) <= 40
+
+
+def test_base_is_the_first_path_and_a_strong_base():
+    # the first path is the leftmost, seeds or none, so the graph-keyed cache
+    # may hand either search's base to any caller; the kept generators that
+    # fix base[0] must generate its whole stabilizer
+    rng = random.Random(31)
+    cases = []
+    for inst in census.table1_instances(128) + census.table2_instances(128):
+        g = inst.bigraph.graph
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cases += [(g, list(known_automorphisms(inst.bigraph))), (g.relabel(perm), [])]
+    cases += [(g, []) for g in _relabeled(small_corpus(40), 7, 1)]
+    for g, known in cases:
+        search = _Search(g)
+        search.run()
+        for seeds in ((), known):
+            symmetry._ANALYZED.pop(g, None)
+            aut = automorphism_group(g, seeds)
+            assert aut.base == tuple(search.first_path), g.edges
+        if not aut.base:
+            assert aut.order() == 1 and not aut.generators
+            continue
+        w, fixing = aut.point_stabilizer()
+        stabilizer = _mul_close(fixing, g.n, 50_000)
+        assert stabilizer == {x for x in aut.elements() if x[w] == w}, g.edges
+        assert len(stabilizer) * len(aut.orbit(w)) == aut.order(), g.edges
 
 
 def test_perm_group_order_matches_naive_closure():
@@ -367,7 +399,7 @@ def test_k_arcs_counts():
     for inst in members:
         g = inst.bigraph.graph
         for k in range(6):
-            assert _first_arc(g, k) == k_arcs(g, k)[0]
+            assert _first_arc(g, k, 0) == k_arcs(g, k)[0]
 
 
 def test_k_arc_regularity_frozen_values():
@@ -393,6 +425,39 @@ def test_k_arc_regularity_frozen_values():
     )
     with pytest.raises(ValueError):
         k_arc_regularity(two_k4)
+
+
+def test_arc_type_matches_orbits_on_every_arc():
+    # _arc_type reads the stabilizer of base[0]; the reference closes orbits
+    # on all arcs and on |Aut| k-arcs.  Relabelings, searched unseeded, move
+    # the base; prisms GP(n,1) are vertex- but not arc-transitive, and
+    # GP(7,2) is not vertex-transitive; the Tutte 8-cage is 5-arc-regular;
+    # the Gray graph is edge- but not vertex-transitive, so Aut_w is
+    # transitive on the arcs at w while Aut is not on all arcs
+    rng = random.Random(37)
+    graphs = []
+    for inst in census.table1_instances(256) + census.table2_instances(256):
+        g = inst.bigraph.graph
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs += [(g, automorphism_group(g, known_automorphisms(inst.bigraph)))]
+        graphs += [(g.relabel(perm), None)]
+    for n in range(5, 31):
+        graphs += [(generalized_petersen(n, k).graph, None) for k in range(1, (n + 1) // 2)]
+    graphs.append((lcf_graph([-13, -9, 7, -7, 9, 13], 5), None))
+    graphs.append((lcf_graph([-25, 7, -7, 13, -13, 25], 9), None))
+    for m in range(4, 17):
+        for spokes in ([0, 1, 3], [0, 1, 4], [0, 2, 5])[: m - 3]:
+            b = _zero_type([m], spokes)
+            if predicted_connected(b.spec):
+                graphs.append((b.graph, None))
+    types = set()
+    for g, aut in graphs:
+        aut = aut or automorphism_group(g)
+        got = _arc_type(g, aut)
+        assert got == reference_arc_type(g, aut), g.edges
+        types.add(got)
+    assert (None, False) in types and {(k, True) for k in (1, 2, 3, 4, 5)} <= types
 
 
 def _criterion_inputs():
@@ -441,6 +506,13 @@ def test_enumerate_semiregular():
     assert len(enumerate_semiregular(automorphism_group(k33.graph), k33.parts, (3,))) == 2
     with pytest.raises(ValueError):
         enumerate_semiregular(aut, heawood.parts, (5,))
+    # the candidates are read off a base, which bare generators do not give
+    bare = PermGroup(aut.degree, aut.generators)
+    with pytest.raises(ValueError, match="has no base"):
+        enumerate_semiregular(bare, heawood.parts, (7,))
+    # ... except a trivial group, whose stabilizers are all trivial
+    [trivial] = enumerate_semiregular(PermGroup(2), [{0}, {1}], (1,))
+    assert trivial.elements() == [(0, 1)]
 
 
 def _element_sets(subs):
@@ -467,9 +539,13 @@ def test_enumerate_semiregular_matches_lattice_search():
 
 
 def test_enumerate_semiregular_matches_coset_by_coset_growth():
-    # the two skipping rules leave the generator tuples and their order alone
+    # the skipping rules and the candidates built from the base point's
+    # stabilizer leave the subgroups and their order alone; on the
+    # disconnected H=6, H=4 and H=3 inputs Aut_w also moves the parts, and
+    # on K_2 (H=1) the one subgroup is trivial, found from no candidate
     graphs = [inst.bigraph for inst in census.table1_instances(128)]
     graphs += [_zero_type([8], [0, 1, 2, 5]), _zero_type([6], [0, 2, 4])]
+    graphs += [_zero_type([4], [0, 2]), _zero_type([3], []), _zero_type([1], [0])]
     checked = 0
     for b in graphs:
         aut = automorphism_group(b.graph)
@@ -478,9 +554,9 @@ def test_enumerate_semiregular_matches_coset_by_coset_growth():
         orders = b.spec.group.orders
         got = enumerate_semiregular(aut, b.parts, orders)
         want = reference_enumerate_semiregular(aut, b.parts, orders)
-        assert [sub.generators for sub in got] == [sub.generators for sub in want], b.spec
+        assert _element_sets(got) == _element_sets(want), b.spec
         checked += 1
-    assert checked == 28
+    assert checked == 31
 
 
 def test_grow_refuses_a_generator_of_order_above_its_cycle_through_v0():
