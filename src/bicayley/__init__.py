@@ -7,7 +7,6 @@ BCI decisions, with a census CLI over the cubic families.
 from bicayley.abelian import (
     AbelianGroup,
     GroupElement,
-    Subgroup,
     make_group,
     element_order,
     subgroup_generated,
@@ -34,7 +33,6 @@ from bicayley.census import (
 __all__ = [
     "AbelianGroup",
     "GroupElement",
-    "Subgroup",
     "make_group",
     "element_order",
     "subgroup_generated",

@@ -13,8 +13,6 @@ from math import gcd, lcm, prod
 __all__ = [
     "AbelianGroup",
     "GroupElement",
-    "Subgroup",
-    "GroupAutomorphism",
     "make_group",
     "element_order",
     "subgroup_generated",
@@ -139,32 +137,9 @@ def element_order(g: GroupElement) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of ``parent`` carrying its full (closed) element set."""
-
-    parent: AbelianGroup
-    generators: tuple[GroupElement, ...]
-    elements: frozenset[GroupElement]
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @property
-    def is_whole_group(self) -> bool:
-        return len(self.elements) == self.parent.size
-
-    def __contains__(self, g: GroupElement) -> bool:
-        return g in self.elements
-
-    def __repr__(self) -> str:
-        return f"Subgroup(order {self.size} of {self.parent})"
-
-
-def subgroup_generated(group: AbelianGroup, gens) -> Subgroup:
-    """Closure of ``gens`` under multiplication; in a finite group the
-    inverse of g is a power of g, so inversion adds nothing."""
+def subgroup_generated(group: AbelianGroup, gens) -> frozenset[GroupElement]:
+    """The elements of the subgroup ``gens`` generate: their closure under
+    multiplication, since in a finite group the inverse of g is a power of g."""
     gens = tuple(gens)
     for g in gens:
         if g.group != group:
@@ -178,30 +153,7 @@ def subgroup_generated(group: AbelianGroup, gens) -> Subgroup:
             if y not in closed:
                 closed.add(y)
                 frontier.append(y)
-    return Subgroup(group, gens, frozenset(closed))
-
-
-@dataclass(frozen=True)
-class GroupAutomorphism:
-    """An automorphism, stored by its images of the standard generators."""
-
-    group: AbelianGroup
-    images: tuple[GroupElement, ...]
-
-    def apply(self, g: GroupElement) -> GroupElement:
-        if g.group != self.group:
-            raise ValueError(f"{g} is not an element of {self.group}")
-        acc = self.group.identity
-        for e, img in zip(g.exponents, self.images):
-            acc = acc * img**e
-        return acc
-
-    def __call__(self, g: GroupElement) -> GroupElement:
-        return self.apply(g)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.images == self.group.generators()
+    return frozenset(closed)
 
 
 def _shifted(orders: tuple[int, ...], exponents, sign: int = 1) -> list[int]:
@@ -224,9 +176,12 @@ def _index_table(group: AbelianGroup):
 
 
 @lru_cache(maxsize=None)
-def _automorphism_tables(group: AbelianGroup) -> tuple[tuple[int, ...], ...]:
-    """Every automorphism as the indices of its images of the elements, by
-    exhaustive choice of generator images.
+def automorphism_group_of(group: AbelianGroup) -> tuple[tuple[int, ...], ...]:
+    """Every automorphism of ``group``, each as its element-index table: entry
+    i is the index in ``group.elements()`` of the image of element i.  They
+    come in the product order of the images of the standard generators, the
+    first generator's image varying slowest, and are found by exhaustive
+    choice of those images.  Groups of order above 16 are refused.
 
     An endomorphism is determined by images x_i of the standard generators and
     is well-defined iff order(x_i) divides the i-th factor order d_i.  The
@@ -259,13 +214,3 @@ def _automorphism_tables(group: AbelianGroup) -> tuple[tuple[int, ...], ...]:
 
     extend(0, [0])
     return tuple(result)
-
-
-def automorphism_group_of(group: AbelianGroup) -> list[GroupAutomorphism]:
-    """Every automorphism, in the order of their generator image tuples."""
-    elems = _index_table(group)[0]
-    gens = [elems.index(g) for g in group.generators()]
-    return [
-        GroupAutomorphism(group, tuple(elems[table[i]] for i in gens))
-        for table in _automorphism_tables(group)
-    ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from bicayley.abelian import _MAX_AUT_ORDER, AbelianGroup, _automorphism_tables, _index_table
+from bicayley.abelian import _MAX_AUT_ORDER, AbelianGroup, _index_table, automorphism_group_of
 from bicayley.construction import (
     BiCayleyGraph,
     BiCayleySpec,
@@ -22,8 +22,8 @@ from bicayley.construction import (
     right_translations,
 )
 from bicayley.symmetry import (
-    PermGroup,
     _conjugates,
+    _orbit,
     automorphism_group,
     certificate,
     enumerate_semiregular,
@@ -70,7 +70,7 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
     keys = [frozenset(sub.elements()) for sub in members]
     if frozenset(trans.elements()) not in keys:
         raise RuntimeError("internal error: translation group missing from its own class")
-    transitive = PermGroup(b.graph.n, schreier).is_transitive_on(range(b.graph.n))
+    transitive = len(_orbit((0,), schreier)) == b.graph.n
 
     classes = 1  # the translation group's; its orbit also gave the normalizer
     for sub, key in zip(members, keys):
@@ -116,7 +116,7 @@ def _first_match(group: AbelianGroup, k: int, target: str, skip=()) -> BiCayleyS
     if k == 0:
         return None  # no 0-subset contains the identity
     elems, sums, neg = _index_table(group)
-    autos = _automorphism_tables(group)
+    autos = automorphism_group_of(group)
     marked = _identity_translates([elems.index(s) for s in skip], autos, sums, neg)
     for rest in combinations(range(1, group.size), k - 1):
         raw = (0, *rest)

@@ -120,7 +120,7 @@ def predicted_connected(spec: BiCayleySpec) -> bool:
     gens = list(spec.right) + list(spec.left)
     s0 = spec.spokes[0]
     gens += [s * s0.inverse() for s in spec.spokes]
-    return subgroup_generated(spec.group, gens).is_whole_group
+    return len(subgroup_generated(spec.group, gens)) == spec.group.size
 
 
 def right_translation(b: BiCayleyGraph, h: GroupElement) -> tuple[int, ...]:

@@ -186,12 +186,6 @@ class PermGroup:
                 covered |= self.orbit(v)
         return roots
 
-    def is_transitive_on(self, points) -> bool:
-        points = frozenset(points)
-        if not points:
-            return True
-        return points <= self.orbit(min(points))
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 

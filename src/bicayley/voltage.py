@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from bicayley.abelian import AbelianGroup, GroupAutomorphism, GroupElement, make_group
+from bicayley.abelian import AbelianGroup, GroupElement, make_group
 from bicayley.construction import _fibred_graph
 from bicayley.graphs import Graph, is_connected
 
@@ -78,17 +78,6 @@ class VoltageAssignment:
                 raise ValueError(f"cotree edge ({u},{v}) has no voltage")
         return VoltageAssignment(base, group, tree, voltages)
 
-    def voltage(self, tail: int, head: int) -> GroupElement:
-        if (tail, head) not in self.voltages:
-            raise ValueError(f"({tail},{head}) is not an arc of the base graph")
-        return self.voltages[(tail, head)]
-
-    def cotree_arcs(self) -> list[tuple[int, int]]:
-        """One arc (u, v) with u < v per non-tree edge, sorted."""
-        return sorted(
-            (u, v) for u, v in self.base.edges if (u, v) not in self.tree
-        )
-
 
 def derive(va: VoltageAssignment) -> Graph:
     """The covering graph: vertices (w, k), edges {(w,k), (w', zeta(w,w')k)}."""
@@ -96,20 +85,17 @@ def derive(va: VoltageAssignment) -> Graph:
     return _fibred_graph(va.group, va.base.n, arcs)
 
 
-def lifts(
-    va: VoltageAssignment, sigma: tuple[int, ...]
-) -> tuple[GroupAutomorphism, tuple[int, ...]] | None:
+def lifts(va: VoltageAssignment, sigma: tuple[int, ...]) -> tuple[int, ...] | None:
     """Decide whether a base automorphism lifts to the derived graph.
 
     The lift taking (v0, 1) to (sigma(v0), 1) is propagated breadth-first over
     the cover: a neighbour of v in fiber w must go to the neighbour of v's
     image in fiber sigma(w), unique since the base graph is simple.  Every
     cover edge is checked, so sigma lifts iff no vertex receives two images
-    (Malnic, Nedela and Skoviera, Europ. J. Combin. 21, 2000).  A lift of a
-    connected cover is then a bijection, and it induces the voltage-group
-    automorphism sigma*, read off the images of the (v0, g).  A disconnected
-    cover is refused.  ``sigma`` is an image tuple, v -> sigma[v].  Returns
-    (sigma*, the lift as an image tuple on the cover's vertices), or None.
+    (Malnic, Nedela and Skoviera, Europ. J. Combin. 21, 2000), and a lift of
+    a connected cover is then a bijection.  A disconnected cover is refused.
+    ``sigma`` is an image tuple, v -> sigma[v].  Returns the lift as an image
+    tuple on the cover's vertices, or None.
     """
     if len(sigma) != va.base.n:
         raise ValueError(f"permutation degree {len(sigma)} != base order {va.base.n}")
@@ -123,9 +109,8 @@ def lifts(
         )
     size = va.group.size
     adj = cover.adjacency
-    origin = sigma[0] * size
     images: list[int | None] = [None] * cover.n
-    images[0] = origin
+    images[0] = sigma[0] * size
     queue = deque([0])
     while queue:
         v = queue.popleft()
@@ -137,12 +122,7 @@ def lifts(
                 queue.append(u)
             elif images[u] != y:
                 return None
-    kelems = va.group.elements()
-    sigma_star = GroupAutomorphism(
-        va.group,
-        tuple(kelems[images[kelems.index(g)] - origin] for g in va.group.generators()),
-    )
-    return sigma_star, tuple(images)
+    return tuple(images)
 
 
 # --- the eight-vertex quotient fixture ---------------------------------------

@@ -18,7 +18,8 @@ semiregularity tests, the arc type from orbits on every arc and k-arc, the
 subgroup-lattice and coset-by-coset enumerations of semiregular subgroups
 and the element scans for normalizers and conjugacy, which work on the
 package's permutation groups, the base-circuit lift
-criterion, which reads the package's voltage assignments, and the
+criterion and the voltage-group automorphism a lift induces, which read the
+package's voltage assignments and lifts, and the
 row-by-row Table 1 transcription, which forms its quotients through the
 reference Smith normal form and its groups and spec strings through the
 package.
@@ -372,7 +373,7 @@ def reference_theorem_a_scan(max_group_order: int) -> dict:
                 for t in elems:
                     if t.is_identity:
                         continue
-                    if not subgroup_generated(group, [r, s, t]).is_whole_group:
+                    if len(subgroup_generated(group, [r, s, t])) != group.size:
                         continue
                     spec = BiCayleySpec.create(group, (r,), (s,), (group.identity, t))
                     by_cert.setdefault(certificate(build(spec).graph), spec)
@@ -600,13 +601,45 @@ def reference_bci_oracle(b) -> tuple[bool, tuple | None]:
 def reference_automorphism_images(group) -> list[tuple]:
     """Every automorphism as its images of the standard generators, in product
     order: the images whose orders divide the factor orders give an
-    endomorphism, and an automorphism when they generate the group."""
-    candidates = [[g for g in group.elements() if d % element_order(g) == 0] for d in group.orders]
-    return [
-        images
-        for images in product(*candidates)
-        if subgroup_generated(group, images).is_whole_group
+    endomorphism, and an automorphism when they generate the group.  The
+    generation test is a closure over positions in ``group.elements()``
+    through a sum table filled by the group's own multiplication."""
+    elems = group.elements()
+    index = {g: i for i, g in enumerate(elems)}
+    sums = [[index[g * h] for h in elems] for g in elems]
+    one = index[group.identity]
+
+    def generates(gens) -> bool:
+        closed, frontier = {one}, [one]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = sums[x][g]
+                if y not in closed:
+                    closed.add(y)
+                    frontier.append(y)
+        return len(closed) == len(elems)
+
+    candidates = [
+        [i for i, g in enumerate(elems) if d % element_order(g) == 0] for d in group.orders
     ]
+    return [
+        tuple(elems[i] for i in images) for images in product(*candidates) if generates(images)
+    ]
+
+
+def _extend(group, images):
+    """The homomorphism sending the standard generators to ``images``, as a
+    function on elements: each exponent vector goes to the product of the
+    images' powers."""
+
+    def apply(g):
+        acc = group.identity
+        for e, img in zip(g.exponents, images):
+            acc = acc * img**e
+        return acc
+
+    return apply
 
 
 @lru_cache(maxsize=None)
@@ -614,13 +647,8 @@ def _automorphisms(group) -> tuple:
     """Each automorphism as the lookup of its element-to-image table."""
     out = []
     for images in reference_automorphism_images(group):
-        table = {}
-        for g in group.elements():
-            acc = group.identity
-            for e, img in zip(g.exponents, images):
-                acc = acc * img**e
-            table[g] = acc
-        out.append(table.__getitem__)
+        phi = _extend(group, images)
+        out.append({g: phi(g) for g in group.elements()}.__getitem__)
     return tuple(out)
 
 
@@ -649,6 +677,19 @@ class BaseCircuit:
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
 
+def arc_voltage(va: VoltageAssignment, tail: int, head: int):
+    """The voltage on the arc (tail, head); a pair that is not an arc of the
+    base graph is a ValueError."""
+    if (tail, head) not in va.voltages:
+        raise ValueError(f"({tail},{head}) is not an arc of the base graph")
+    return va.voltages[(tail, head)]
+
+
+def cotree_arcs(va: VoltageAssignment) -> list[tuple[int, int]]:
+    """One arc (u, v) with u < v per non-tree edge, sorted."""
+    return sorted((u, v) for u, v in va.base.edges if (u, v) not in va.tree)
+
+
 def base_circuits(va: VoltageAssignment) -> list[BaseCircuit]:
     """One directed circuit per cotree edge; count is |E| - |V| + 1."""
     parent = {0: None}
@@ -671,7 +712,7 @@ def base_circuits(va: VoltageAssignment) -> list[BaseCircuit]:
         return path
 
     circuits = []
-    for u, v in va.cotree_arcs():
+    for u, v in cotree_arcs(va):
         pu = path_to_root(u)
         pv = path_to_root(v)
         shared = None
@@ -693,14 +734,14 @@ def walk_voltage(va: VoltageAssignment, walk):
     walk = list(walk)
     acc = va.group.identity
     for tail, head in zip(walk, walk[1:]):
-        acc = acc * va.voltage(tail, head)
+        acc = acc * arc_voltage(va, tail, head)
     return acc
 
 
 def circuit_voltage(va: VoltageAssignment, circuit: BaseCircuit):
     acc = va.group.identity
     for tail, head in circuit.arcs():
-        acc = acc * va.voltage(tail, head)
+        acc = acc * arc_voltage(va, tail, head)
     return acc
 
 
@@ -712,6 +753,16 @@ def circuit_pairs(va: VoltageAssignment, sigma: tuple[int, ...]) -> list[tuple]:
         image.append(image[0])
         pairs.append((circuit_voltage(va, c), walk_voltage(va, image)))
     return pairs
+
+
+def induced_automorphism(va: VoltageAssignment, lift: tuple[int, ...]):
+    """The voltage-group automorphism sigma* a lift induces, as a function on
+    elements.  The lift sends (v0, 1) to (sigma(v0), 1), so it sends each
+    (v0, g) to (sigma(v0), sigma*(g)): sigma* is read off the images of the
+    (v0, g) for the standard generators g and extended multiplicatively."""
+    kelems = va.group.elements()
+    images = tuple(kelems[lift[kelems.index(g)] - lift[0]] for g in va.group.generators())
+    return _extend(va.group, images)
 
 
 def lift_exists_by_scan(va: VoltageAssignment, sigma: tuple[int, ...]) -> bool:

@@ -66,8 +66,9 @@ def test_non_bci_pair_over_z8():
     assert certificate(first.graph) == certificate(second.graph)
     z8 = make_group([8])
     admissible = set()
-    for sigma in automorphism_group_of(z8):
-        image = [sigma(z8.element(s)) for s in (0, 1, 2, 5)]
+    elems = z8.elements()
+    for table in automorphism_group_of(z8):
+        image = [elems[table[s]] for s in (0, 1, 2, 5)]
         for h in z8.elements():
             admissible.add(frozenset((h * x).exponents for x in image))
     assert frozenset(((0,), (1,), (3,), (4,))) not in admissible
@@ -134,8 +135,8 @@ def test_oracle_certifies_one_spoke_set_per_class(monkeypatch):
     # certifies the target and one set of every class but the target's own.
     z13 = make_group([13])
     affine = [
-        lambda t, sigma=sigma, h=h: frozenset(h * sigma(x) for x in t)
-        for sigma in automorphism_group_of(z13)
+        lambda t, table=table, h=h: frozenset(h * z13.element(table[x.exponents[0]]) for x in t)
+        for table in automorphism_group_of(z13)
         for h in z13.elements()
     ]
     unseen = {frozenset(t) for t in combinations(z13.elements(), 3)}

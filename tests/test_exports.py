@@ -1,6 +1,7 @@
 """Every name a module exports resolves, so a deletion cannot leave a stale
 entry in ``__all__`` for ``from bicayley.<module> import *`` to trip over,
-every function the benchmark's tracer wraps by name still exists, no
+every function the benchmark's tracer wraps by name still exists (and the
+BCI oracle's Aut(H) listing is one of them), no
 import, function, class or method in ``src/`` is left that nothing uses, and
 every permutation handed out is a plain image tuple."""
 
@@ -12,8 +13,16 @@ from collections import Counter
 from pathlib import Path
 
 import bicayley
+from bicayley import bci
 from bicayley.abelian import make_group
-from bicayley.construction import BiCayleySpec, build, iota, right_translation, right_translations
+from bicayley.construction import (
+    BiCayleySpec,
+    build,
+    iota,
+    parse_spec,
+    right_translation,
+    right_translations,
+)
 from bicayley.symmetry import are_conjugate, automorphism_group, enumerate_semiregular
 from bicayley.voltage import fig_alpha, fig_assignment, lifts
 
@@ -27,13 +36,18 @@ def test_every_export_resolves():
         assert not missing, f"{name}.__all__ names missing attributes {missing}"
 
 
-def _traced_targets():
-    """``perfbench.tracing.TARGETS``: (module, attribute, span) triples."""
+def _tracing():
+    """The benchmark's ``perfbench/tracing.py``, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.TARGETS
+    return tracing
+
+
+def _traced_targets():
+    """``perfbench.tracing.TARGETS``: (module, attribute, span) triples."""
+    return _tracing().TARGETS
 
 
 def test_every_traced_name_resolves():
@@ -45,6 +59,17 @@ def test_every_traced_name_resolves():
         for part in attribute.split("."):
             assert hasattr(obj, part), f"bicayley.{module}.{attribute} does not resolve"
             obj = getattr(obj, part)
+
+
+def test_the_oracle_runs_the_traced_automorphism_listing():
+    """The span the benchmark reads for Aut(H) records the oracle's own calls."""
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        assert not bci.bci_oracle(build(parse_spec("H=8; S={0,1,2,5}"))).is_bci
+    finally:
+        tracer.remove()
+    assert any(span[0] == "abelian.automorphism_group_of" for span in tracer.spans)
 
 
 def _references(node):
@@ -60,8 +85,8 @@ def test_no_dead_imports_or_definitions():
     """Each import is used in its module, and each module-level function or
     class and each non-dunder method is referenced outside its own body
     somewhere in ``src/`` (an import or an ``__all__`` entry does not count).
-    Exempt are the names the benchmark's tracer wraps, read from its list,
-    and the two voltage methods the test oracles read."""
+    Exempt are only the names the benchmark's tracer wraps, read from its
+    list."""
     root = Path(bicayley.__file__).parent
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(root.glob("*.py"))}
 
@@ -79,7 +104,6 @@ def test_no_dead_imports_or_definitions():
         assert imported <= used, f"bicayley.{module} never uses {sorted(imported - used)}"
 
     exempt = {f"{module}.{attribute}" for module, attribute, _ in _traced_targets()}
-    exempt |= {"voltage.VoltageAssignment.voltage", "voltage.VoltageAssignment.cotree_arcs"}
 
     definitions = []
     for module, tree in trees.items():
@@ -117,7 +141,7 @@ def test_permutations_are_plain_image_tuples():
     assert _is_image_tuple(iota(heawood), 14)
     alpha = fig_alpha()
     assert _is_image_tuple(alpha, 8)
-    assert _is_image_tuple(lifts(fig_assignment(3), alpha)[1], 24)
+    assert _is_image_tuple(lifts(fig_assignment(3), alpha), 24)
 
     aut = automorphism_group(heawood.graph)
     members = enumerate_semiregular(aut, heawood.parts, (7,))
