@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from bicayley.abelian import _MAX_AUT_ORDER, AbelianGroup, _index_table, automorphism_group_of
+from bicayley.abelian import (
+    _MAX_AUT_ORDER,
+    AbelianGroup,
+    _index_table,
+    automorphism_group_of,
+    subgroup_generated,
+)
 from bicayley.construction import (
     BiCayleyGraph,
     BiCayleySpec,
@@ -102,17 +108,23 @@ def _identity_translates(spokes, autos, sums, neg) -> set[frozenset[int]]:
     return members
 
 
-def _first_match(group: AbelianGroup, k: int, target: str, skip=()) -> BiCayleySpec | None:
+def _first_match(
+    group: AbelianGroup, k: int, target: str, components: int, skip=()
+) -> BiCayleySpec | None:
     """The first spoke-only spec with k spokes whose graph has certificate
-    ``target``, scanning the first identity-containing k-subset of each
-    Aut(H) x| H class in scan order and passing over the class of ``skip``.
+    ``target`` and ``components`` connected components, scanning the first
+    identity-containing k-subset of each Aut(H) x| H class in scan order and
+    passing over the class of ``skip``.
 
     BC(H, T) is isomorphic to BC(H, h T^sigma), so the graphs of a class are
     all isomorphic to a given graph or none is.  Every class meets the sets
     containing the identity, which open the lexicographic scan of all
     k-subsets (the identity comes first in ``group.elements()``): a scan for a
-    graph finds the same first match among these representatives.  The scan
-    runs on element indices; only a certified set becomes group elements."""
+    graph finds the same first match among these representatives.  For T
+    containing the identity, BC(H, T) has |H| / |<T>| components; isomorphic
+    graphs have as many, so a set with another count is not certified.  The
+    scan runs on element indices; only a representative becomes group
+    elements."""
     if k == 0:
         return None  # no 0-subset contains the identity
     elems, sums, neg = _index_table(group)
@@ -123,7 +135,10 @@ def _first_match(group: AbelianGroup, k: int, target: str, skip=()) -> BiCayleyS
         if frozenset(raw) in marked:
             continue
         marked |= _identity_translates(raw, autos, sums, neg)
-        b = build(BiCayleySpec.create(group, (), (), tuple(map(elems.__getitem__, raw))))
+        spokes = tuple(map(elems.__getitem__, raw))
+        if group.size // len(subgroup_generated(group, spokes)) != components:
+            continue
+        b = build(BiCayleySpec.create(group, (), (), spokes))
         if certificate(b.graph, known_automorphisms(b)) == target:
             return b.spec
     return None
@@ -147,7 +162,10 @@ def bci_oracle(b: BiCayleyGraph) -> BciVerdict:
             f"oracle is limited to groups of order <= {_ORACLE_LIMIT}, got {group.size}"
         )
     spokes = b.spec.spokes
-    match = _first_match(group, len(spokes), certificate(b.graph, known_automorphisms(b)), spokes)
+    shift = spokes[0].inverse() if spokes else group.identity
+    components = group.size // len(subgroup_generated(group, [s * shift for s in spokes]))
+    target = certificate(b.graph, known_automorphisms(b))
+    match = _first_match(group, len(spokes), target, components, spokes)
     counterexample = None if match is None else _spoke_exponents(match)
     return BciVerdict(
         group_orders=group.orders,

@@ -452,7 +452,7 @@ def negative_controls() -> dict:
     GP(9,2) are cubic but not arc-transitive; GP(10,2) is the positive control.
     """
     desargues = certificate(generalized_petersen(10, 3).graph)
-    match = _first_match(make_group([10]), 3, desargues)
+    match = _first_match(make_group([10]), 3, desargues, 1)  # GP(10,3) is connected
     clash = None if match is None else format_spec(match)
     not_transitive = {}
     for n, k in ((7, 2), (9, 2)):

@@ -242,11 +242,13 @@ def parse_spec(text: str) -> BiCayleySpec:
         raw = fields.get(key, "").strip()
         if raw in ("{}", "set()", ""):
             return []
+        # a brace set is read as a list, so that a repeated element is refused
+        braced = raw.startswith("{") and raw.endswith("}")
         try:
-            parsed = ast.literal_eval(raw)
+            parsed = ast.literal_eval(f"[{raw[1:-1]}]" if braced else raw)
         except (ValueError, SyntaxError) as exc:
             raise ValueError(f"bad connection set {key}={raw}: {exc}") from None
-        if not isinstance(parsed, (set, list)):
+        if not isinstance(parsed, list):
             parsed = [parsed]  # a single element
         elements = [_plain_ints(item) for item in parsed]
         if None in elements:

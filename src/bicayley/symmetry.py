@@ -202,6 +202,15 @@ class _Search:
     explores the first non-singleton cell, skipping vertices equivalent to an
     explored sibling under automorphisms that fix the branch prefix.
 
+    Root children go least vertex v first, then v's neighbours in the cell,
+    then the rest, each group in vertex order.  Any sibling order reaches the
+    same leaves up to the automorphisms found, so the least certificate and
+    the first path (the least vertex of each cell) do not change; only the
+    generators kept and which best leaf gives the labeling can (McKay and
+    Piperno 2014).  Once v's branch has found Aut_v, a connected
+    arc-transitive graph needs one more: Aut = <Aut_v, g> for any g moving v
+    to a neighbour, so the neighbour's branch puts the whole cell in v's orbit.
+
     First-path return (McKay 1981): a leaf whose automorphism g onto the first
     leaf maps first_path[:i+1] onto its prefix, i the first index where the
     two differ, returns search to depth i.  Target cell, refinement and
@@ -220,8 +229,8 @@ class _Search:
     def __init__(self, graph: Graph, known=()):
         self.n = graph.n
         self.adj = graph.adjacency
+        self.edges = edges = graph.edges
         self.autos = [tuple(images) for images in known]
-        edges = graph.edges if self.autos else []
         for p in self.autos:  # a bijection taking every edge to an edge
             if sorted(p) != [*range(self.n)] or not all(p[w] in self.adj[p[u]] for u, w in edges):
                 raise ValueError(f"a known automorphism of {graph} is not an automorphism")
@@ -254,7 +263,10 @@ class _Search:
 
         A singleton splitter {w} (most pops) reads ``adj[w]`` alone: every
         count is 1, so a cell it hits but does not cover splits into the rest
-        and the neighbors of w, with no count array and no sort.  A larger
+        and the neighbors of w, with no count array.  The cells hit are filed
+        in a dict only once a neighbor lies in a non-singleton cell (about
+        half the pops in a census pass touch none), sorted only when there
+        are two, and a 2-vertex cell's rest is its other vertex.  A larger
         splitter counts neighbors in ``cnt`` and files each touched vertex of a
         non-singleton cell under that cell and its count.  Only the count keys
         are sorted.  A cell with one key splits only when some vertex of it is
@@ -281,21 +293,29 @@ class _Search:
             if len(splitter) != size:
                 continue
             if size == 1:
-                hit: dict[int, list[int]] = {}
+                hit: dict[int, list[int]] | None = None
                 for v in adj[splitter[0]]:
                     s = cell_of[v]
-                    if s in hit:
-                        hit[s].append(v)
-                    elif len(at[s]) > 1:
-                        hit[s] = [v]
-                for s in sorted(hit, reverse=True):
+                    if len(at[s]) > 1:
+                        if hit is None:
+                            hit = {s: [v]}
+                        elif s in hit:
+                            hit[s].append(v)
+                        else:
+                            hit[s] = [v]
+                if hit is None:
+                    continue
+                for s in sorted(hit, reverse=True) if len(hit) > 1 else hit:
                     cell = at[s]
                     mine = hit[s]
                     if len(mine) == len(cell):
                         continue
-                    rest = cell.copy()
-                    for v in mine:
-                        rest.remove(v)
+                    if len(cell) == 2:
+                        rest = [cell[cell[0] == mine[0]]]
+                    else:
+                        rest = cell.copy()
+                        for v in mine:
+                            rest.remove(v)
                     p = s + len(rest)
                     for v in mine:
                         cell_of[v] = p
@@ -369,24 +389,26 @@ class _Search:
         for i, cell in enumerate(cells):
             position[cell[0]] = i
         keys = []
-        for u in range(self.n):
-            pu = position[u]
-            for w in self.adj[u]:
-                if u < w:
-                    pw = position[w]
-                    i, j = (pu, pw) if pu < pw else (pw, pu)
-                    keys.append(j * (j - 1) // 2 + i)
+        for u, w in self.edges:
+            i, j = position[u], position[w]
+            if i > j:
+                i, j = j, i
+            keys.append(j * (j - 1) // 2 + i)
         keys.sort(reverse=True)
         return tuple(keys), position
 
     def descend(self, cells: list[list[int]], prefix: list[int]) -> int | None:
         """Search below ``prefix``; a depth to return to, or None when done."""
-        tc = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if tc is None:
+        if len(cells) == self.n:
             return self.handle_leaf(cells, prefix)
+        tc = next(i for i, c in enumerate(cells) if len(c) > 1)
+        children = cells[tc]
+        if not prefix:  # the first child's neighbours next; see the class docstring
+            near = set(self.adj[children[0]])
+            children = [children[0], *sorted(children[1:], key=lambda u: u not in near)]
         done: list[int] = []
         reach: set[int] | None = set()
-        for v in cells[tc]:
+        for v in children:
             if reach is None:
                 reach = self.orbit_fixing(done, prefix)
             if v in reach:

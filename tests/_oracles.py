@@ -12,8 +12,9 @@ non-backtracking walks by listing every walk from every arc.  The
 exceptions are the straightforward refinement and branching of the
 individualization-refinement search and its big-integer leaf certificate,
 written as methods to patch into ``bicayley.symmetry._Search`` in place of the
-fast ones, the unreduced Theorem A scan and the full-scan BCI oracle, which
-build and certify graphs through the package, and the orbit and
+fast ones, the unreduced Theorem A scan, the full-scan BCI oracle and the
+oracle's first-match scan without its component-count filter, which build
+and certify graphs through the package, and the orbit and
 semiregularity tests, the arc type from orbits on every arc and k-arc, the
 subgroup-lattice and coset-by-coset enumerations of semiregular subgroups
 and the element scans for normalizers and conjugacy, which work on the
@@ -34,8 +35,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from bicayley.abelian import element_order, make_group, subgroup_generated
-from bicayley.construction import BiCayleySpec, build, format_spec
+from bicayley.abelian import (
+    _index_table,
+    automorphism_group_of,
+    element_order,
+    make_group,
+    subgroup_generated,
+)
+from bicayley.bci import _identity_translates
+from bicayley.construction import BiCayleySpec, build, format_spec, known_automorphisms
 from bicayley.graphs import Graph
 from bicayley.symmetry import PermGroup, certificate
 from bicayley.voltage import VoltageAssignment
@@ -596,6 +604,26 @@ def reference_bci_oracle(b) -> tuple[bool, tuple | None]:
         if _spoke_set_certificate(group, raw) == target:
             return False, tuple(sorted(x.exponents for x in raw))
     return True, None
+
+
+def reference_first_match(group, k: int, target: str, skip=()):
+    """``bci._first_match`` without its component-count filter: the first
+    identity-containing k-subset of each Aut(H) x| H class in scan order, past
+    the class of ``skip``, is certified whatever its graph's component count."""
+    if k == 0:
+        return None
+    elems, sums, neg = _index_table(group)
+    autos = automorphism_group_of(group)
+    marked = _identity_translates([elems.index(s) for s in skip], autos, sums, neg)
+    for rest in combinations(range(1, group.size), k - 1):
+        raw = (0, *rest)
+        if frozenset(raw) in marked:
+            continue
+        marked |= _identity_translates(raw, autos, sums, neg)
+        b = build(BiCayleySpec.create(group, (), (), tuple(map(elems.__getitem__, raw))))
+        if certificate(b.graph, known_automorphisms(b)) == target:
+            return b.spec
+    return None
 
 
 def reference_automorphism_images(group) -> list[tuple]:

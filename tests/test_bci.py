@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from _oracles import reference_bci_oracle, reference_isomorphism_types
+import _oracles
+from _oracles import reference_bci_oracle, reference_first_match, reference_isomorphism_types
 from bicayley import bci
 from bicayley.abelian import automorphism_group_of, make_group
 from bicayley.bci import bci_by_criterion, bci_oracle, cross_check, verdict_payload
@@ -14,6 +15,7 @@ from bicayley.construction import (
     BiCayleySpec,
     build,
     generalized_petersen,
+    parse_spec,
     predicted_connected,
 )
 from bicayley.symmetry import certificate
@@ -155,6 +157,41 @@ def test_oracle_certifies_one_spoke_set_per_class(monkeypatch):
     v = bci_oracle(spoke_graph([13], (0, 1, 4)))
     assert v.is_bci
     assert len(calls) == classes  # classes - 1 candidates, plus the target
+
+
+def test_oracle_component_filter_keeps_the_first_match(monkeypatch):
+    # The oracle certifies a spoke set only when its graph has the target's
+    # number of components; the unfiltered scan gives the same verdict and
+    # counterexample, connected target or not, from more certificates.  The
+    # members are theorem_b_verify(56)'s within the oracle's order-16 limit.
+    members = [i.bigraph for i in table1_instances(56) if i.bigraph.spec.group.size <= 16]
+    others = (
+        "H=6; S={0,2,4}",
+        "H=8; S={0,1,2,5}",
+        "H=[2,8]; S={(0,0),(1,0),(0,1)}",
+        "H=[2,2,2,2]; S={(0,0,0,0),(1,0,0,0),(0,1,0,0)}",
+    )
+    calls = {bci: 0, _oracles: 0}  # certificates; the oracle's include each target's
+
+    def counting(module):
+        def counted(graph, known=()):
+            calls[module] += 1
+            return certificate(graph, known)
+
+        monkeypatch.setattr(module, "certificate", counted)
+
+    counting(bci)
+    counting(_oracles)
+    verdicts = []
+    for b in members + [build(parse_spec(text)) for text in others]:
+        v = bci_oracle(b)
+        spokes = b.spec.spokes
+        match = reference_first_match(b.spec.group, len(spokes), certificate(b.graph), spokes)
+        expected = None if match is None else tuple(s.exponents for s in match.spokes)
+        assert (v.is_bci, v.counterexample) == (match is None, expected), b.spec
+        verdicts.append(v.is_bci)
+    assert verdicts.count(False) == 1  # H=8; S={0,1,2,5}
+    assert (calls[bci] - len(verdicts), calls[_oracles]) == (10, 28)
 
 
 def test_cross_check_oracle_limit():

@@ -174,6 +174,13 @@ def test_voltage_fig_without_orders_fails(capsys, orders):
         (["build", "H=2; S={(True,)}"], "bad connection set S={(True,)}"),
         (["build", "H=[100000]; S={0,1,2}"], "graph on 200000 vertices exceeds the search bound 1024"),
         (["bci", "H=17; S={0,1,3}", "--method", "cross"], "oracle is limited to groups"),
+        # a repeated element is refused in a brace set as in a list, and
+        # modulo the group order
+        (["analyze", "H=4; S={0,1,1}"], "duplicate element in S"),
+        (["analyze", "H=4; S=[0,1,1]"], "duplicate element in S"),
+        (["analyze", "H=4; S={1,5}"], "duplicate element in S"),
+        (["build", "H=4; R={1,3,1}; S={0}"], "duplicate element in R"),
+        (["build", "H=[2,2]; L={(1,0),(1,0)}"], "duplicate element in L"),
     ],
 )
 def test_user_errors_are_one_line(capsys, argv, message):

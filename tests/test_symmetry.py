@@ -223,6 +223,33 @@ def test_seeded_search_gives_the_unseeded_output(monkeypatch):
     assert totals[1] < 0.6 * totals[0], totals
 
 
+def test_one_root_branch_after_the_first_on_census_members(monkeypatch):
+    # a census graph is arc-transitive, so Aut = <Aut_v, g> for any g moving
+    # the first root child v to a neighbour: the first branch finds Aut_v, the
+    # neighbour tried next finds g, and every other root child is then in v's
+    # orbit.  Root children in vertex order opened 86 branches after the first.
+    roots = []
+    descend = _Search.descend
+
+    def counted(search, cells, prefix):
+        if len(prefix) == 1:
+            roots.append(prefix[0])
+        return descend(search, cells, prefix)
+
+    monkeypatch.setattr(_Search, "descend", counted)
+    members = census.table1_instances(256) + census.table2_instances(256)
+    rng = random.Random(1)
+    for inst in members:
+        perm = list(range(inst.bigraph.graph.n))
+        rng.shuffle(perm)
+        graph = inst.bigraph.graph.relabel(perm)
+        roots.clear()
+        _Search(graph).run()
+        first, *rest = roots
+        assert len(rest) == 1 and graph.has_edge(first, rest[0]), inst.description
+    assert len(members) == 55
+
+
 def _hypercube(d: int) -> Graph:
     n = 1 << d
     edges = [(x, x | 1 << b) for x in range(n) for b in range(d) if not x >> b & 1]
