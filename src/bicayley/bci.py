@@ -70,17 +70,16 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
     _require_spoke_only(b)
     group = b.spec.group
     aut = automorphism_group(b.graph, known_automorphisms(b))
-    members = enumerate_semiregular(aut, b.parts, group.orders)
     trans = right_translations(b)
+    members = enumerate_semiregular(aut, trans, group.orders)
     reached, schreier = _conjugates(aut, trans)
-    keys = [frozenset(sub.elements()) for sub in members]
-    if frozenset(trans.elements()) not in keys:
+    if frozenset(trans) not in members:
         raise RuntimeError("internal error: translation group missing from its own class")
     transitive = len(_orbit((0,), schreier)) == b.graph.n
 
     classes = 1  # the translation group's; its orbit also gave the normalizer
-    for sub, key in zip(members, keys):
-        if key not in reached:
+    for sub in members:
+        if sub not in reached:
             classes += 1
             reached.update(_conjugates(aut, sub)[0])
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from bicayley.abelian import AbelianGroup, GroupElement, _shifted, make_group, subgroup_generated
 from bicayley.graphs import Graph
-from bicayley.symmetry import PermGroup
+from bicayley.symmetry import _closure, _identity_images
 
 __all__ = [
     "BiCayleySpec",
@@ -84,11 +84,6 @@ class BiCayleyGraph:
     def group(self) -> AbelianGroup:
         return self.spec.group
 
-    @property
-    def parts(self) -> tuple[frozenset[int], frozenset[int]]:
-        size = self.group.size
-        return frozenset(range(size)), frozenset(range(size, 2 * size))
-
 
 def _fibred_graph(group: AbelianGroup, fibres: int, arcs) -> Graph:
     """The derived cover: edge {(u, k), (v, z*k)} for each arc (u, v, z) and k in H."""
@@ -125,14 +120,15 @@ def predicted_connected(spec: BiCayleySpec) -> bool:
 
 def right_translation(b: BiCayleyGraph, h: GroupElement) -> tuple[int, ...]:
     """The permutation (x_i) -> (xh)_i, as an image tuple."""
+    size = b.group.size
     shifted = _shifted(b.group.orders, h.exponents)
-    return tuple(shifted + [b.group.size + j for j in shifted])
+    return tuple(shifted + [size + j for j in shifted])
 
 
-def right_translations(b: BiCayleyGraph) -> PermGroup:
-    """The group of all right translations, acting with the parts as orbits."""
+def right_translations(b: BiCayleyGraph) -> list[tuple[int, ...]]:
+    """H_R, every right translation as an image tuple, by closure, identity first."""
     gens = [right_translation(b, g) for g in b.group.generators()]
-    return PermGroup(2 * b.group.size, gens)
+    return _closure(_identity_images(2 * b.group.size), gens)
 
 
 def iota(b: BiCayleyGraph) -> tuple[int, ...]:
@@ -141,8 +137,9 @@ def iota(b: BiCayleyGraph) -> tuple[int, ...]:
     Together with the right translations it generates a group regular on the
     vertices; it is a graph automorphism whenever R = L.
     """
+    size = b.group.size
     inverted = _shifted(b.group.orders, b.group.identity.exponents, -1)
-    return tuple([b.group.size + j for j in inverted] + inverted)
+    return tuple([size + j for j in inverted] + inverted)
 
 
 def _group_automorphism(orders, gens, images) -> list[int] | None:

@@ -8,12 +8,13 @@ is a base and the automorphisms it keeps a strong generating set for it, so
 |Aut| is the product of the first-path orbit lengths, and the kept
 generators that fix its first vertex w generate Aut_w.  The search may start
 from known automorphisms: true ones prune soundly, never the best leaf, so
-the output is that of an unseeded search.  Arc types and the semiregular
-candidates are read off Aut_w, so no step lists all of Aut.  Aut_w and the
-groups from bare generators are listed by closure over their generators,
-bounded by BICAYLEY_MAX_AUT (default 100000); the semiregular enumeration
-refuses an Aut of larger order.  Normalizers and conjugacy come from the
-orbit of a subgroup under conjugation by the group's generators.
+the output is that of an unseeded search.  Arc types are read off Aut_w,
+and the semiregular candidates off Aut_w and the right translations, so no
+step lists all of Aut.  Aut_w and the groups from bare generators are listed
+by closure over their generators, bounded by BICAYLEY_MAX_AUT (default
+100000); the semiregular enumeration refuses an Aut of larger order.  A
+subgroup of Aut is its element set; normalizers and conjugacy come from
+its orbit under conjugation by the group's generators.
 """
 
 from __future__ import annotations
@@ -551,8 +552,8 @@ def _arc_type(graph: Graph, aut: PermGroup) -> tuple[int | None, bool]:
 # --- subgroup-level operations ----------------------------------------------
 
 
-def _conjugates(group: PermGroup, sub: PermGroup):
-    """The conjugates of ``sub`` in ``group``, and generators of its normalizer.
+def _conjugates(group: PermGroup, sub):
+    """The conjugates of the element set ``sub`` in ``group``, and its normalizer's generators.
 
     Breadth-first search over the element sets x^-1 sub x under the generators
     of ``group``; each conjugate maps to an x reaching it.  By Schreier's lemma
@@ -561,7 +562,7 @@ def _conjugates(group: PermGroup, sub: PermGroup):
     """
     # s^-1 h s sends v to s[h[s^-1[v]]]; x y is itemgetter(*x)(y)
     gens = [(s, itemgetter(*_inverse(s))) for s in group.generators]
-    start = frozenset(sub.elements())
+    start = frozenset(sub)
     reach = {start: _identity_images(group.degree)}
     queue = deque([start])
     schreier = []
@@ -580,7 +581,7 @@ def _conjugates(group: PermGroup, sub: PermGroup):
 
 def normalizer(sub: PermGroup, group: PermGroup) -> PermGroup:
     """Elements of ``group`` whose conjugation preserves ``sub``."""
-    return PermGroup(group.degree, _conjugates(group, sub)[1])
+    return PermGroup(group.degree, _conjugates(group, sub.elements())[1])
 
 
 def _grow(sub, orbit, v0: int, g: tuple[int, ...], d: int, cand_set):
@@ -605,10 +606,12 @@ def _grow(sub, orbit, v0: int, g: tuple[int, ...], d: int, cand_set):
     return grown if power == _identity_images(len(g)) else None
 
 
-def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
-    """Subgroups isomorphic to H = Z_d1 x ... x Z_dr (``orders``), semiregular,
-    whose orbits are exactly the two parts.  ``group`` must carry a base, as
-    an automorphism group does, and is refused past BICAYLEY_MAX_AUT.
+def enumerate_semiregular(group: PermGroup, translations, orders) -> list[frozenset]:
+    """The element sets of the semiregular subgroups isomorphic to H = Z_d1 x
+    ... x Z_dr (``orders``) whose orbits are those of ``translations``: the
+    elements, identity first, of a subgroup T of ``group`` regular on each of
+    two parts.  ``group`` must carry a base, as an automorphism group does,
+    and is refused past BICAYLEY_MAX_AUT.
 
     Candidate elements must preserve both parts and be fixed-point-free; a
     group of such elements is semiregular, and at order m = |H| = |part| its
@@ -626,49 +629,35 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
     would grow it to that same group, whose earlier tuple is kept.  Elements
     are image tuples, x y = itemgetter(*x)(y).
 
-    The candidates come without listing the group.  With w = base[0] and
-    t_u an element sending w to u, from one breadth-first transversal of w's
-    orbit, every element is sigma t_u for one sigma in the stabilizer G_w and
-    one u.  A part-preserving, fixed-point-free element sends w to some
-    u != w of w's part, so only those u are taken, with G_w listed by closure.
+    The candidates come without listing the group.  With w = base[0], a
+    part-preserving, fixed-point-free element x sends w to some u != w of w's
+    part, and so does exactly one t in T other than the identity.  Then
+    x t^-1 fixes w, so x = sigma t for one sigma in the stabilizer G_w, which
+    is listed by closure.
     """
     m = prod(orders)
-    part0, part1 = (frozenset(p) for p in parts)
-    if len(part0) != m or len(part1) != m:
-        raise ValueError(
-            f"parts of sizes {len(part0)},{len(part1)} cannot be the orbits of an order-{m} group"
-        )
+    if len(translations) != m:
+        raise ValueError(f"{len(translations)} translations cannot be regular on parts of {m}")
     w, fixing = group.point_stabilizer()
     bound = max_enumeration_bound()
     if group.order() > bound:
         raise _refusal(group.order(), bound)
-    degree = group.degree
-    identity = _identity_images(degree)
-    transversal = [(w, identity)]  # (u, t_u)
-    reached = {w}
-    for u, t in transversal:  # grows while walked
-        for g in group.generators:
-            v = g[u]
-            if v not in reached:
-                reached.add(v)
-                transversal.append((v, itemgetter(*t)(g)))
-    side = part0 if w in part0 else part1
-    ends = [t for u, t in transversal if u in side and u != w]
+    identity = _identity_images(group.degree)
+    part = frozenset(t[w] for t in translations)  # w's part, its T-orbit
     candidates = []
     for sigma in _closure(identity, fixing):
         times = itemgetter(*sigma)  # times(t) is sigma t
-        for x in map(times, ends):
-            if not any(map(eq, x, identity)) and part0.issuperset(map(x.__getitem__, part0)):
+        for x in map(times, translations[1:]):
+            if not any(map(eq, x, identity)) and part.issuperset(map(x.__getitem__, part)):
                 candidates.append(x)
     cand_set = frozenset(candidates)
-    v0 = min(part0)
-    # a usable g of order d has a cycle of length exactly d through v0 (a
-    # shorter one makes some g^j, 0 < j < d, fix v0, so it is no candidate),
+    # a usable g of order d has a cycle of length exactly d through w (a
+    # shorter one makes some g^j, 0 < j < d, fix w, so it is no candidate),
     # so g is only tried for that length; _grow checks that g^d = 1
     cyclic: dict[int, list[tuple[int, ...]]] = {}
     for x in candidates:
-        d, v = 1, x[v0]
-        while v != v0:
+        d, v = 1, x[w]
+        while v != w:
             d, v = d + 1, x[v]
         if d in orders:
             cyclic.setdefault(d, []).append(x)
@@ -679,19 +668,19 @@ def enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
             continue  # the identity generates an order-1 factor
         grown_layer: dict[frozenset[tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
         for sub, picks in layer.items():
-            orbit = {h[v0] for h in sub}
+            orbit = {h[w] for h in sub}
             covered: set[tuple[int, ...]] = set()  # the groups grown from sub so far
             for g in cyclic.get(d, ()):
                 if g in covered or any(itemgetter(*g)(p) != itemgetter(*p)(g) for p in picks):
                     continue
-                grown = _grow(sub, orbit, v0, g, d, cand_set)
+                grown = _grow(sub, orbit, w, g, d, cand_set)
                 if grown is not None:
                     covered |= grown
                     grown_layer.setdefault(frozenset(grown), picks + (g,))
         layer = grown_layer
-    return [PermGroup(degree, layer[s]) for s in sorted(layer, key=sorted)]
+    return sorted(layer, key=sorted)
 
 
 def are_conjugate(group: PermGroup, a: PermGroup, b: PermGroup) -> tuple[int, ...] | None:
     """A conjugating element x of ``group`` with x^-1 a x = b, or None."""
-    return _conjugates(group, a)[0].get(frozenset(b.elements()))
+    return _conjugates(group, a.elements())[0].get(frozenset(b.elements()))

@@ -3,7 +3,8 @@
 Nothing here calls into the package beyond the Graph container: automorphisms
 by filtering all vertex bijections, girth by exhaustive path search, graph6 by
 direct bit-string packing, k-arcs by listing every walk, vertex ids by
-mixed-radix arithmetic, the classical LCF and Kneser constructions, the Smith
+mixed-radix arithmetic, the two parts of a bi-Cayley graph from its vertex
+layout, the classical LCF and Kneser constructions, the Smith
 normal form with its transform kept as a separate matrix, abelian
 isomorphism types combined from one partition per prime exponent, abelian
 automorphisms from every tuple of generator images that spans the group, and the
@@ -404,6 +405,13 @@ def is_semiregular(group: PermGroup) -> bool:
     """True when only the identity fixes a point (all orbits of full size)."""
     o = group.order()
     return all(len(orb) == o for orb in orbits(group))
+
+
+def bicayley_parts(b) -> tuple[frozenset[int], frozenset[int]]:
+    """The two parts of a built bi-Cayley graph, from the vertex layout: part i
+    holds the ids i*|H| to (i+1)*|H| - 1."""
+    size = b.spec.group.size
+    return frozenset(range(size)), frozenset(range(size, 2 * size))
 
 
 def semiregular_with_orbits(group: PermGroup, parts) -> bool:

@@ -7,6 +7,7 @@ import pytest
 
 from _oracles import (
     _conjugate,
+    bicayley_parts,
     complete_bipartite_33,
     compose,
     hypercube,
@@ -134,12 +135,14 @@ def test_predicted_connected_matches_bfs():
 
 
 def test_right_translations_are_semiregular_on_parts():
-    for b in (_zero_type([7], [0, 1, 3]), generalized_petersen(6, 1)):
+    for b in (_zero_type([7], [0, 1, 3]), generalized_petersen(6, 1), _zero_type([2, 3, 2], [])):
         trans = right_translations(b)
-        assert trans.order() == b.group.size
-        assert semiregular_with_orbits(trans, b.parts)
+        # every translation once, the identity first
+        assert trans[0] == tuple(range(b.graph.n))
+        assert sorted(trans) == sorted(right_translation(b, h) for h in b.group.elements())
+        assert semiregular_with_orbits(PermGroup(b.graph.n, trans), bicayley_parts(b))
         # translations are graph automorphisms
-        for p in trans.generators:
+        for p in trans:
             for u, v in b.graph.edges:
                 assert b.graph.has_edge(p[u], p[v])
     k33 = _zero_type([3], [0, 1, 2])
@@ -181,7 +184,7 @@ def test_iota_is_an_automorphism_exactly_when_sets_match():
     )
     # <R(H), iota> is regular of order 2|H| on the Heawood instance
     heawood = _zero_type([7], [0, 1, 3])
-    joined = PermGroup(14, list(right_translations(heawood).generators) + [iota(heawood)])
+    joined = PermGroup(14, right_translations(heawood) + [iota(heawood)])
     assert joined.order() == 14
     assert joined.orbit(0) == set(range(14)) and is_semiregular(joined)
 
@@ -192,7 +195,7 @@ def test_tau_swaps_parts_and_inverts_translations():
     for y in heawood.group.elements():
         left = _conjugate(tau, right_translation(heawood, y))
         assert left == right_translation(heawood, y.inverse())
-    joined = PermGroup(14, list(right_translations(heawood).generators) + [tau])
+    joined = PermGroup(14, right_translations(heawood) + [tau])
     assert joined.orbit(0) == set(range(14))
 
 

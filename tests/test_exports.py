@@ -23,7 +23,7 @@ from bicayley.construction import (
     right_translation,
     right_translations,
 )
-from bicayley.symmetry import are_conjugate, automorphism_group, enumerate_semiregular
+from bicayley.symmetry import PermGroup, are_conjugate, automorphism_group, enumerate_semiregular
 from bicayley.voltage import fig_alpha, fig_assignment, lifts
 
 
@@ -144,10 +144,11 @@ def test_permutations_are_plain_image_tuples():
     assert _is_image_tuple(lifts(fig_assignment(3), alpha), 24)
 
     aut = automorphism_group(heawood.graph)
-    members = enumerate_semiregular(aut, heawood.parts, (7,))
     trans = right_translations(heawood)
-    assert _is_image_tuple(are_conjugate(aut, trans, members[-1]), 14)
-    for group in [aut, trans, *members]:
-        assert group.generators
-        assert all(_is_image_tuple(g, 14) for g in group.generators)
-        assert all(_is_image_tuple(x, 14) for x in group.elements())
+    members = enumerate_semiregular(aut, trans, (7,))
+    conjugator = are_conjugate(aut, PermGroup(14, trans), PermGroup(14, sorted(members[-1])))
+    assert _is_image_tuple(conjugator, 14)
+    assert all(_is_image_tuple(x, 14) for x in trans + [y for sub in members for y in sub])
+    assert aut.generators
+    assert all(_is_image_tuple(g, 14) for g in aut.generators)
+    assert all(_is_image_tuple(x, 14) for x in aut.elements())

@@ -6,6 +6,10 @@ census record, a certificate or a verdict fails here.  To regenerate a file
 after an intended change, run the command from the repository root:
 
     PYTHONPATH=src python -m bicayley.cli <argv...> > tests/golden/<name>.stdout
+
+``golden/theorem_b_1024.json`` is the output of ``theorem-b --max-vertices
+1024 --json``.  It is not in ``commands.json``, because the run takes about
+half a minute; the CI workflow runs it and diffs its output against the file.
 """
 
 import json

@@ -9,6 +9,7 @@ import pytest
 from _oracles import (
     _conjugate,
     _mul_close,
+    bicayley_parts,
     brute_automorphisms,
     complete_bipartite_33,
     compose,
@@ -508,7 +509,7 @@ def test_normalizer_matches_element_filter():
     assert normalizer(PermGroup(4), s4).order() == 24
     for b in _criterion_inputs():
         aut = automorphism_group(b.graph)
-        trans = right_translations(b)
+        trans = PermGroup(b.graph.n, right_translations(b))
         want = set(reference_normalizer(trans, aut))
         assert set(normalizer(trans, aut).elements()) == want, b.spec
 
@@ -516,29 +517,33 @@ def test_normalizer_matches_element_filter():
 def test_enumerate_semiregular():
     heawood = _zero_type([7], [0, 1, 3])
     aut = automorphism_group(heawood.graph)
-    subs = enumerate_semiregular(aut, heawood.parts, (7,))
-    assert len(subs) == 8
-    for sub in subs:
-        assert sub.order() == 7
-        assert semiregular_with_orbits(sub, heawood.parts)
+    trans = right_translations(heawood)
+    subs = enumerate_semiregular(aut, trans, (7,))
+    assert len(subs) == 8 and frozenset(trans) in subs
+    groups = [PermGroup(14, sorted(sub)) for sub in subs]
+    for sub, group in zip(subs, groups):
+        assert len(sub) == group.order() == 7
+        assert semiregular_with_orbits(group, bicayley_parts(heawood))
     # all eight are conjugate (Sylow)
-    for sub in subs[1:]:
-        x = are_conjugate(aut, subs[0], sub)
+    for sub, group in zip(subs[1:], groups[1:]):
+        x = are_conjugate(aut, groups[0], group)
         assert x is not None
-        image = frozenset(_conjugate(x, h) for h in subs[0].elements())
-        assert image == frozenset(sub.elements())
+        image = frozenset(_conjugate(x, h) for h in subs[0])
+        assert image == sub
 
     k33 = _zero_type([3], [0, 1, 2])
-    assert len(enumerate_semiregular(automorphism_group(k33.graph), k33.parts, (3,))) == 2
-    with pytest.raises(ValueError):
-        enumerate_semiregular(aut, heawood.parts, (5,))
+    k33_aut = automorphism_group(k33.graph)
+    assert len(enumerate_semiregular(k33_aut, right_translations(k33), (3,))) == 2
+    # a regular group of order 5 on each part has 5 translations, not 7
+    with pytest.raises(ValueError, match="7 translations cannot be regular on parts of 5"):
+        enumerate_semiregular(aut, trans, (5,))
     # the candidates are read off a base, which bare generators do not give
     bare = PermGroup(aut.degree, aut.generators)
     with pytest.raises(ValueError, match="has no base"):
-        enumerate_semiregular(bare, heawood.parts, (7,))
+        enumerate_semiregular(bare, trans, (7,))
     # ... except a trivial group, whose stabilizers are all trivial
-    [trivial] = enumerate_semiregular(PermGroup(2), [{0}, {1}], (1,))
-    assert trivial.elements() == [(0, 1)]
+    [trivial] = enumerate_semiregular(PermGroup(2), [(0, 1)], (1,))
+    assert trivial == frozenset({(0, 1)})
 
 
 def _element_sets(subs):
@@ -559,9 +564,9 @@ def test_enumerate_semiregular_matches_lattice_search():
     assert len(graphs) > 30
     for b in graphs:
         aut = automorphism_group(b.graph)
-        got = enumerate_semiregular(aut, b.parts, b.spec.group.orders)
-        want = reference_semiregular_members(aut, b.parts, b.spec.group)
-        assert _element_sets(got) == _element_sets(want), b.spec
+        got = enumerate_semiregular(aut, right_translations(b), b.spec.group.orders)
+        want = reference_semiregular_members(aut, bicayley_parts(b), b.spec.group)
+        assert got == _element_sets(want), b.spec
 
 
 def test_enumerate_semiregular_matches_coset_by_coset_growth():
@@ -578,9 +583,9 @@ def test_enumerate_semiregular_matches_coset_by_coset_growth():
         if aut.order() > max_enumeration_bound():
             continue
         orders = b.spec.group.orders
-        got = enumerate_semiregular(aut, b.parts, orders)
-        want = reference_enumerate_semiregular(aut, b.parts, orders)
-        assert _element_sets(got) == _element_sets(want), b.spec
+        got = enumerate_semiregular(aut, right_translations(b), orders)
+        want = reference_enumerate_semiregular(aut, bicayley_parts(b), orders)
+        assert got == _element_sets(want), b.spec
         checked += 1
     assert checked == 31
 
@@ -612,9 +617,9 @@ def test_enumerate_semiregular_returns_one_isomorphism_type():
         aut = automorphism_group(b.graph)
         found = []
         for orders in shapes:
-            got = enumerate_semiregular(aut, b.parts, orders)
-            want = reference_semiregular_members(aut, b.parts, make_group(orders))
-            assert _element_sets(got) == _element_sets(want), (description, orders)
+            got = enumerate_semiregular(aut, right_translations(b), orders)
+            want = reference_semiregular_members(aut, bicayley_parts(b), make_group(orders))
+            assert got == _element_sets(want), (description, orders)
             found.append(len(got))
         assert found == counts
 
@@ -623,7 +628,7 @@ def test_iota_alone_is_semiregular_but_misses_the_parts():
     cube = _zero_type([2, 2], [(0, 0), (1, 0), (0, 1)])
     sub = PermGroup(8, [iota(cube)])
     assert is_semiregular(sub)
-    assert not semiregular_with_orbits(sub, cube.parts)
+    assert not semiregular_with_orbits(sub, bicayley_parts(cube))
 
 
 def test_are_conjugate():
@@ -640,17 +645,44 @@ def test_are_conjugate():
     for b in _criterion_inputs():
         aut = automorphism_group(b.graph)
         trans = right_translations(b)
-        members = enumerate_semiregular(aut, b.parts, b.spec.group.orders)
+        trans_group = PermGroup(b.graph.n, trans)
+        members = enumerate_semiregular(aut, trans, b.spec.group.orders)
+        groups = [PermGroup(b.graph.n, sorted(sub)) for sub in members]
         reach, _ = _conjugates(aut, trans)  # the one orbit each are_conjugate call walks
-        for sub in members:
-            x = reach.get(frozenset(sub.elements()))
-            assert (x is None) == (reference_are_conjugate(aut, trans, sub) is None), b.spec
+        for sub, group in zip(members, groups):
+            x = reach.get(sub)
+            want = reference_are_conjugate(aut, trans_group, group)
+            assert (x is None) == (want is None), b.spec
             if x is not None:
                 assert aut.contains(x)
-                image = frozenset(_conjugate(x, h) for h in trans.elements())
-                assert image == frozenset(sub.elements())
-        want = reference_conjugacy_class_count(aut, members)
+                assert frozenset(_conjugate(x, h) for h in trans) == sub
+        want = reference_conjugacy_class_count(aut, groups)
         assert bci_by_criterion(b).conjugacy_class_count == want, b.spec
+
+
+def test_criterion_lists_no_subgroup_by_closure(monkeypatch):
+    # H_R and the semiregular subgroups reach the criterion as element sets,
+    # and Aut as its generators, order and base, so no PermGroup is listed
+    wants = []
+    for b in _criterion_inputs():
+        aut = automorphism_group(b.graph)
+        trans = PermGroup(b.graph.n, right_translations(b))
+        members = reference_enumerate_semiregular(aut, bicayley_parts(b), b.spec.group.orders)
+        classes = reference_conjugacy_class_count(aut, members)
+        transitive = len({x[0] for x in reference_normalizer(trans, aut)}) == b.graph.n
+        wants.append((transitive and classes == 1, transitive, len(members), classes))
+
+    def refuse(group):
+        raise AssertionError(f"{group!r} was listed")
+
+    monkeypatch.setattr(PermGroup, "elements", refuse)
+    for b, want in zip(_criterion_inputs(), wants):
+        v = bci_by_criterion(b)
+        got = (v.is_bci, v.normalizer_transitive, v.semiregular_count, v.conjugacy_class_count)
+        assert got == want, b.spec
+    assert {want[0] for want in wants} == {True, False}
+    # theorem-b: the criterion, with the oracle beside it on small groups
+    assert all(rec["is_bci"] for rec in census.theorem_b_verify(64))
 
 
 def test_enumeration_bound_env_override(monkeypatch):
