@@ -136,6 +136,7 @@ class PermGroup:
         self.base: tuple[int, ...] = tuple(base)
         self._listed: list[tuple[int, ...]] | None = None
         self._members: set[tuple[int, ...]] | None = None
+        self._orbits: dict[int, frozenset[int]] = {}
 
     def order(self) -> int:
         if self._order is None:
@@ -165,7 +166,12 @@ class PermGroup:
         return self._listed
 
     def orbit(self, v: int) -> frozenset[int]:
-        return frozenset(_orbit((v,), self.generators))
+        """v's orbit, walked once and kept for each of its points."""
+        orbit = self._orbits.get(v)
+        if orbit is None:
+            orbit = frozenset(_orbit((v,), self.generators))
+            self._orbits.update(dict.fromkeys(orbit, orbit))
+        return orbit
 
     def point_stabilizer(self) -> tuple[int, list[tuple[int, ...]]]:
         """``base[0]`` and the generators that fix it, which generate its
@@ -199,9 +205,12 @@ class _Search:
 
     The ordered-partition refinement is relabeling-equivariant: cells split by
     neighbor counts against a splitter cell, fragments ordered by count, and
-    the splitter worklist is a FIFO of every new fragment.  Branching
-    explores the first non-singleton cell, skipping vertices equivalent to an
-    explored sibling under automorphisms that fix the branch prefix.
+    the splitter worklist is a FIFO of every new fragment, less the pops that
+    provably split nothing (``refine``'s sibling rule; a regular graph's
+    root): unlike Hopcroft's rule, which skips fragments that split, this
+    keeps the cell order.  Branching explores the first non-singleton cell,
+    skipping vertices equivalent to an explored sibling under automorphisms
+    that fix the branch prefix.
 
     Root children go least vertex v first, then v's neighbours in the cell,
     then the rest, each group in vertex order.  Any sibling order reaches the
@@ -243,7 +252,9 @@ class _Search:
         if self.n == 0:
             self.best = ((), [])
             return
-        cells = self.refine([list(range(self.n))], 0)
+        cells = [list(range(self.n))]
+        if len(set(map(len, self.adj))) > 1:  # a regular graph's unit partition is equitable
+            cells = self.refine(cells, 0)
         self.descend(cells, [])
 
     def refine(self, cells: list[list[int]], seed: int) -> list[list[int]]:
@@ -261,6 +272,16 @@ class _Search:
         neighbor count; the first fragment keeps the start and every fragment
         is queued.  Cells only shrink, so a queued ``(start, size)`` whose cell
         has since split no longer matches its size.
+
+        Sibling rule: a cell is settled once popped whole, or as a cell of the
+        input (above); every cell then has one count into it.  The fragments
+        of a settled cell share a countdown, ``siblings``, popped once per
+        whole pop.  The last fragment pops 0 only if all its siblings were
+        popped whole: each cell's count into it is then its count into the
+        parent less those into the siblings, all uniform, so its pop would
+        split nothing and is skipped.  Hopcroft's rule skips a fragment before
+        its siblings are popped, so the skipped fragment may split cells,
+        which they then split in another order; here the cell order is kept.
 
         A singleton splitter {w} (most pops) reads ``adj[w]`` alone: every
         count is 1, so a cell it hits but does not cover splits into the rest
@@ -286,13 +307,17 @@ class _Search:
                 cell_of[v] = s
             s += len(cell)
         ncells = len(cells)
-        queue = deque([(sum(map(len, cells[:seed])), len(cells[seed]))])
+        fresh = [False] * n  # fresh[s]: the cell at s is queued and not yet popped
+        queue = deque([(sum(map(len, cells[:seed])), len(cells[seed]), None)])
         cnt = [0] * n
         while queue and ncells < n:
-            start, size = queue.popleft()
+            start, size, siblings = queue.popleft()
             splitter = at[start]
             if len(splitter) != size:
                 continue
+            fresh[start] = False
+            if siblings is not None and not siblings.pop():
+                continue  # the last sibling, all others popped whole: a no-op
             if size == 1:
                 hit: dict[int, list[int]] | None = None
                 for v in adj[splitter[0]]:
@@ -320,10 +345,12 @@ class _Search:
                     p = s + len(rest)
                     for v in mine:
                         cell_of[v] = p
+                    siblings = None if fresh[s] else [0, 1]
                     at[s] = rest
                     at[p] = mine
-                    queue.append((s, len(rest)))
-                    queue.append((p, len(mine)))
+                    fresh[s] = fresh[p] = True
+                    queue.append((s, len(rest), siblings))
+                    queue.append((p, len(mine), siblings))
                     ncells += 1
                 continue
             touched: list[int] = []
@@ -357,13 +384,15 @@ class _Search:
                     fragments = [by_count[c] for c in sorted(by_count)]
                     if sum(map(len, fragments)) < len(cell):
                         fragments.insert(0, list(filterfalse(cnt.__getitem__, cell)))
+                siblings = None if fresh[s] else list(range(len(fragments)))
                 p = s
                 for frag in fragments:
                     if p > s:
                         for v in frag:
                             cell_of[v] = p
                     at[p] = frag
-                    queue.append((p, len(frag)))
+                    fresh[p] = True
+                    queue.append((p, len(frag), siblings))
                     p += len(frag)
                 ncells += len(fragments) - 1
             for v in touched:

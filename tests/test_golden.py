@@ -10,15 +10,24 @@ after an intended change, run the command from the repository root:
 ``golden/theorem_b_1024.json`` is the output of ``theorem-b --max-vertices
 1024 --json``.  It is not in ``commands.json``, because the run takes about
 half a minute; the CI workflow runs it and diffs its output against the file.
+
+``golden/census_certificates_256.json`` pins the certificate of every census
+member to 256 vertices, and of a relabeling of each, by its SHA-256: a kernel
+change that reorders cells on a census member changes a digest there.
 """
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from bicayley import census, symmetry
+from bicayley.construction import known_automorphisms
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -38,3 +47,22 @@ def test_cli_output_matches_golden(name):
     )
     assert run.returncode == command["exit"], run.stderr.decode()
     assert run.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+def test_census_certificates_match_golden():
+    golden = json.loads((GOLDEN / "census_certificates_256.json").read_text())
+    rng = random.Random(golden["relabeling_seed"])
+    members = census.table1_instances(256) + census.table2_instances(256)
+    found = []
+    for inst in members:
+        g = inst.bigraph.graph
+        symmetry._ANALYZED.pop(g, None)  # search again, seeded as verify_instance seeds it
+        cert = symmetry.certificate(g, known_automorphisms(inst.bigraph))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert symmetry.certificate(g.relabel(perm)) == cert, inst.description
+        digest = hashlib.sha256(cert.encode()).hexdigest()
+        found.append(
+            {"table": inst.table, "description": inst.description, "vertices": g.n, "sha256": digest}
+        )
+    assert found == golden["members"]

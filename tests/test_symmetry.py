@@ -148,6 +148,11 @@ def test_refine_matches_reference_on_every_call(monkeypatch):
         for n, steps in ((9, (1, 2)), (12, (1, 3)), (13, (1, 5)), (16, (1, 2, 6)), (15, (1, 4, 6)))
     ]
     graphs = _relabeled(circulants + small_corpus(60, 10), 7, 1)
+    # a relabeling of each census member (not the member itself): these meet
+    # settled cells whose fragments are all popped whole, so the last
+    # fragment's pop is skipped
+    members = census.table1_instances(128) + census.table2_instances(128)
+    graphs += _relabeled([inst.bigraph.graph for inst in members], 8, 1)[1::2]
     fast = _Search.refine
     calls = []
 
@@ -176,6 +181,46 @@ def test_refine_matches_reference_on_every_call(monkeypatch):
             for v in c
         )
     assert singleton_splits > 100 and counts_above_one > 20 and self_splits > 20
+
+
+def test_regular_graph_root_is_not_refined(monkeypatch):
+    # a regular graph's unit partition is equitable: only individualized
+    # partitions, of two or more cells, are refined
+    fast = _Search.refine
+    sizes = []
+
+    def recorded(search, cells, seed):
+        sizes.append(len(cells))
+        return fast(search, cells, seed)
+
+    monkeypatch.setattr(_Search, "refine", recorded)
+    for g in (K4, C5, kneser_petersen(), hypercube(), census.table1_instances(64)[-1].bigraph.graph):
+        sizes.clear()
+        _Search(g).run()
+        assert sizes and min(sizes) > 1
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    sizes.clear()
+    _Search(star).run()
+    assert sizes[0] == 1  # a non-regular root is refined
+
+
+def test_arc_type_and_orbit_roots_walk_one_orbit_once(monkeypatch):
+    inst = census.table1_instances(64)[-1]
+    g = inst.bigraph.graph
+    aut = automorphism_group(g)
+    w = aut.base[0]
+    walks = []
+    walk = symmetry._orbit
+
+    def counted(points, images):
+        reach = walk(points, images)
+        walks.append(reach)
+        return reach
+
+    monkeypatch.setattr(symmetry, "_orbit", counted)
+    assert _arc_type(g, aut) == (inst.expected_k, True)
+    assert aut.orbit_roots() == [0]
+    assert [w in reach for reach in walks] == [True]
 
 
 def _fresh_analysis(graph: Graph, leaves: list, known=()):
