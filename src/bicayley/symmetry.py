@@ -230,6 +230,11 @@ class _Search:
     tree order with the least certificate, is never skipped: labelings and
     certificates are those of the exhaustive search.
 
+    Leaf rule: a later leaf is certified only if its map from the first leaf
+    (each vertex to the one at its first-leaf position) takes some edge to a
+    non-edge; otherwise it has the first leaf's certificate, never below the
+    best (McKay and Piperno 2014).
+
     The search starts from the ``known`` automorphisms (a non-automorphism
     raises ValueError).  Both prunings need only true automorphisms, so seeds
     skip more and change nothing: a skipped subtree is the image of an
@@ -239,10 +244,10 @@ class _Search:
     def __init__(self, graph: Graph, known=()):
         self.n = graph.n
         self.adj = graph.adjacency
-        self.edges = edges = graph.edges
+        self.edges = graph.edges
         self.autos = [tuple(images) for images in known]
-        for p in self.autos:  # a bijection taking every edge to an edge
-            if sorted(p) != [*range(self.n)] or not all(p[w] in self.adj[p[u]] for u, w in edges):
+        for p in self.autos:
+            if sorted(p) != [*range(self.n)] or not self.is_automorphism(p):
                 raise ValueError(f"a known automorphism of {graph} is not an automorphism")
         self.first: tuple[tuple[int, ...], list[int]] | None = None
         self.first_path: list[int] = []
@@ -283,6 +288,15 @@ class _Search:
         its siblings are popped, so the skipped fragment may split cells,
         which they then split in another order; here the cell order is kept.
 
+        Rest rule: a splitter X whose nearest settled ancestor A has
+        2|X| > |A| counts A - X instead.  Every cell is uniform into A, so v's
+        count into X is c_A(v's cell) - c_(A-X)(v): the same cells split into
+        the same fragments, which the rest's counts order backwards, so they
+        are reversed.  Unlike Hopcroft's, this rule skips no pop.  A cell
+        spans its ancestor's positions, ``span[s]``: the range of a settled
+        cell split, or the span of a fresh one.  Other positions span all n,
+        so the seed (all n, or one vertex) counts itself.
+
         A singleton splitter {w} (most pops) reads ``adj[w]`` alone: every
         count is 1, so a cell it hits but does not cover splits into the rest
         and the neighbors of w, with no count array.  The cells hit are filed
@@ -299,6 +313,7 @@ class _Search:
         adj = self.adj
         n = self.n
         at: list = [None] * n
+        span = [(0, n)] * n
         cell_of = [0] * n
         s = 0
         for cell in cells:
@@ -345,16 +360,24 @@ class _Search:
                     p = s + len(rest)
                     for v in mine:
                         cell_of[v] = p
-                    siblings = None if fresh[s] else [0, 1]
+                    siblings, whole = (None, span[s]) if fresh[s] else ([0, 1], (s, s + len(cell)))
                     at[s] = rest
                     at[p] = mine
+                    span[s] = span[p] = whole
                     fresh[s] = fresh[p] = True
                     queue.append((s, len(rest), siblings))
                     queue.append((p, len(mine), siblings))
                     ncells += 1
                 continue
+            counted = splitter
+            a, b = span[start]
+            if size < b - a < 2 * size:  # the rest rule
+                counted, s = [], a
+                while s < b:
+                    counted += at[s] if s != start else ()
+                    s += len(at[s])
             touched: list[int] = []
-            for w in splitter:
+            for w in counted:
                 for v in adj[w]:
                     c = cnt[v]
                     if not c:
@@ -384,13 +407,17 @@ class _Search:
                     fragments = [by_count[c] for c in sorted(by_count)]
                     if sum(map(len, fragments)) < len(cell):
                         fragments.insert(0, list(filterfalse(cnt.__getitem__, cell)))
+                if counted is not splitter:
+                    fragments.reverse()
                 siblings = None if fresh[s] else list(range(len(fragments)))
+                whole = span[s] if fresh[s] else (s, s + len(cell))
                 p = s
                 for frag in fragments:
                     if p > s:
                         for v in frag:
                             cell_of[v] = p
                     at[p] = frag
+                    span[p] = whole
                     fresh[p] = True
                     queue.append((p, len(frag), siblings))
                     p += len(frag)
@@ -457,31 +484,33 @@ class _Search:
             fixing = [a for a in fixing if a[p] == p]
         return _orbit(points, fixing)
 
+    def is_automorphism(self, p: tuple[int, ...]) -> bool:
+        """Whether the bijection ``p`` takes every edge to an edge."""
+        return all(p[w] in self.adj[p[u]] for u, w in self.edges)
+
     def handle_leaf(self, cells: list[list[int]], prefix: list[int]) -> int | None:
-        cert, position = self.leaf_certificate(cells)
         if self.first is None:
-            self.first = self.best = (cert, position)
+            self.first = self.best = self.leaf_certificate(cells)
             self.first_path = prefix
             return None
-        gamma = self.record_if_automorphism(cert, position, self.first)
-        assert self.best is not None
+        order = [cell[0] for cell in cells]
+        gamma = self.record_if_automorphism(order, self.first)
+        if gamma is not None:  # the first leaf's certificate; see the class docstring
+            path = self.first_path
+            i = next(j for j, u in enumerate(path) if u != prefix[j])
+            return i if all(gamma[u] == w for u, w in zip(path[: i + 1], prefix)) else None
+        cert, position = self.leaf_certificate(cells)
         if cert < self.best[0]:
             self.best = (cert, position)
-        elif self.best is not self.first:
-            self.record_if_automorphism(cert, position, self.best)
-        if gamma is not None:
-            i = next(j for j, u in enumerate(self.first_path) if u != prefix[j])
-            if all(gamma[u] == w for u, w in zip(self.first_path[: i + 1], prefix)):
-                return i
+        elif cert == self.best[0]:  # so the best is not the first leaf
+            self.record_if_automorphism(order, self.best)
         return None
 
-    def record_if_automorphism(self, cert: tuple[int, ...], position: list[int], other):
-        """Keep the automorphism from ``other``'s leaf to this one; return its images."""
-        if cert != other[0]:
+    def record_if_automorphism(self, order: list[int], other) -> tuple[int, ...] | None:
+        """Keep the map from ``other``'s leaf to this one, if an automorphism; return it."""
+        perm = itemgetter(*other[1])(order)
+        if not self.is_automorphism(perm):
             return None
-        # two labelings onto the same canonical graph compose to an automorphism
-        inv = sorted(range(self.n), key=position.__getitem__)
-        perm = tuple(map(inv.__getitem__, other[1]))
         if perm != _identity_images(self.n) and perm not in self.autos:
             self.autos.append(perm)
         return perm

@@ -11,8 +11,8 @@ automorphisms from every tuple of generator images that spans the group, and the
 Theorem A lattice key from a walk over every power of t, and closed
 non-backtracking walks by listing every walk from every arc.  The
 exceptions are the straightforward refinement and branching of the
-individualization-refinement search and its big-integer leaf certificate,
-written as methods to patch into ``bicayley.symmetry._Search`` in place of the
+individualization-refinement search, its big-integer leaf certificate and
+its leaf handling that certifies every leaf, written as methods to patch into ``bicayley.symmetry._Search`` in place of the
 fast ones, the unreduced Theorem A scan, the full-scan BCI oracle and the
 oracle's first-match scan without its component-count filter, which build
 and certify graphs through the package, and the orbit and
@@ -333,6 +333,37 @@ def reference_leaf_certificate(search, cells: list[list[int]]) -> tuple[bytes, l
                 mask |= 1 << (j * (j - 1) // 2 + i)
     nbits = search.n * (search.n - 1) // 2
     return mask.to_bytes((nbits + 7) // 8 or 1, "big"), position
+
+
+def reference_handle_leaf(search, cells: list[list[int]], prefix: list[int]) -> int | None:
+    """Leaf handling that certifies every leaf: a leaf whose certificate equals
+    the first leaf's or the best's gives the automorphism between their
+    labelings, read by sorting the vertices by position."""
+    cert, position = search.leaf_certificate(cells)
+    if search.first is None:
+        search.first = search.best = (cert, position)
+        search.first_path = prefix
+        return None
+
+    def record(other) -> tuple[int, ...] | None:
+        if cert != other[0]:
+            return None
+        inv = sorted(range(search.n), key=position.__getitem__)
+        perm = tuple(inv[i] for i in other[1])
+        if perm != tuple(range(search.n)) and perm not in search.autos:
+            search.autos.append(perm)
+        return perm
+
+    gamma = record(search.first)
+    if cert < search.best[0]:
+        search.best = (cert, position)
+    elif search.best is not search.first:
+        record(search.best)
+    if gamma is not None:
+        i = next(j for j, u in enumerate(search.first_path) if u != prefix[j])
+        if all(gamma[u] == w for u, w in zip(search.first_path[: i + 1], prefix)):
+            return i
+    return None
 
 
 def reference_lattice_key(r, s, t) -> tuple:

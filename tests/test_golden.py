@@ -14,6 +14,8 @@ half a minute; the CI workflow runs it and diffs its output against the file.
 ``golden/census_certificates_256.json`` pins the certificate of every census
 member to 256 vertices, and of a relabeling of each, by its SHA-256: a kernel
 change that reorders cells on a census member changes a digest there.
+``golden/census_certificates_1024.json`` does the same for the 168 members
+to the 1024-vertex search bound, where the largest cells are counted.
 """
 
 import hashlib
@@ -50,9 +52,17 @@ def test_cli_output_matches_golden(name):
 
 
 def test_census_certificates_match_golden():
-    golden = json.loads((GOLDEN / "census_certificates_256.json").read_text())
+    _check_census_certificates(256)
+
+
+def test_census_certificates_match_golden_at_the_search_bound():
+    _check_census_certificates(1024)
+
+
+def _check_census_certificates(bound: int) -> None:
+    golden = json.loads((GOLDEN / f"census_certificates_{bound}.json").read_text())
     rng = random.Random(golden["relabeling_seed"])
-    members = census.table1_instances(256) + census.table2_instances(256)
+    members = census.table1_instances(bound) + census.table2_instances(bound)
     found = []
     for inst in members:
         g = inst.bigraph.graph

@@ -3,6 +3,7 @@ bijections, subgroup operations by explicit element scans."""
 
 import math
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -25,6 +26,7 @@ from _oracles import (
     reference_conjugacy_class_count,
     reference_descend,
     reference_enumerate_semiregular,
+    reference_handle_leaf,
     reference_leaf_certificate,
     reference_normalizer,
     reference_refine,
@@ -64,6 +66,10 @@ from bicayley.symmetry import (
 K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 C5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
 C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+# refinement cannot tell a triangle's vertices from a square's, so the first
+# leaf depends on which component holds vertex 0; the best does not
+TRIANGLE_FIRST = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
+SQUARE_FIRST = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)])
 
 
 def _zero_type(orders, spokes):
@@ -102,6 +108,18 @@ def _same_group(n: int, gens_a, gens_b) -> bool:
     )
 
 
+def _search_corpus() -> list[Graph]:
+    members = census.table1_instances(128) + census.table2_instances(128)
+    graphs = _relabeled(small_corpus(40), 3, 2)
+    graphs += _relabeled([inst.bigraph.graph for inst in members], 4, 1)
+    # cubic with trivial Aut: its leaves differ, so the certificate order picks the labeling
+    frucht = lcf_graph([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2], 1)
+    graphs += _relabeled([frucht], 6, 3)
+    # the best leaf is not the first for some of these
+    graphs += _relabeled([TRIANGLE_FIRST], 5, 3)
+    return graphs
+
+
 @pytest.mark.parametrize(
     "patched",
     [
@@ -110,20 +128,18 @@ def _same_group(n: int, gens_a, gens_b) -> bool:
         ("refine", "descend"),
         ("leaf_certificate",),
         ("refine", "leaf_certificate"),
+        ("handle_leaf",),
+        ("refine", "handle_leaf"),
     ],
 )
 def test_search_matches_reference_refinement_and_branching(monkeypatch, patched):
-    members = census.table1_instances(128) + census.table2_instances(128)
-    graphs = _relabeled(small_corpus(40), 3, 2)
-    graphs += _relabeled([inst.bigraph.graph for inst in members], 4, 1)
-    # cubic with trivial Aut: its leaves differ, so the certificate order picks the labeling
-    frucht = lcf_graph([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2], 1)
-    graphs += _relabeled([frucht], 6, 3)
+    graphs = _search_corpus()
     fast = [_search_outcome(g) for g in graphs]
     references = {
         "refine": reference_refine,
         "descend": reference_descend,
         "leaf_certificate": reference_leaf_certificate,
+        "handle_leaf": reference_handle_leaf,
     }
     for name in patched:
         monkeypatch.setattr(_Search, name, references[name])
@@ -137,6 +153,47 @@ def test_search_matches_reference_refinement_and_branching(monkeypatch, patched)
     ):
         assert (labeling, cert) == (ref_labeling, ref_cert)
         assert _same_group(g.n, autos, ref_autos)
+
+
+def test_leaf_automorphism_test_matches_certificate_equality(monkeypatch):
+    # a later leaf skips its certificate when the map from the first leaf is
+    # an automorphism: exactly when the two certificates would be equal
+    verdicts = []
+    handle_leaf = _Search.handle_leaf
+
+    def checked(search, cells, prefix):
+        if search.first is not None:
+            gamma = itemgetter(*search.first[1])([c[0] for c in cells])
+            same = search.leaf_certificate(cells)[0] == search.first[0]
+            verdicts.append((search.is_automorphism(gamma), same))
+        return handle_leaf(search, cells, prefix)
+
+    monkeypatch.setattr(_Search, "handle_leaf", checked)
+    best_not_first = 0
+    for g in _search_corpus():
+        search = _Search(g)
+        search.run()
+        best_not_first += search.best is not search.first
+    assert all(verdict == same for verdict, same in verdicts)
+    assert {verdict for verdict, _ in verdicts} == {True, False} and best_not_first
+
+
+def test_census_searches_certify_only_the_first_leaf(monkeypatch):
+    # every later leaf of a census member's search is the first leaf's image
+    # under an automorphism, which the edge check finds without a certificate
+    certified = []
+    leaf_certificate = _Search.leaf_certificate
+
+    def counted(search, cells):
+        certified.append(cells)
+        return leaf_certificate(search, cells)
+
+    monkeypatch.setattr(_Search, "leaf_certificate", counted)
+    members = census.table1_instances(128) + census.table2_instances(128)
+    for g in _relabeled([inst.bigraph.graph for inst in members], 10, 1)[1::2]:
+        certified.clear()
+        _Search(g).run()
+        assert len(certified) == 1, g
 
 
 def test_refine_matches_reference_on_every_call(monkeypatch):
@@ -153,6 +210,19 @@ def test_refine_matches_reference_on_every_call(monkeypatch):
     # fragment's pop is skipped
     members = census.table1_instances(128) + census.table2_instances(128)
     graphs += _relabeled([inst.bigraph.graph for inst in members], 8, 1)[1::2]
+    # denser non-regular graphs, cones over random circulants on 19-39
+    # vertices, each step taken with probability 0.2-0.4: a settled cell's
+    # rest, counted in place of a larger splitter, splits cells into up to
+    # seven fragments (random graphs of that size and density refine to
+    # singletons at the root, so no rest is ever counted there)
+    rng = random.Random(30)
+    cones = []
+    for _ in range(20):
+        m, p = rng.randint(19, 39), rng.uniform(0.2, 0.4)
+        steps = [d for d in range(1, m // 2 + 1) if rng.random() < p] or [1]
+        edges = [(i, (i + d) % m) for i in range(m) for d in steps]
+        cones.append(Graph.from_edges(m + 1, edges + [(i, m) for i in range(m)]))
+    graphs += _relabeled(cones, 31, 1)[1::2]
     fast = _Search.refine
     calls = []
 
@@ -438,12 +508,8 @@ def test_certificates_are_relabeling_invariant():
 
 
 def test_certificate_comes_from_the_best_leaf():
-    # refinement cannot tell a triangle's vertices from a square's, so the
-    # first leaf depends on which component holds vertex 0; the best does not
-    triangle_first = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
-    square_first = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)])
-    assert certificate(triangle_first) == certificate(square_first)
-    for g in (triangle_first, square_first):
+    assert certificate(TRIANGLE_FIRST) == certificate(SQUARE_FIRST)
+    for g in (TRIANGLE_FIRST, SQUARE_FIRST):
         search = _Search(g)
         search.run()
         assert encode_graph6(g.relabel(search.best[1])) == certificate(g)
