@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import takewhile
-from math import prod
+from math import inf, prod
 
 from bicayley.abelian import GroupElement, element_order, make_group
 from bicayley.bci import _ORACLE_LIMIT, _first_match, bci_by_criterion, cross_check
@@ -39,6 +39,7 @@ __all__ = [
     "CensusInstance",
     "table1_instances",
     "table2_instances",
+    "analysis",
     "verify_instance",
     "theorem_a_search",
     "theorem_b_verify",
@@ -184,23 +185,18 @@ def table2_instances(max_vertices: int = 64) -> list[CensusInstance]:
     return out
 
 
-def verify_instance(inst: CensusInstance) -> dict:
-    """Check connectivity, cubicity, arc-regularity and the order formula."""
-    g = inst.bigraph.graph
+def analysis(bigraph: BiCayleyGraph) -> dict:
+    """The symmetry record of a bi-Cayley graph: connectivity, girth (None
+    for a forest), cubicity, arc type and |Aut|."""
+    g = bigraph.graph
     connected = is_connected(g)
     cubic = g.is_regular(3)
-    aut = automorphism_group(g, known_automorphisms(inst.bigraph))
+    aut = automorphism_group(g, known_automorphisms(bigraph))
     k, regular = _arc_type(g, aut) if connected and cubic else (None, False)
-    # exact k-regularity implies transitivity on all shorter arcs
-    claim_ok = k is not None and k >= inst.claimed_k
-    ok = connected and cubic and regular and k == inst.expected_k and claim_ok
+    shortest = girth(g, aut.orbit_roots())
     return {
-        "table": inst.table,
-        "row": inst.row,
-        "description": inst.description,
-        "spec": format_spec(inst.bigraph.spec),
         "vertices": g.n,
-        "girth": girth(g, aut.orbit_roots()),
+        "girth": None if shortest == inf else shortest,
         "connected": connected,
         "cubic": cubic,
         "arc_type": k,
@@ -208,6 +204,25 @@ def verify_instance(inst: CensusInstance) -> dict:
         "aut_order": aut.order(),
         # _arc_type finds k only where |Aut| = n * 3 * 2^(k-1)
         "order_formula_ok": k is not None,
+    }
+
+
+def verify_instance(inst: CensusInstance) -> dict:
+    """Check connectivity, cubicity, arc-regularity and the order formula."""
+    record = analysis(inst.bigraph)
+    k = record["arc_type"]
+    # exact k-regularity implies transitivity on all shorter arcs
+    claim_ok = k is not None and k >= inst.claimed_k
+    ok = (
+        record["connected"] and record["cubic"] and record["arc_regular"]
+        and k == inst.expected_k and claim_ok
+    )
+    return {
+        "table": inst.table,
+        "row": inst.row,
+        "description": inst.description,
+        "spec": format_spec(inst.bigraph.spec),
+        **record,
         "expected_k": inst.expected_k,
         "claimed_k": inst.claimed_k,
         "claim_ok": claim_ok,

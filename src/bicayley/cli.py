@@ -12,6 +12,7 @@ from bicayley import __version__
 from bicayley.bci import bci_by_criterion, bci_oracle, cross_check, verdict_payload
 from bicayley.census import (
     SCOPE_NOTE,
+    analysis,
     negative_controls,
     table1_instances,
     table2_instances,
@@ -19,17 +20,9 @@ from bicayley.census import (
     theorem_b_verify,
     verify_instance,
 )
-from bicayley.construction import (
-    build, generalized_petersen, known_automorphisms, parse_spec, predicted_connected
-)
-from bicayley.graphs import bipartition, encode_graph6, girth, is_connected
-from bicayley.symmetry import (
-    _MAX_SEARCH_VERTICES,
-    _arc_type,
-    _check_search_bound,
-    automorphism_group,
-    certificate,
-)
+from bicayley.construction import build, generalized_petersen, parse_spec, predicted_connected
+from bicayley.graphs import bipartition, encode_graph6, is_connected
+from bicayley.symmetry import _check_search_bound, certificate
 from bicayley.voltage import derive, fig_alpha, fig_assignment, fig_base, lifts
 
 __all__ = ["main"]
@@ -92,27 +85,23 @@ def cmd_build(args) -> int:
 def _searchable_spec(text: str):
     """The parsed spec, refused before it is built if its 2|H| vertices exceed the search bound."""
     spec = parse_spec(text)
-    _check_search_bound(2 * spec.group.size)
+    n = 2 * spec.group.size
+    _check_search_bound(n, f"graph on {n} vertices")
     return spec
 
 
 def cmd_analyze(args) -> int:
     g = (bigraph := build(_searchable_spec(args.spec))).graph
-    connected = is_connected(g)
-    aut = automorphism_group(g, known_automorphisms(bigraph))
-    k, regular = _arc_type(g, aut) if connected and g.is_regular(3) else (None, False)
-    shortest = girth(g, aut.orbit_roots())
+    record = analysis(bigraph)
     payload = {
         "spec": args.spec,
-        "vertices": g.n,
-        "girth": None if shortest == float("inf") else shortest,
+        "vertices": record["vertices"],
+        "girth": record["girth"],
         "bipartite": bipartition(g) is not None,
-        "connected": connected,
-        "aut_order": aut.order(),
-        "arc_type": k,
-        "arc_regular": regular,
-        # _arc_type finds k only where |Aut| = n * 3 * 2^(k-1)
-        "order_formula_ok": k is not None,
+        **{
+            key: record[key]
+            for key in ("connected", "aut_order", "arc_type", "arc_regular", "order_formula_ok")
+        },
         "certificate": certificate(g),
     }
     ok = True
@@ -134,10 +123,7 @@ def cmd_analyze(args) -> int:
 
 def _searchable_bound(max_vertices: int) -> int:
     """``--max-vertices``, refused before any instance is listed if it exceeds the search bound."""
-    if max_vertices > _MAX_SEARCH_VERTICES:
-        raise ValueError(
-            f"--max-vertices {max_vertices} exceeds the search bound {_MAX_SEARCH_VERTICES}"
-        )
+    _check_search_bound(max_vertices, f"--max-vertices {max_vertices}")
     return max_vertices
 
 

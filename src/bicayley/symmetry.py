@@ -8,13 +8,14 @@ is a base and the automorphisms it keeps a strong generating set for it, so
 |Aut| is the product of the first-path orbit lengths, and the kept
 generators that fix its first vertex w generate Aut_w.  The search may start
 from known automorphisms: true ones prune soundly, never the best leaf, so
-the output is that of an unseeded search.  Arc types are read off Aut_w,
-and the semiregular candidates off Aut_w and the right translations, so no
-step lists all of Aut.  Aut_w and the groups from bare generators are listed
-by closure over their generators, bounded by BICAYLEY_MAX_AUT (default
-100000); the semiregular enumeration refuses an Aut of larger order.  A
-subgroup of Aut is its element set; normalizers and conjugacy come from
-its orbit under conjugation by the group's generators.
+the output is that of an unseeded search.  ``PermGroup`` is that result:
+generators, order and base, with membership by the edge check.  Arc types
+are read off Aut_w, and the semiregular candidates off Aut_w and the right
+translations, so no step lists all of Aut; Aut_w is listed by closure over
+its generators.  The semiregular enumeration refuses an Aut of order above
+BICAYLEY_MAX_AUT (default 100000).  A subgroup of Aut is its element set;
+normalizers and conjugacy come from its orbit under conjugation by Aut's
+generators.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ _ANALYZED: dict[Graph, tuple] = {}  # the 4096 graphs last analyzed, least recen
 
 
 def max_enumeration_bound() -> int:
-    """Element-enumeration cutoff; override with the BICAYLEY_MAX_AUT env var."""
+    """Largest |Aut| the semiregular enumeration takes; override with the
+    BICAYLEY_MAX_AUT env var."""
     raw = os.environ.get("BICAYLEY_MAX_AUT", "")
     if not raw:
         return _DEFAULT_MAX_ENUM
@@ -58,14 +60,6 @@ def max_enumeration_bound() -> int:
     return bound
 
 
-def _refusal(order, bound: int) -> ValueError:
-    """The error refusing to list a group of ``order`` past ``bound``."""
-    return ValueError(
-        f"group of order {order} exceeds the enumeration bound {bound}; "
-        "raise BICAYLEY_MAX_AUT to override"
-    )
-
-
 @lru_cache(maxsize=None)
 def _identity_images(n: int) -> tuple[int, ...]:
     return tuple(range(n))
@@ -76,6 +70,12 @@ def _inverse(x: tuple[int, ...]) -> tuple[int, ...]:
     for i, v in enumerate(x):
         inv[v] = i
     return tuple(inv)
+
+
+def _is_automorphism(adj, edges, p) -> bool:
+    """Whether ``p`` is a permutation of the vertices of the graph with
+    adjacency ``adj`` and edge list ``edges`` taking every edge to an edge."""
+    return sorted(p) == [*range(len(adj))] and all(p[w] in adj[p[u]] for u, w in edges)
 
 
 def _orbit(points, images) -> set[int]:
@@ -92,10 +92,10 @@ def _orbit(points, images) -> set[int]:
     return reach
 
 
-def _closure(start: tuple[int, ...], images, bound: int | None = None):
+def _closure(start: tuple[int, ...], images) -> list[tuple[int, ...]]:
     """Every tuple reached breadth-first from ``start``, x going to (g[x[0]],
-    g[x[1]], ...) under each image tuple g; None past ``bound``.  From the
-    identity's images that lists a group, from two or more points their orbit."""
+    g[x[1]], ...) under each image tuple g.  From the identity's images that
+    lists a group, from two or more points their orbit."""
     listed = [start]
     seen = {start}
     for x in listed if images else ():  # grows while walked; degree < 2 has no images
@@ -103,67 +103,35 @@ def _closure(start: tuple[int, ...], images, bound: int | None = None):
         for g in images:
             y = times(g)
             if y not in seen:
-                if len(listed) == bound:
-                    return None
                 seen.add(y)
                 listed.append(y)
     return listed
 
 
 class PermGroup:
-    """Permutation group on 0..degree-1 given by generators.
+    """The automorphism group of ``graph`` as the search gives it.
 
-    An automorphism group carries its order from the search, and the search's
-    first path as ``base``: the generators that fix ``base[0]`` generate its
-    stabilizer.  A group from bare generators has no base, and lists its
-    elements by breadth-first closure over its generators to learn its order
-    and membership.  Listing refuses a group larger than BICAYLEY_MAX_AUT,
-    before it starts when the order is known.
+    ``generators`` are the automorphisms the search kept, none the identity
+    and none twice; ``order`` is |Aut|, the product of the first-path orbit
+    lengths; ``base`` is the first path, so the generators that fix
+    ``base[0]`` generate its stabilizer.  Membership is the edge check, so
+    no element is ever listed.  ``automorphism_group`` builds it.
     """
 
-    def __init__(self, degree: int, generators=(), order: int | None = None, base=()):
-        self.degree = degree
-        seen: set[tuple[int, ...]] = set()
-        gens = []
-        for g in generators:
-            if len(g) != degree:
-                raise ValueError(f"generator degree {len(g)} != group degree {degree}")
-            if g != _identity_images(degree) and g not in seen:
-                seen.add(g)
-                gens.append(g)
-        self.generators: tuple[tuple[int, ...], ...] = tuple(gens)
+    def __init__(self, graph: Graph, generators, order: int, base):
+        self.graph = graph
+        self.degree = graph.n
+        self.generators: tuple[tuple[int, ...], ...] = tuple(generators)
         self._order = order
         self.base: tuple[int, ...] = tuple(base)
-        self._listed: list[tuple[int, ...]] | None = None
-        self._members: set[tuple[int, ...]] | None = None
         self._orbits: dict[int, frozenset[int]] = {}
 
     def order(self) -> int:
-        if self._order is None:
-            self._order = len(self.elements())
         return self._order
 
-    def contains(self, p: tuple[int, ...]) -> bool:
-        """Whether the image tuple ``p`` is an element."""
-        if self._members is None:
-            self._members = set(self.elements())
-        return p in self._members  # no member has another degree
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """Every element as an image tuple; refuses past the enumeration bound."""
-        if self._listed is None:
-            bound = max_enumeration_bound()
-            if self._order is not None and self._order > bound:
-                raise _refusal(self._order, bound)
-            listed = _closure(_identity_images(self.degree), self.generators, bound)
-            if listed is None:
-                raise _refusal(f"over {bound}", bound)
-            if self._order is not None and len(listed) != self._order:
-                raise RuntimeError(
-                    f"closure lists {len(listed)} elements of a group of order {self._order}"
-                )
-            self._listed = listed
-        return self._listed
+    def contains(self, p) -> bool:
+        """Whether ``p`` is an automorphism of the graph."""
+        return _is_automorphism(self.graph.adjacency, self.graph.edges, p)
 
     def orbit(self, v: int) -> frozenset[int]:
         """v's orbit, walked once and kept for each of its points."""
@@ -175,12 +143,9 @@ class PermGroup:
 
     def point_stabilizer(self) -> tuple[int, list[tuple[int, ...]]]:
         """``base[0]`` and the generators that fix it, which generate its
-        stabilizer.  A group with no generators is trivial, so 0 serves."""
-        if not self.base:
-            if self.generators:
-                raise ValueError(f"{self!r} has no base, so its point stabilizers are unknown")
-            return 0, []
-        w = self.base[0]
+        stabilizer.  An empty base is a discrete root partition, so the group
+        is trivial and 0 serves."""
+        w = self.base[0] if self.base else 0
         return w, [g for g in self.generators if g[w] == w]
 
     def orbit_roots(self) -> list[int]:
@@ -192,9 +157,6 @@ class PermGroup:
                 roots.append(v)
                 covered |= self.orbit(v)
         return roots
-
-    def __repr__(self) -> str:
-        return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
 # --- individualization-refinement search ------------------------------------
@@ -245,10 +207,11 @@ class _Search:
         self.n = graph.n
         self.adj = graph.adjacency
         self.edges = graph.edges
-        self.autos = [tuple(images) for images in known]
-        for p in self.autos:
-            if sorted(p) != [*range(self.n)] or not self.is_automorphism(p):
-                raise ValueError(f"a known automorphism of {graph} is not an automorphism")
+        known = [tuple(images) for images in known]
+        if not all(_is_automorphism(self.adj, self.edges, p) for p in known):
+            raise ValueError(f"a known automorphism of {graph} is not an automorphism")
+        # kept as record_if_automorphism keeps those found: no identity, no repeat
+        self.autos = [p for p in dict.fromkeys(known) if p != _identity_images(self.n)]
         self.first: tuple[tuple[int, ...], list[int]] | None = None
         self.first_path: list[int] = []
         self.best: tuple[tuple[int, ...], list[int]] | None = None
@@ -516,10 +479,10 @@ class _Search:
         return perm
 
 
-def _check_search_bound(n: int) -> None:
-    """Refuse a graph on more vertices than the search takes."""
+def _check_search_bound(n: int, subject: str) -> None:
+    """Refuse ``subject``, n vertices or a bound of n, past the search bound."""
     if n > _MAX_SEARCH_VERTICES:
-        raise ValueError(f"graph on {n} vertices exceeds the search bound {_MAX_SEARCH_VERTICES}")
+        raise ValueError(f"{subject} exceeds the search bound {_MAX_SEARCH_VERTICES}")
 
 
 def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], int, str, tuple]:
@@ -529,7 +492,7 @@ def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], int,
     certificate and the first path, always the leftmost, cannot differ."""
     result = _ANALYZED.pop(graph, None)
     if result is None:
-        _check_search_bound(graph.n)
+        _check_search_bound(graph.n, f"graph on {graph.n} vertices")
         search = _Search(graph, known)
         search.run()
         assert search.best is not None
@@ -547,7 +510,7 @@ def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], int,
 def automorphism_group(graph: Graph, known=()) -> PermGroup:
     """Full automorphism group; a search, if one runs, starts from ``known``."""
     autos, order, _, base = _analyzed(graph, known)
-    return PermGroup(graph.n, autos, order, base)
+    return PermGroup(graph, autos, order, base)
 
 
 def certificate(graph: Graph, known=()) -> str:
@@ -585,10 +548,10 @@ def k_arc_regularity(graph: Graph) -> tuple[int | None, bool]:
 
 def _arc_type(graph: Graph, aut: PermGroup) -> tuple[int | None, bool]:
     """k_arc_regularity for a connected cubic graph with automorphism group
-    aut, which must carry a base.  Aut is transitive on k-arcs exactly when it
-    is transitive on vertices and Aut_w, for w = base[0], is transitive on the
-    3*2^(k-1) k-arcs that start at w, so the only orbits closed are w's and
-    those of k-arcs at w."""
+    aut.  Aut is transitive on k-arcs exactly when it is transitive on
+    vertices and Aut_w, for w = base[0], is transitive on the 3*2^(k-1)
+    k-arcs that start at w, so the only orbits closed are w's and those of
+    k-arcs at w."""
     w, stabilizer = aut.point_stabilizer()
     n = graph.n
     if len(aut.orbit(w)) != n or len(_closure(_first_arc(graph, 1, w), stabilizer)) != 3:
@@ -637,9 +600,9 @@ def _conjugates(group: PermGroup, sub):
     return reach, schreier
 
 
-def normalizer(sub: PermGroup, group: PermGroup) -> PermGroup:
-    """Elements of ``group`` whose conjugation preserves ``sub``."""
-    return PermGroup(group.degree, _conjugates(group, sub.elements())[1])
+def normalizer(sub, group: PermGroup) -> list[tuple[int, ...]]:
+    """Schreier generators of N_group(sub), for the element set ``sub``."""
+    return _conjugates(group, sub)[1]
 
 
 def _grow(sub, orbit, v0: int, g: tuple[int, ...], d: int, cand_set):
@@ -668,8 +631,7 @@ def enumerate_semiregular(group: PermGroup, translations, orders) -> list[frozen
     """The element sets of the semiregular subgroups isomorphic to H = Z_d1 x
     ... x Z_dr (``orders``) whose orbits are those of ``translations``: the
     elements, identity first, of a subgroup T of ``group`` regular on each of
-    two parts.  ``group`` must carry a base, as an automorphism group does,
-    and is refused past BICAYLEY_MAX_AUT.
+    two parts.  An Aut of order above BICAYLEY_MAX_AUT is refused.
 
     Candidate elements must preserve both parts and be fixed-point-free; a
     group of such elements is semiregular, and at order m = |H| = |part| its
@@ -699,7 +661,10 @@ def enumerate_semiregular(group: PermGroup, translations, orders) -> list[frozen
     w, fixing = group.point_stabilizer()
     bound = max_enumeration_bound()
     if group.order() > bound:
-        raise _refusal(group.order(), bound)
+        raise ValueError(
+            f"group of order {group.order()} exceeds the enumeration bound {bound}; "
+            "raise BICAYLEY_MAX_AUT to override"
+        )
     identity = _identity_images(group.degree)
     part = frozenset(t[w] for t in translations)  # w's part, its T-orbit
     candidates = []
@@ -739,6 +704,7 @@ def enumerate_semiregular(group: PermGroup, translations, orders) -> list[frozen
     return sorted(layer, key=sorted)
 
 
-def are_conjugate(group: PermGroup, a: PermGroup, b: PermGroup) -> tuple[int, ...] | None:
-    """A conjugating element x of ``group`` with x^-1 a x = b, or None."""
-    return _conjugates(group, a.elements())[0].get(frozenset(b.elements()))
+def are_conjugate(group: PermGroup, a, b) -> tuple[int, ...] | None:
+    """An element x of ``group`` with x^-1 a x = b, for the element sets a
+    and b, or None."""
+    return _conjugates(group, a)[0].get(frozenset(b))

@@ -18,8 +18,8 @@ oracle's first-match scan without its component-count filter, which build
 and certify graphs through the package, and the orbit and
 semiregularity tests, the arc type from orbits on every arc and k-arc, the
 subgroup-lattice and coset-by-coset enumerations of semiregular subgroups
-and the element scans for normalizers and conjugacy, which work on the
-package's permutation groups, the base-circuit lift
+and the element scans for normalizers and conjugacy, which work on generator
+lists and on the element sets ``_mul_close`` lists, the base-circuit lift
 criterion and the voltage-group automorphism a lift induces, which read the
 package's voltage assignments and lifts, and the
 row-by-row Table 1 transcription, which forms its quotients through the
@@ -420,22 +420,29 @@ def reference_theorem_a_scan(max_group_order: int) -> dict:
     return by_cert
 
 
-def orbits(group: PermGroup) -> list[frozenset[int]]:
-    """Orbit partition, ordered by least point."""
-    seen: set[int] = set()
-    out = []
-    for v in range(group.degree):
-        if v not in seen:
-            orb = group.orbit(v)
-            seen |= orb
-            out.append(orb)
+def orbits(perms, degree: int) -> list[frozenset[int]]:
+    """Orbit partition of 0..degree-1 under the image tuples ``perms``, as a
+    list of every point's orbit ordered by least point."""
+    out: list[frozenset[int]] = []
+    for v in range(degree):
+        if any(v in orb for orb in out):
+            continue
+        orb, frontier = {v}, [v]
+        while frontier:
+            u = frontier.pop()
+            for p in perms:
+                if p[u] not in orb:
+                    orb.add(p[u])
+                    frontier.append(p[u])
+        out.append(frozenset(orb))
     return out
 
 
-def is_semiregular(group: PermGroup) -> bool:
-    """True when only the identity fixes a point (all orbits of full size)."""
-    o = group.order()
-    return all(len(orb) == o for orb in orbits(group))
+def is_semiregular(elements) -> bool:
+    """True when no element of the group ``elements`` but the identity fixes a point."""
+    return all(
+        all(x[v] != v for v in range(len(x))) for x in elements if x != tuple(range(len(x)))
+    )
 
 
 def bicayley_parts(b) -> tuple[frozenset[int], frozenset[int]]:
@@ -445,11 +452,11 @@ def bicayley_parts(b) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(range(size)), frozenset(range(size, 2 * size))
 
 
-def semiregular_with_orbits(group: PermGroup, parts) -> bool:
-    """Semiregular with orbit partition exactly ``parts``."""
+def semiregular_with_orbits(elements, parts) -> bool:
+    """The group ``elements`` is semiregular with orbit partition exactly ``parts``."""
     want = sorted((frozenset(p) for p in parts), key=min)
-    have = sorted(orbits(group), key=min)
-    return want == have and is_semiregular(group)
+    degree = sum(map(len, want))
+    return orbits(elements, degree) == want and is_semiregular(elements)
 
 
 def _mul_close(perms, degree: int, limit: int):
@@ -473,8 +480,9 @@ def _mul_close(perms, degree: int, limit: int):
     return closed
 
 
-def reference_semiregular_members(aut: PermGroup, parts, group) -> list[PermGroup]:
-    """Semiregular subgroups of ``aut`` isomorphic to ``group``, orbits the parts.
+def reference_semiregular_members(aut_elements, parts, group) -> list[frozenset]:
+    """The element sets of the semiregular subgroups of the group
+    ``aut_elements`` isomorphic to ``group``, orbits the parts.
 
     Breadth-first search of the subgroup lattice: close every subgroup found
     so far with one more candidate (non-identity, fixed-point-free, preserving
@@ -483,11 +491,11 @@ def reference_semiregular_members(aut: PermGroup, parts, group) -> list[PermGrou
     """
     m = group.size
     part0 = frozenset(parts[0])
-    degree = aut.degree
+    degree = sum(map(len, parts))
     identity = tuple(range(degree))
     candidates = [
         x
-        for x in aut.elements()
+        for x in sorted(aut_elements)
         if x != identity
         and all(x[v] != v for v in range(degree))
         and all(x[v] in part0 for v in part0)
@@ -518,18 +526,18 @@ def reference_semiregular_members(aut: PermGroup, parts, group) -> list[PermGrou
     histogram = sorted(element_order(x) for x in group.elements())
     members = []
     for fs in sorted(found, key=sorted):
-        sub = PermGroup(degree, fs)
-        gens = sub.generators
-        if any(compose(a, b) != compose(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]):
+        elems = sorted(fs)
+        if any(compose(a, b) != compose(b, a) for i, a in enumerate(elems) for b in elems[i + 1 :]):
             continue
         if sorted(perm_order(p) for p in fs) == histogram:
-            members.append(sub)
+            members.append(fs)
     return members
 
 
-def reference_enumerate_semiregular(group: PermGroup, parts, orders) -> list[PermGroup]:
-    """``enumerate_semiregular`` growing every partial subgroup by every
-    candidate generator and building every coset before testing it.
+def reference_enumerate_semiregular(group_elements, parts, orders) -> list[frozenset]:
+    """``enumerate_semiregular`` on the group ``group_elements``, growing every
+    partial subgroup by every candidate generator and building every coset
+    before testing it.
 
     Candidates are the non-identity, fixed-point-free, part-preserving
     elements.  A partial subgroup P grows by a candidate g of order d that
@@ -542,10 +550,10 @@ def reference_enumerate_semiregular(group: PermGroup, parts, orders) -> list[Per
         raise ValueError(
             f"parts of sizes {len(part0)},{len(part1)} cannot be the orbits of an order-{m} group"
         )
-    degree = group.degree
+    degree = len(part0) + len(part1)
     identity = tuple(range(degree))
     candidates = []
-    for x in group.elements():
+    for x in sorted(group_elements):
         if x == identity:
             continue
         if any(x[v] == v for v in range(degree)):
@@ -580,11 +588,7 @@ def reference_enumerate_semiregular(group: PermGroup, parts, orders) -> list[Per
                 else:
                     grown_layer.setdefault(frozenset(grown), picks + (g,))
         layer = grown_layer
-    return [PermGroup(degree, layer[s]) for s in sorted(layer, key=sorted)]
-
-
-def _element_set(sub: PermGroup) -> frozenset[tuple[int, ...]]:
-    return frozenset(sub.elements())
+    return sorted(layer, key=sorted)
 
 
 def _conjugate(x: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
@@ -592,34 +596,31 @@ def _conjugate(x: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     return compose(compose(inverse(x), h), x)
 
 
-def reference_normalizer(sub: PermGroup, group: PermGroup) -> list[tuple[int, ...]]:
-    """Every element x of ``group`` with x^-1 sub x = sub, by scanning them all."""
-    sub_elems = _element_set(sub)
-    sub_gens = sub.generators or (tuple(range(sub.degree)),)
-    keep = []
-    for x in group.elements():
-        if all(_conjugate(x, h) in sub_elems for h in sub_gens):
-            keep.append(x)
-    return keep
+def reference_normalizer(sub, group_elements) -> list[tuple[int, ...]]:
+    """Every element x of the group ``group_elements`` with x^-1 sub x = sub,
+    for the element set ``sub``, by scanning them all."""
+    sub = frozenset(sub)
+    return [x for x in sorted(group_elements) if all(_conjugate(x, h) in sub for h in sub)]
 
 
-def reference_are_conjugate(group: PermGroup, a: PermGroup, b: PermGroup):
-    """The first element x of ``group`` with x^-1 a x = b, or None."""
-    b_elems = _element_set(b)
-    if len(_element_set(a)) != len(b_elems):
+def reference_are_conjugate(group_elements, a, b):
+    """The first element x of the group ``group_elements`` with x^-1 a x = b,
+    for the element sets a and b, or None."""
+    b = frozenset(b)
+    if len(frozenset(a)) != len(b):
         return None
-    a_gens = a.generators or (tuple(range(a.degree)),)
-    for x in group.elements():
-        if all(_conjugate(x, h) in b_elems for h in a_gens):
+    for x in sorted(group_elements):
+        if all(_conjugate(x, h) in b for h in a):
             return x
     return None
 
 
-def reference_conjugacy_class_count(group: PermGroup, subs) -> int:
-    """Classes of ``subs`` under conjugation in ``group``, compared pairwise."""
-    classes: list[PermGroup] = []
+def reference_conjugacy_class_count(group_elements, subs) -> int:
+    """Classes of the element sets ``subs`` under conjugation in the group
+    ``group_elements``, compared pairwise."""
+    classes: list = []
     for sub in subs:
-        if all(reference_are_conjugate(group, rep, sub) is None for rep in classes):
+        if all(reference_are_conjugate(group_elements, rep, sub) is None for rep in classes):
             classes.append(sub)
     return len(classes)
 

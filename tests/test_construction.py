@@ -7,6 +7,7 @@ import pytest
 
 from _oracles import (
     _conjugate,
+    _mul_close,
     bicayley_parts,
     complete_bipartite_33,
     compose,
@@ -33,7 +34,7 @@ from bicayley.construction import (
     right_translations,
 )
 from bicayley.graphs import is_connected
-from bicayley.symmetry import PermGroup, _Search, automorphism_group, certificate
+from bicayley.symmetry import _Search, automorphism_group, certificate
 
 
 def _zero_type(orders, spokes):
@@ -140,14 +141,14 @@ def test_right_translations_are_semiregular_on_parts():
         # every translation once, the identity first
         assert trans[0] == tuple(range(b.graph.n))
         assert sorted(trans) == sorted(right_translation(b, h) for h in b.group.elements())
-        assert semiregular_with_orbits(PermGroup(b.graph.n, trans), bicayley_parts(b))
+        assert semiregular_with_orbits(trans, bicayley_parts(b))
         # translations are graph automorphisms
         for p in trans:
             for u, v in b.graph.edges:
                 assert b.graph.has_edge(p[u], p[v])
     k33 = _zero_type([3], [0, 1, 2])
     r = right_translation(k33, k33.group.element(1))
-    cycles = orbits(PermGroup(6, [r]))  # the cycles of r, fixed points included
+    cycles = orbits([r], 6)  # the cycles of r, fixed points included
     assert len(cycles) == 2 and all(len(c) == 3 for c in cycles)
 
 
@@ -184,9 +185,9 @@ def test_iota_is_an_automorphism_exactly_when_sets_match():
     )
     # <R(H), iota> is regular of order 2|H| on the Heawood instance
     heawood = _zero_type([7], [0, 1, 3])
-    joined = PermGroup(14, right_translations(heawood) + [iota(heawood)])
-    assert joined.order() == 14
-    assert joined.orbit(0) == set(range(14)) and is_semiregular(joined)
+    joined = _mul_close(right_translations(heawood) + [iota(heawood)], 14, 28)
+    assert joined is not None and len(joined) == 14
+    assert orbits(joined, 14) == [frozenset(range(14))] and is_semiregular(joined)
 
 
 def test_tau_swaps_parts_and_inverts_translations():
@@ -195,8 +196,7 @@ def test_tau_swaps_parts_and_inverts_translations():
     for y in heawood.group.elements():
         left = _conjugate(tau, right_translation(heawood, y))
         assert left == right_translation(heawood, y.inverse())
-    joined = PermGroup(14, right_translations(heawood) + [tau])
-    assert joined.orbit(0) == set(range(14))
+    assert orbits(right_translations(heawood) + [tau], 14) == [frozenset(range(14))]
 
 
 def _is_automorphism(graph, images) -> bool:

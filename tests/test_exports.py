@@ -23,7 +23,7 @@ from bicayley.construction import (
     right_translation,
     right_translations,
 )
-from bicayley.symmetry import PermGroup, are_conjugate, automorphism_group, enumerate_semiregular
+from bicayley.symmetry import are_conjugate, automorphism_group, enumerate_semiregular, normalizer
 from bicayley.voltage import fig_alpha, fig_assignment, lifts
 
 
@@ -146,9 +146,9 @@ def test_permutations_are_plain_image_tuples():
     aut = automorphism_group(heawood.graph)
     trans = right_translations(heawood)
     members = enumerate_semiregular(aut, trans, (7,))
-    conjugator = are_conjugate(aut, PermGroup(14, trans), PermGroup(14, sorted(members[-1])))
-    assert _is_image_tuple(conjugator, 14)
+    assert _is_image_tuple(are_conjugate(aut, trans, members[-1]), 14)
     assert all(_is_image_tuple(x, 14) for x in trans + [y for sub in members for y in sub])
     assert aut.generators
     assert all(_is_image_tuple(g, 14) for g in aut.generators)
-    assert all(_is_image_tuple(x, 14) for x in aut.elements())
+    schreier = normalizer(trans, aut)
+    assert schreier and all(_is_image_tuple(x, 14) for x in schreier)

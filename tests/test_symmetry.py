@@ -3,6 +3,8 @@ bijections, subgroup operations by explicit element scans."""
 
 import math
 import random
+import re
+from itertools import permutations
 from operator import itemgetter
 
 import pytest
@@ -34,7 +36,7 @@ from _oracles import (
     semiregular_with_orbits,
     small_corpus,
 )
-from bicayley import census, symmetry
+from bicayley import census, construction, symmetry
 from bicayley.abelian import make_group
 from bicayley.bci import bci_by_criterion
 from bicayley.construction import (
@@ -49,11 +51,11 @@ from bicayley.construction import (
 from bicayley.graphs import Graph, encode_graph6
 from bicayley.symmetry import (
     _arc_type,
+    _closure,
     _conjugates,
     _first_arc,
     _grow,
     _Search,
-    PermGroup,
     are_conjugate,
     automorphism_group,
     certificate,
@@ -70,6 +72,9 @@ C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 # leaf depends on which component holds vertex 0; the best does not
 TRIANGLE_FIRST = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
 SQUARE_FIRST = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)])
+# branches of lengths 1, 2 and 3 at vertex 2: refinement alone makes every
+# cell a singleton, so the search's first path, the base, is empty
+ASYMMETRIC_TREE = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
 
 
 def _zero_type(orders, spokes):
@@ -99,13 +104,15 @@ def _relabeled(graphs, seed: int, copies: int) -> list[Graph]:
 
 
 def _same_group(n: int, gens_a, gens_b) -> bool:
-    a = PermGroup(n, gens_a)
-    b = PermGroup(n, gens_b)
-    return (
-        a.order() == b.order()
-        and all(b.contains(g) for g in a.generators)
-        and all(a.contains(g) for g in b.generators)
-    )
+    a = _mul_close(gens_a, n, 100_000)
+    return a is not None and a == _mul_close(gens_b, n, 100_000)
+
+
+def _elements(aut) -> set[tuple[int, ...]]:
+    """Every element of ``aut``, by the reference closure of its generators."""
+    elements = _mul_close(aut.generators, aut.degree, 100_000)
+    assert elements is not None and len(elements) == aut.order()
+    return elements
 
 
 def _search_corpus() -> list[Graph]:
@@ -301,7 +308,8 @@ def _fresh_analysis(graph: Graph, leaves: list, known=()):
     autos, order, cert, base = symmetry._analyzed(graph, known)
     labeling = leaves[-1].best[1]
     assert base == tuple(leaves[-1].first_path)
-    return autos, (order, labeling, cert, PermGroup(graph.n, autos).orbit_roots(), base)
+    roots = [min(orbit) for orbit in orbits(autos, graph.n)]
+    return autos, (order, labeling, cert, roots, base)
 
 
 def test_seeded_search_gives_the_unseeded_output(monkeypatch):
@@ -337,6 +345,13 @@ def test_seeded_search_gives_the_unseeded_output(monkeypatch):
             assert seeded == unseeded, inst.description
             assert list(autos[: len(known)]) == known  # the search kept its seeds
     assert totals[1] < 0.6 * totals[0], totals
+    # the identity and repeated seeds are dropped, as found automorphisms
+    # are; a seed that is no automorphism, or no permutation, is refused
+    padded = [tuple(range(g.n)), *seeds, *seeds]
+    assert _fresh_analysis(g, leaves, padded)[0] == _fresh_analysis(g, leaves, seeds)[0]
+    for bad in ((1, 0, *range(2, g.n)), (0, 0, *range(2, g.n))):
+        with pytest.raises(ValueError, match="is not an automorphism"):
+            _Search(g, [bad])
 
 
 def test_one_root_branch_after_the_first_on_census_members(monkeypatch):
@@ -389,7 +404,6 @@ def test_aut_order_from_search_matches_closure():
         group = automorphism_group(g)
         closed = _mul_close(group.generators, g.n, 50_000)
         assert closed is not None and group.order() == len(closed), g.edges
-        assert set(group.elements()) == closed
     k14 = Graph.from_edges(28, [(i, 14 + j) for i in range(14) for j in range(14)])
     for graph, order in (
         (_hypercube(7), 645_120),
@@ -424,11 +438,12 @@ def test_base_is_the_first_path_and_a_strong_base():
             continue
         w, fixing = aut.point_stabilizer()
         stabilizer = _mul_close(fixing, g.n, 50_000)
-        assert stabilizer == {x for x in aut.elements() if x[w] == w}, g.edges
+        assert stabilizer == {x for x in _elements(aut) if x[w] == w}, g.edges
         assert len(stabilizer) * len(aut.orbit(w)) == aut.order(), g.edges
 
 
-def test_perm_group_order_matches_naive_closure():
+def test_closure_matches_naive_closure():
+    # _closure lists Aut_w and H_R from their generators: each element once
     rng = random.Random(47)
     for _ in range(15):
         n = rng.randint(2, 6)
@@ -437,7 +452,7 @@ def test_perm_group_order_matches_naive_closure():
             images = list(range(n))
             rng.shuffle(images)
             gens.append(tuple(images))
-        group = PermGroup(n, gens)
+        listed = _closure(tuple(range(n)), gens)
         closed = {tuple(range(n))}
         frontier = list(closed)
         while frontier:
@@ -447,33 +462,44 @@ def test_perm_group_order_matches_naive_closure():
                 if y not in closed:
                     closed.add(y)
                     frontier.append(y)
-        assert group.order() == len(closed)
-        assert set(group.elements()) == closed
-        for x in closed:
-            assert group.contains(x)
-        outside = tuple(list(range(1, n)) + [0])
-        assert group.contains(outside) == (outside in closed)
+        assert listed[0] == tuple(range(n))
+        assert len(listed) == len(closed) and set(listed) == closed
 
 
 def test_orbits_and_transitivity():
     rot = (1, 2, 3, 4, 5, 0)
-    g = PermGroup(6, [compose(rot, rot)])
-    assert orbits(g) == [frozenset({0, 2, 4}), frozenset({1, 3, 5})]
-    assert g.orbit_roots() == [0, 1]
-    assert PermGroup(6).orbit_roots() == list(range(6))
-    assert g.orbit(0) == {0, 2, 4} and g.orbit(5) == {1, 3, 5}
-    assert is_semiregular(g)
-    assert semiregular_with_orbits(g, [{0, 2, 4}, {1, 3, 5}])
-    assert not semiregular_with_orbits(g, [{0, 1, 2}, {3, 4, 5}])
+    square = compose(rot, rot)
+    assert orbits([square], 6) == [frozenset({0, 2, 4}), frozenset({1, 3, 5})]
+    group = _mul_close([square], 6, 3)
+    assert is_semiregular(group)
+    assert semiregular_with_orbits(group, [{0, 2, 4}, {1, 3, 5}])
+    assert not semiregular_with_orbits(group, [{0, 1, 2}, {3, 4, 5}])
+    # a triangle 0-2-4 with a leaf on each vertex: Aut is S_3, not semiregular
+    aut = automorphism_group(Graph.from_edges(6, [(0, 2), (2, 4), (4, 0), (0, 1), (2, 3), (4, 5)]))
+    assert aut.orbit_roots() == [0, 1]
+    assert aut.orbit(0) == {0, 2, 4} and aut.orbit(5) == {1, 3, 5}
+    assert not is_semiregular(_elements(aut))
+    assert automorphism_group(ASYMMETRIC_TREE).orbit_roots() == list(range(7))
 
 
 def test_automorphism_group_matches_brute_force():
+    # contains is the edge check: true of every automorphism, false of any
+    # other permutation and of a tuple that is no permutation
+    outsiders = 0
     for g in small_corpus(30):
         aut = automorphism_group(g)
-        brute = brute_automorphisms(g)
+        brute = set(brute_automorphisms(g))
         assert aut.order() == len(brute)
+        assert _mul_close(aut.generators, g.n, len(brute)) == brute, g.edges
         for images in brute:
             assert aut.contains(images)
+        outside = next((p for p in permutations(range(g.n)) if p not in brute), None)
+        if outside is not None:
+            outsiders += 1
+            assert not aut.contains(outside), g.edges
+        if g.n > 1:
+            assert not aut.contains((0,) + tuple(range(g.n - 1))), g.edges  # 0 twice
+    assert outsiders > 20
 
 
 def test_automorphism_orders_of_named_graphs():
@@ -606,23 +632,19 @@ def _criterion_inputs():
 
 
 def test_normalizer_matches_element_filter():
+    # normalizer gives Schreier generators; their closure is compared
     s4 = automorphism_group(K4)
-    swap = PermGroup(4, [(1, 0, 2, 3)])
-    got = normalizer(swap, s4)
-    swap_set = frozenset(swap.elements())
-    expected = {
-        g
-        for g in s4.elements()
-        if frozenset(_conjugate(g, h) for h in swap.elements()) == swap_set
-    }
-    assert set(got.elements()) == expected
-    assert normalizer(s4, s4).order() == 24
-    assert normalizer(PermGroup(4), s4).order() == 24
+    s4_elements = _elements(s4)
+    swap = frozenset({tuple(range(4)), (1, 0, 2, 3)})
+    expected = {g for g in s4_elements if frozenset(_conjugate(g, h) for h in swap) == swap}
+    assert _mul_close(normalizer(swap, s4), 4, 24) == expected
+    assert len(_mul_close(normalizer(s4_elements, s4), 4, 24)) == 24
+    assert len(_mul_close(normalizer({tuple(range(4))}, s4), 4, 24)) == 24
     for b in _criterion_inputs():
         aut = automorphism_group(b.graph)
-        trans = PermGroup(b.graph.n, right_translations(b))
-        want = set(reference_normalizer(trans, aut))
-        assert set(normalizer(trans, aut).elements()) == want, b.spec
+        trans = right_translations(b)
+        want = set(reference_normalizer(trans, _elements(aut)))
+        assert _mul_close(normalizer(trans, aut), b.graph.n, len(want)) == want, b.spec
 
 
 def test_enumerate_semiregular():
@@ -631,13 +653,12 @@ def test_enumerate_semiregular():
     trans = right_translations(heawood)
     subs = enumerate_semiregular(aut, trans, (7,))
     assert len(subs) == 8 and frozenset(trans) in subs
-    groups = [PermGroup(14, sorted(sub)) for sub in subs]
-    for sub, group in zip(subs, groups):
-        assert len(sub) == group.order() == 7
-        assert semiregular_with_orbits(group, bicayley_parts(heawood))
+    for sub in subs:
+        assert len(sub) == 7 and _mul_close(sub, 14, 7) == sub
+        assert semiregular_with_orbits(sub, bicayley_parts(heawood))
     # all eight are conjugate (Sylow)
-    for sub, group in zip(subs[1:], groups[1:]):
-        x = are_conjugate(aut, groups[0], group)
+    for sub in subs[1:]:
+        x = are_conjugate(aut, subs[0], sub)
         assert x is not None
         image = frozenset(_conjugate(x, h) for h in subs[0])
         assert image == sub
@@ -648,17 +669,12 @@ def test_enumerate_semiregular():
     # a regular group of order 5 on each part has 5 translations, not 7
     with pytest.raises(ValueError, match="7 translations cannot be regular on parts of 5"):
         enumerate_semiregular(aut, trans, (5,))
-    # the candidates are read off a base, which bare generators do not give
-    bare = PermGroup(aut.degree, aut.generators)
-    with pytest.raises(ValueError, match="has no base"):
-        enumerate_semiregular(bare, trans, (7,))
-    # ... except a trivial group, whose stabilizers are all trivial
-    [trivial] = enumerate_semiregular(PermGroup(2), [(0, 1)], (1,))
-    assert trivial == frozenset({(0, 1)})
-
-
-def _element_sets(subs):
-    return [frozenset(sub.elements()) for sub in subs]
+    # the candidates are read off base[0]; an empty base (a discrete root
+    # partition) is a trivial group, whose stabilizers are all trivial
+    tree = automorphism_group(ASYMMETRIC_TREE)
+    assert tree.base == () and tree.order() == 1
+    [trivial] = enumerate_semiregular(tree, [tuple(range(7))], (1,))
+    assert trivial == frozenset({tuple(range(7))})
 
 
 def test_enumerate_semiregular_matches_lattice_search():
@@ -676,8 +692,8 @@ def test_enumerate_semiregular_matches_lattice_search():
     for b in graphs:
         aut = automorphism_group(b.graph)
         got = enumerate_semiregular(aut, right_translations(b), b.spec.group.orders)
-        want = reference_semiregular_members(aut, bicayley_parts(b), b.spec.group)
-        assert got == _element_sets(want), b.spec
+        want = reference_semiregular_members(_elements(aut), bicayley_parts(b), b.spec.group)
+        assert got == want, b.spec
 
 
 def test_enumerate_semiregular_matches_coset_by_coset_growth():
@@ -695,8 +711,8 @@ def test_enumerate_semiregular_matches_coset_by_coset_growth():
             continue
         orders = b.spec.group.orders
         got = enumerate_semiregular(aut, right_translations(b), orders)
-        want = reference_enumerate_semiregular(aut, bicayley_parts(b), orders)
-        assert got == _element_sets(want), b.spec
+        want = reference_enumerate_semiregular(_elements(aut), bicayley_parts(b), orders)
+        assert got == want, b.spec
         checked += 1
     assert checked == 31
 
@@ -729,95 +745,107 @@ def test_enumerate_semiregular_returns_one_isomorphism_type():
         found = []
         for orders in shapes:
             got = enumerate_semiregular(aut, right_translations(b), orders)
-            want = reference_semiregular_members(aut, bicayley_parts(b), make_group(orders))
-            assert got == _element_sets(want), (description, orders)
+            want = reference_semiregular_members(
+                _elements(aut), bicayley_parts(b), make_group(orders)
+            )
+            assert got == want, (description, orders)
             found.append(len(got))
         assert found == counts
 
 
 def test_iota_alone_is_semiregular_but_misses_the_parts():
     cube = _zero_type([2, 2], [(0, 0), (1, 0), (0, 1)])
-    sub = PermGroup(8, [iota(cube)])
+    sub = _mul_close([iota(cube)], 8, 2)
     assert is_semiregular(sub)
     assert not semiregular_with_orbits(sub, bicayley_parts(cube))
 
 
 def test_are_conjugate():
     s4 = automorphism_group(K4)
-    a = PermGroup(4, [(1, 0, 2, 3)])
-    b = PermGroup(4, [(0, 1, 3, 2)])
+    identity = tuple(range(4))
+    a = frozenset({identity, (1, 0, 2, 3)})
+    b = frozenset({identity, (0, 1, 3, 2)})
     x = are_conjugate(s4, a, b)
     assert x is not None
-    image = frozenset(_conjugate(x, h) for h in a.elements())
-    assert image == frozenset(b.elements())
+    assert frozenset(_conjugate(x, h) for h in a) == b
     assert are_conjugate(s4, a, a) is not None
-    three = PermGroup(4, [(1, 2, 0, 3)])
+    three = _mul_close([(1, 2, 0, 3)], 4, 3)
     assert are_conjugate(s4, a, three) is None
     for b in _criterion_inputs():
         aut = automorphism_group(b.graph)
+        aut_elements = _elements(aut)
         trans = right_translations(b)
-        trans_group = PermGroup(b.graph.n, trans)
         members = enumerate_semiregular(aut, trans, b.spec.group.orders)
-        groups = [PermGroup(b.graph.n, sorted(sub)) for sub in members]
         reach, _ = _conjugates(aut, trans)  # the one orbit each are_conjugate call walks
-        for sub, group in zip(members, groups):
+        for sub in members:
             x = reach.get(sub)
-            want = reference_are_conjugate(aut, trans_group, group)
+            want = reference_are_conjugate(aut_elements, trans, sub)
             assert (x is None) == (want is None), b.spec
             if x is not None:
-                assert aut.contains(x)
+                assert x in aut_elements
                 assert frozenset(_conjugate(x, h) for h in trans) == sub
-        want = reference_conjugacy_class_count(aut, groups)
+        want = reference_conjugacy_class_count(aut_elements, members)
         assert bci_by_criterion(b).conjugacy_class_count == want, b.spec
 
 
-def test_criterion_lists_no_subgroup_by_closure(monkeypatch):
+def test_criterion_never_lists_all_of_aut(monkeypatch):
     # H_R and the semiregular subgroups reach the criterion as element sets,
-    # and Aut as its generators, order and base, so no PermGroup is listed
+    # and Aut as its generators, order and base: the closures list Aut_w and
+    # H_R, each smaller than Aut (these graphs have iota and move base[0])
     wants = []
     for b in _criterion_inputs():
         aut = automorphism_group(b.graph)
-        trans = PermGroup(b.graph.n, right_translations(b))
-        members = reference_enumerate_semiregular(aut, bicayley_parts(b), b.spec.group.orders)
-        classes = reference_conjugacy_class_count(aut, members)
-        transitive = len({x[0] for x in reference_normalizer(trans, aut)}) == b.graph.n
+        aut_elements = _elements(aut)
+        trans = right_translations(b)
+        orders = b.spec.group.orders
+        members = reference_enumerate_semiregular(aut_elements, bicayley_parts(b), orders)
+        classes = reference_conjugacy_class_count(aut_elements, members)
+        transitive = len({x[0] for x in reference_normalizer(trans, aut_elements)}) == b.graph.n
         wants.append((transitive and classes == 1, transitive, len(members), classes))
+    listed = []
 
-    def refuse(group):
-        raise AssertionError(f"{group!r} was listed")
+    def recorded(start, images):
+        out = _closure(start, images)
+        listed.append(len(out))
+        return out
 
-    monkeypatch.setattr(PermGroup, "elements", refuse)
+    monkeypatch.setattr(symmetry, "_closure", recorded)
+    monkeypatch.setattr(construction, "_closure", recorded)
     for b, want in zip(_criterion_inputs(), wants):
+        listed.clear()
         v = bci_by_criterion(b)
         got = (v.is_bci, v.normalizer_transitive, v.semiregular_count, v.conjugacy_class_count)
         assert got == want, b.spec
+        assert listed and max(listed) < automorphism_group(b.graph).order(), b.spec
     assert {want[0] for want in wants} == {True, False}
     # theorem-b: the criterion, with the oracle beside it on small groups
     assert all(rec["is_bci"] for rec in census.theorem_b_verify(64))
 
 
 def test_enumeration_bound_env_override(monkeypatch):
+    # the bound caps |Aut| for the semiregular enumeration, the one step
+    # that lists a subgroup of Aut read off its order
+    k33 = _zero_type([3], [0, 1, 2])
+    aut = automorphism_group(k33.graph)
+    trans = right_translations(k33)
     monkeypatch.setenv("BICAYLEY_MAX_AUT", "5")
     assert max_enumeration_bound() == 5
-    group = automorphism_group(C6)  # order 12
-    with pytest.raises(ValueError, match="enumeration bound"):
-        group.elements()
-    monkeypatch.setenv("BICAYLEY_MAX_AUT", "100")
-    assert len(group.elements()) == 12
-    # a group from bare generators is listed to learn its order
-    s5 = PermGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
-    for query in (s5.elements, s5.order, lambda: s5.contains((1, 0, 2, 3, 4))):
-        with pytest.raises(ValueError, match="enumeration bound 100;"):
-            query()
+    refusal = (
+        "group of order 72 exceeds the enumeration bound 5; raise BICAYLEY_MAX_AUT to override"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        enumerate_semiregular(aut, trans, (3,))
+    monkeypatch.setenv("BICAYLEY_MAX_AUT", "72")
+    assert len(enumerate_semiregular(aut, trans, (3,))) == 2
     # the search gives an automorphism group's order at any size
     assert automorphism_group(_hypercube(5)).order() == 3840
     monkeypatch.setenv("BICAYLEY_MAX_AUT", "1e5")
     with pytest.raises(ValueError, match="BICAYLEY_MAX_AUT must be an integer"):
         max_enumeration_bound()
-    # a bound below 1 is refused, not read as "no bound" by the closure
+    # a bound below 1 is refused, not read as "no bound"
     for raw in ("0", "-5"):
         monkeypatch.setenv("BICAYLEY_MAX_AUT", raw)
         with pytest.raises(ValueError, match=f"must be a positive integer, got '{raw}'"):
             max_enumeration_bound()
         with pytest.raises(ValueError, match="BICAYLEY_MAX_AUT must be a positive integer"):
-            s5.elements()
+            enumerate_semiregular(aut, trans, (3,))

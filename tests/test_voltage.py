@@ -6,6 +6,7 @@ import random
 import pytest
 
 from _oracles import (
+    _mul_close,
     arc_voltage,
     base_circuits,
     circuit_pairs,
@@ -205,7 +206,7 @@ def test_lift_decision_matches_automorphism_scan():
     for order in (2, 3, 5):
         va = fig_assignment(order)
         agreed = 0
-        for sigma in base_aut.elements():
+        for sigma in sorted(_mul_close(base_aut.generators, 8, 48)):
             lift = lifts(va, sigma)
             got = lift is not None
             assert got == lift_exists_by_scan(va, sigma)
@@ -238,8 +239,8 @@ def test_lift_decision_matches_scan_on_random_assignments():
         va = VoltageAssignment.create(g, group, tree, cotree)
         gens = [circuit_voltage(va, c) for c in base_circuits(va)]
         whole = len(subgroup_generated(group, gens)) == group.size
-        sigmas = automorphism_group(g).elements()
-        for sigma in sigmas[: min(8, len(sigmas))]:
+        aut = automorphism_group(g)
+        for sigma in sorted(_mul_close(aut.generators, g.n, aut.order()))[:8]:
             if not whole:
                 with pytest.raises(ValueError, match="disconnected cover"):
                     lifts(va, sigma)
