@@ -9,13 +9,13 @@ is a base and the automorphisms it keeps a strong generating set for it, so
 generators that fix its first vertex w generate Aut_w.  The search may start
 from known automorphisms: true ones prune soundly, never the best leaf, so
 the output is that of an unseeded search.  ``PermGroup`` is that result:
-generators, order and base, with membership by the edge check.  Arc types
-are read off Aut_w, and the semiregular candidates off Aut_w and the right
-translations, so no step lists all of Aut; Aut_w is listed by closure over
-its generators.  The semiregular enumeration refuses an Aut of order above
-BICAYLEY_MAX_AUT (default 100000).  A subgroup of Aut is its element set;
-normalizers and conjugacy come from its orbit under conjugation by Aut's
-generators.
+generators and base, with |Aut| computed on first read and membership by
+the edge check.  Arc types are read off Aut_w, and the semiregular
+candidates off Aut_w and the right translations, so no step lists all of
+Aut; Aut_w is listed by closure over its generators.  The semiregular
+enumeration refuses an Aut of order above BICAYLEY_MAX_AUT (default
+100000).  A subgroup of Aut is its element set; normalizers and conjugacy
+come from its orbit under conjugation by Aut's generators.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import filterfalse
 from math import prod
-from operator import eq, itemgetter
+from operator import eq, index, itemgetter
 
 from bicayley.graphs import Graph, _graph6, is_connected
 
@@ -74,8 +74,13 @@ def _inverse(x: tuple[int, ...]) -> tuple[int, ...]:
 
 def _is_automorphism(adj, edges, p) -> bool:
     """Whether ``p`` is a permutation of the vertices of the graph with
-    adjacency ``adj`` and edge list ``edges`` taking every edge to an edge."""
-    return sorted(p) == [*range(len(adj))] and all(p[w] in adj[p[u]] for u, w in edges)
+    adjacency ``adj`` and edge list ``edges`` taking every edge to an edge.
+    A permutation's entries are ints: a float, even 1.0, is no vertex."""
+    try:
+        images = sorted(map(index, p))
+    except TypeError:
+        return False
+    return images == [*range(len(adj))] and all(p[w] in adj[p[u]] for u, w in edges)
 
 
 def _orbit(points, images) -> set[int]:
@@ -112,21 +117,32 @@ class PermGroup:
     """The automorphism group of ``graph`` as the search gives it.
 
     ``generators`` are the automorphisms the search kept, none the identity
-    and none twice; ``order`` is |Aut|, the product of the first-path orbit
-    lengths; ``base`` is the first path, so the generators that fix
-    ``base[0]`` generate its stabilizer.  Membership is the edge check, so
-    no element is ever listed.  ``automorphism_group`` builds it.
+    and none twice; ``base`` is the first path, so the generators that fix
+    ``base[0]`` generate its stabilizer.  |Aut| is computed on first read.
+    Membership is the edge check, so no element is ever listed.
+    ``automorphism_group`` builds it.
     """
 
-    def __init__(self, graph: Graph, generators, order: int, base):
+    def __init__(self, graph: Graph, generators, base):
         self.graph = graph
         self.degree = graph.n
         self.generators: tuple[tuple[int, ...], ...] = tuple(generators)
-        self._order = order
         self.base: tuple[int, ...] = tuple(base)
+        self._order: int | None = None
         self._orbits: dict[int, frozenset[int]] = {}
 
     def order(self) -> int:
+        """|Aut|, the product over i of base[i]'s orbit length under the
+        generators fixing base[:i], computed on the first call; base[0]'s
+        orbit comes from the cache ``_arc_type`` and ``orbit_roots`` share."""
+        if self._order is None:
+            base = self.base
+            order = len(self.orbit(base[0])) if base else 1
+            fixing = self.generators
+            for u, v in zip(base, base[1:]):
+                fixing = [g for g in fixing if g[u] == u]
+                order *= len(_orbit((v,), fixing))
+            self._order = order
         return self._order
 
     def contains(self, p) -> bool:
@@ -172,7 +188,9 @@ class _Search:
     root): unlike Hopcroft's rule, which skips fragments that split, this
     keeps the cell order.  Branching explores the first non-singleton cell,
     skipping vertices equivalent to an explored sibling under automorphisms
-    that fix the branch prefix.
+    that fix the branch prefix.  A node's partition is its two position
+    arrays, which refinement splits in place; each child starts from copies
+    of its parent's (McKay and Piperno 2014 keep one partition per level).
 
     Root children go least vertex v first, then v's neighbours in the cell,
     then the rest, each group in vertex order.  Any sibling order reaches the
@@ -215,30 +233,39 @@ class _Search:
         self.first: tuple[tuple[int, ...], list[int]] | None = None
         self.first_path: list[int] = []
         self.best: tuple[tuple[int, ...], list[int]] | None = None
+        self.cnt = [0] * self.n  # refine's counts; every multi-vertex pop restores the zeros
 
     def run(self) -> None:
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             self.best = ((), [])
             return
-        cells = [list(range(self.n))]
+        at: list = [None] * n
+        at[0] = list(range(n))
+        cell_of = [0] * n
+        ncells = 1
         if len(set(map(len, self.adj))) > 1:  # a regular graph's unit partition is equitable
-            cells = self.refine(cells, 0)
-        self.descend(cells, [])
+            ncells = self.refine(at, cell_of, 1, 0)
+        self.descend(at, cell_of, ncells, [])
 
-    def refine(self, cells: list[list[int]], seed: int) -> list[list[int]]:
-        """Coarsest equitable refinement, each cell sorted.
+    def refine(self, at: list, cell_of: list[int], ncells: int, start: int) -> int:
+        """Split the node's partition, ``ncells`` cells, in place to its
+        coarsest equitable refinement; return the new cell count.
 
-        Every cell but ``cells[seed]`` must split no cell once ``cells[seed]``
+        ``at[s]`` is the cell starting at position s (other entries are
+        stale), and ``cell_of[v]`` the start of v's cell.  A cell list is
+        replaced, never changed, so a child's copies may share the parent's.
+
+        Every cell but the one at ``start`` must split no cell once that one
         has been split against: true of the whole vertex set, and of an
-        equitable partition whose cell ``seed`` is a just-individualized
+        equitable partition whose cell at ``start`` is a just-individualized
         vertex.  So only that cell starts the queue; the others, popped, would
         split nothing.
 
-        ``at[s]`` is the cell starting at position s, and ``cell_of[v]`` is the
-        start of v's cell.  A splitter splits each cell it touches, right to
-        left, into its untouched vertices, then its touched ones by ascending
-        neighbor count; the first fragment keeps the start and every fragment
-        is queued.  Cells only shrink, so a queued ``(start, size)`` whose cell
+        A splitter splits each cell it touches, right to left, into its
+        untouched vertices, then its touched ones by ascending neighbor
+        count; the first fragment keeps the start and every fragment is
+        queued.  Cells only shrink, so a queued ``(start, size)`` whose cell
         has since split no longer matches its size.
 
         Sibling rule: a cell is settled once popped whole, or as a cell of the
@@ -270,24 +297,15 @@ class _Search:
         non-singleton cell under that cell and its count.  Only the count keys
         are sorted.  A cell with one key splits only when some vertex of it is
         untouched; a cell's untouched fragment is its vertices of count 0.
-        Vertex order within a cell never affects the partition, which is
-        sorted cell by cell at the end.
+        Vertex order within a cell never affects the partition, so no cell is
+        sorted here; ``descend`` sorts the one it branches on.
         """
         adj = self.adj
         n = self.n
-        at: list = [None] * n
         span = [(0, n)] * n
-        cell_of = [0] * n
-        s = 0
-        for cell in cells:
-            at[s] = cell
-            for v in cell:
-                cell_of[v] = s
-            s += len(cell)
-        ncells = len(cells)
         fresh = [False] * n  # fresh[s]: the cell at s is queued and not yet popped
-        queue = deque([(sum(map(len, cells[:seed])), len(cells[seed]), None)])
-        cnt = [0] * n
+        queue = deque([(start, len(at[start]), None)])
+        cnt = self.cnt
         while queue and ncells < n:
             start, size, siblings = queue.popleft()
             splitter = at[start]
@@ -387,21 +405,24 @@ class _Search:
                 ncells += len(fragments) - 1
             for v in touched:
                 cnt[v] = 0
-        out = []
-        s = 0
-        while s < n:
-            cell = at[s]
-            out.append(cell if len(cell) == 1 else sorted(cell))
-            s += len(cell)
-        return out
+        return ncells
 
-    def individualize(self, cells: list[list[int]], tc: int, v: int) -> list[list[int]]:
-        rest = [u for u in cells[tc] if u != v]
-        return self.refine(cells[:tc] + [[v], rest] + cells[tc + 1 :], tc)
+    def individualize(self, at: list, cell_of: list[int], ncells: int, s: int, v: int):
+        """The child's refined (at, cell_of, ncells): ``[v]`` at s and the rest
+        of the cell at s + 1, in copies of the parent's arrays."""
+        at = at.copy()
+        cell_of = cell_of.copy()
+        rest = [u for u in at[s] if u != v]
+        at[s] = [v]
+        at[s + 1] = rest
+        for u in rest:
+            cell_of[u] = s + 1
+        return at, cell_of, self.refine(at, cell_of, ncells + 1, s)
 
     def leaf_certificate(self, cells: list[list[int]]) -> tuple[tuple[int, ...], list[int]]:
         """Each vertex's position, and the relabeled edges as keys j(j-1)/2 + i
-        (positions i < j), largest first.  Every leaf has the graph's edge
+        (positions i < j), largest first; ``cells`` is a leaf's ``at``, its
+        singleton cells in position order.  Every leaf has the graph's edge
         count, and for key sets of one size the descending tuples compare as
         the bit masks they index: the largest key in the symmetric difference
         decides."""
@@ -417,12 +438,17 @@ class _Search:
         keys.sort(reverse=True)
         return tuple(keys), position
 
-    def descend(self, cells: list[list[int]], prefix: list[int]) -> int | None:
-        """Search below ``prefix``; a depth to return to, or None when done."""
-        if len(cells) == self.n:
-            return self.handle_leaf(cells, prefix)
-        tc = next(i for i, c in enumerate(cells) if len(c) > 1)
-        children = cells[tc]
+    def descend(self, at: list, cell_of: list[int], ncells: int, prefix: list[int]) -> int | None:
+        """Search below ``prefix``, whose refined partition is ``at`` and
+        ``cell_of`` (``ncells`` cells); a depth to return to, or None when
+        done.  The arrays are this node's; each child gets copies.  Only the
+        target cell, the first non-singleton, is sorted."""
+        if ncells == self.n:
+            return self.handle_leaf(at, prefix)
+        s = 0
+        while len(at[s]) == 1:
+            s += 1
+        children = sorted(at[s])
         if not prefix:  # the first child's neighbours next; see the class docstring
             near = set(self.adj[children[0]])
             children = [children[0], *sorted(children[1:], key=lambda u: u not in near)]
@@ -434,7 +460,7 @@ class _Search:
             if v in reach:
                 continue
             done.append(v)
-            level = self.descend(self.individualize(cells, tc, v), prefix + [v])
+            level = self.descend(*self.individualize(at, cell_of, ncells, s, v), prefix + [v])
             if level is not None and level < len(prefix):
                 return level
             reach = None  # the branch may have found automorphisms
@@ -485,22 +511,22 @@ def _check_search_bound(n: int, subject: str) -> None:
         raise ValueError(f"{subject} exceeds the search bound {_MAX_SEARCH_VERTICES}")
 
 
-def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], int, str, tuple]:
-    """Automorphism generators, |Aut|, certificate and the first path, cached
-    on the graph alone: ``known`` seeds only a search, so the cached
-    generators are those of the caller that came first, while |Aut|, the
-    certificate and the first path, always the leftmost, cannot differ."""
+def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], str, tuple]:
+    """Automorphism generators, certificate and the first path, cached on the
+    graph alone: ``known`` seeds only a search, so the cached generators are
+    those of the caller that came first, while the certificate and the first
+    path, always the leftmost, cannot differ.  |Aut| is not computed here:
+    ``PermGroup.order`` reads it off the generators and the path on first
+    call, so a ``certificate()`` alone never pays for it."""
     result = _ANALYZED.pop(graph, None)
     if result is None:
         _check_search_bound(graph.n, f"graph on {graph.n} vertices")
         search = _Search(graph, known)
         search.run()
         assert search.best is not None
-        path = search.first_path
-        order = prod(len(search.orbit_fixing([v], path[:i])) for i, v in enumerate(path))
         # the best leaf's keys are the graph6 bits of the relabeled graph
         cert = _graph6(graph.n, search.best[0])
-        result = tuple(search.autos), order, cert, tuple(path)
+        result = tuple(search.autos), cert, tuple(search.first_path)
     _ANALYZED[graph] = result  # the most recently used last
     if len(_ANALYZED) > 4096:
         del _ANALYZED[next(iter(_ANALYZED))]
@@ -509,12 +535,12 @@ def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], int,
 
 def automorphism_group(graph: Graph, known=()) -> PermGroup:
     """Full automorphism group; a search, if one runs, starts from ``known``."""
-    autos, order, _, base = _analyzed(graph, known)
-    return PermGroup(graph, autos, order, base)
+    autos, _, base = _analyzed(graph, known)
+    return PermGroup(graph, autos, base)
 
 
 def certificate(graph: Graph, known=()) -> str:
-    return _analyzed(graph, known)[2]
+    return _analyzed(graph, known)[1]
 
 
 # --- k-arc machinery ---------------------------------------------------------

@@ -239,13 +239,44 @@ def small_corpus(count: int, max_n: int = 8, seed: int = 2024) -> list[Graph]:
     return graphs
 
 
-def reference_refine(search, cells: list[list[int]], seed: int) -> list[list[int]]:
+def partition_cells(at: list) -> list[list[int]]:
+    """The cells of the search's position array ``at`` (``at[s]`` is the cell
+    starting at position s), in position order, each sorted."""
+    cells = []
+    s = 0
+    while s < len(at):
+        cells.append(sorted(at[s]))
+        s += len(at[s])
+    return cells
+
+
+def write_cells(cells: list[list[int]], at: list, cell_of: list[int]) -> None:
+    """Store ``cells`` in the position arrays, in place: each cell at its
+    start, and each vertex's cell start in ``cell_of``."""
+    s = 0
+    for cell in cells:
+        at[s] = cell
+        for v in cell:
+            cell_of[v] = s
+        s += len(cell)
+
+
+def reference_refine(search, at: list, cell_of: list[int], ncells: int, start: int) -> int:
+    """``_Search.refine`` from a refinement of cell lists that re-scans every
+    cell against every splitter: the arrays are read as cells, refined, and
+    written back in place; returns the cell count."""
+    cells = reference_refined_cells(search, partition_cells(at))
+    write_cells(cells, at, cell_of)
+    return len(cells)
+
+
+def reference_refined_cells(search, cells: list[list[int]]) -> list[list[int]]:
     """Refinement that re-scans every cell against every splitter.
 
-    Every cell starts the splitter queue, so ``seed`` (the one cell the fast
-    refinement starts from) is not needed.  Each splitter counts neighbors,
-    then every non-singleton cell, right to left, splits into fragments by
-    ascending count; the fragments replace it and join the queue.
+    Every cell starts the splitter queue, so the one cell the fast refinement
+    starts from is not needed.  Each splitter counts neighbors, then every
+    non-singleton cell, right to left, splits into fragments by ascending
+    count; the fragments replace it and join the queue.
     """
     cells = [sorted(c) for c in cells]
     queue = deque(cells)
@@ -281,12 +312,15 @@ def reference_refine(search, cells: list[list[int]], seed: int) -> list[list[int
     return cells
 
 
-def reference_descend(search, cells: list[list[int]], prefix: list[int]) -> None:
+def reference_descend(search, at: list, cell_of: list[int], ncells: int, prefix: list[int]) -> None:
     """Branching that recomputes the pruning orbit for every candidate vertex.
 
     It ignores the depth a leaf asks to return to, so every sibling that no
-    kept automorphism prunes is explored in full.
+    kept automorphism prunes is explored in full.  It reads the node's
+    arrays as sorted cells, takes the first non-singleton one, and hands
+    ``individualize`` that cell's start position.
     """
+    cells = partition_cells(at)
 
     def equivalent_to_done(v: int, done: list[int]) -> bool:
         if not done:
@@ -309,12 +343,13 @@ def reference_descend(search, cells: list[list[int]], prefix: list[int]) -> None
     if tc is None:
         search.handle_leaf(cells, prefix)
         return
+    start = sum(map(len, cells[:tc]))
     done: list[int] = []
     for v in cells[tc]:
         if equivalent_to_done(v, done):
             continue
         done.append(v)
-        search.descend(search.individualize(cells, tc, v), prefix + [v])
+        search.descend(*search.individualize(at, cell_of, ncells, start, v), prefix + [v])
 
 
 def reference_leaf_certificate(search, cells: list[list[int]]) -> tuple[bytes, list[int]]:

@@ -10,6 +10,9 @@ after an intended change, run the command from the repository root:
 ``golden/theorem_b_1024.json`` is the output of ``theorem-b --max-vertices
 1024 --json``.  It is not in ``commands.json``, because the run takes about
 half a minute; the CI workflow runs it and diffs its output against the file.
+The workflow does the same with ``golden/table1_1024.json``, the output of
+``table1 --max-vertices 1024 --json``: |Aut|, girth and arc type of every
+Table 1 member at the search bound.
 
 ``golden/census_certificates_256.json`` pins the certificate of every census
 member to 256 vertices, and of a relabeling of each, by its SHA-256: a kernel

@@ -22,6 +22,7 @@ from _oracles import (
     kneser_petersen,
     lcf_graph,
     orbits,
+    partition_cells,
     random_graph,
     reference_arc_type,
     reference_are_conjugate,
@@ -32,6 +33,7 @@ from _oracles import (
     reference_leaf_certificate,
     reference_normalizer,
     reference_refine,
+    reference_refined_cells,
     reference_semiregular_members,
     semiregular_with_orbits,
     small_corpus,
@@ -233,20 +235,28 @@ def test_refine_matches_reference_on_every_call(monkeypatch):
     fast = _Search.refine
     calls = []
 
-    def recorded(search, cells, seed):
-        before = [list(c) for c in cells]
-        out = fast(search, cells, seed)
+    def recorded(search, at, cell_of, ncells, start):
+        before = partition_cells(at)
+        assert ncells == len(before)
+        seed = sorted(at[start])
+        count = fast(search, at, cell_of, ncells, start)
+        out = partition_cells(at)  # the arrays are refined in place
+        assert count == len(out)
+        s = 0
+        for cell in out:  # cell_of names each vertex's cell start
+            assert {cell_of[v] for v in cell} == {s}
+            s += len(cell)
         calls.append((search, before, seed, out))
-        return out
+        return count
 
     monkeypatch.setattr(_Search, "refine", recorded)
     for g in graphs:
         _Search(g).run()
     singleton_splits = counts_above_one = self_splits = 0
     for search, cells, seed, out in calls:
-        assert out == reference_refine(search, cells, seed)
-        singleton_splits += len(cells[seed]) == 1 and len(out) > len(cells)
-        self_splits += len(cells[seed]) > 1 and sorted(cells[seed]) not in out
+        assert out == reference_refined_cells(search, cells)
+        singleton_splits += len(seed) == 1 and len(out) > len(cells)
+        self_splits += len(seed) > 1 and seed not in out
         # a cell the call made was popped as a splitter at its final size, so
         # a vertex of a non-singleton cell with two neighbors in it counted 2+
         new = [set(c) for c in out if len(c) > 1 and c not in cells]
@@ -266,9 +276,9 @@ def test_regular_graph_root_is_not_refined(monkeypatch):
     fast = _Search.refine
     sizes = []
 
-    def recorded(search, cells, seed):
-        sizes.append(len(cells))
-        return fast(search, cells, seed)
+    def recorded(search, at, cell_of, ncells, start):
+        sizes.append(ncells)
+        return fast(search, at, cell_of, ncells, start)
 
     monkeypatch.setattr(_Search, "refine", recorded)
     for g in (K4, C5, kneser_petersen(), hypercube(), census.table1_instances(64)[-1].bigraph.graph):
@@ -281,11 +291,8 @@ def test_regular_graph_root_is_not_refined(monkeypatch):
     assert sizes[0] == 1  # a non-regular root is refined
 
 
-def test_arc_type_and_orbit_roots_walk_one_orbit_once(monkeypatch):
-    inst = census.table1_instances(64)[-1]
-    g = inst.bigraph.graph
-    aut = automorphism_group(g)
-    w = aut.base[0]
+def _orbit_walks(monkeypatch) -> list[set[int]]:
+    """Every orbit ``symmetry._orbit`` walks from now on, in call order."""
     walks = []
     walk = symmetry._orbit
 
@@ -295,9 +302,95 @@ def test_arc_type_and_orbit_roots_walk_one_orbit_once(monkeypatch):
         return reach
 
     monkeypatch.setattr(symmetry, "_orbit", counted)
+    return walks
+
+
+def test_arc_type_and_orbit_roots_walk_one_orbit_once(monkeypatch):
+    # _arc_type reads |Aut| too, whose first factor is w's orbit; the other
+    # factors are orbits of the point stabilizer, which miss w
+    inst = census.table1_instances(64)[-1]
+    g = inst.bigraph.graph
+    aut = automorphism_group(g)
+    w = aut.base[0]
+    walks = _orbit_walks(monkeypatch)
     assert _arc_type(g, aut) == (inst.expected_k, True)
     assert aut.orbit_roots() == [0]
-    assert [w in reach for reach in walks] == [True]
+    assert [w in reach for reach in walks] == [True] + [False] * (len(walks) - 1)
+    assert len(walks) == len(aut.base)
+
+
+def test_base_point_orbit_is_walked_once_for_order_arc_type_and_roots(monkeypatch):
+    # order() takes its level-0 factor from the orbit cache that _arc_type
+    # and orbit_roots share, whichever of them comes first
+    members = census.table1_instances(128) + census.table2_instances(128)
+    walks = _orbit_walks(monkeypatch)
+    for i, inst in enumerate(members):
+        g = inst.bigraph.graph
+        aut = automorphism_group(g)
+        w = aut.base[0]
+        walks.clear()
+        reads = [aut.order, lambda: _arc_type(g, aut), aut.orbit_roots]
+        for read in reads[i % 3 :] + reads[: i % 3]:
+            read()
+        assert sum(w in reach for reach in walks) == 1, inst.description
+        assert aut.orbit_roots() == [0] and len(aut.orbit(w)) == g.n
+
+
+def test_certificate_alone_never_computes_the_order(monkeypatch):
+    # the search leaves |Aut| to PermGroup.order, which only a reader calls:
+    # a certificate walks no orbit beyond those of its search's pruning
+    calls = []
+    order = symmetry.PermGroup.order
+
+    def counted(group):
+        calls.append(group)
+        return order(group)
+
+    monkeypatch.setattr(symmetry.PermGroup, "order", counted)
+    walks = _orbit_walks(monkeypatch)
+    members = census.table1_instances(128) + census.table2_instances(128)
+    for inst in members:
+        g = inst.bigraph.graph
+        known = list(known_automorphisms(inst.bigraph))
+        walks.clear()
+        _Search(g, known).run()
+        searched = len(walks)
+        walks.clear()
+        symmetry._ANALYZED.pop(g, None)
+        certificate(g, known)
+        assert len(walks) == searched, inst.description
+    assert not calls
+    for inst in members:  # the record reads it, from the cached search
+        census.analysis(inst.bigraph)
+    assert len(calls) == 2 * len(members)  # _arc_type's read, then the record's
+
+
+def test_children_leave_their_parents_arrays_unchanged(monkeypatch):
+    # individualize copies at and cell_of, so a child's refinement, and its
+    # whole subtree, leaves the parent's partition as it was
+    parents = []
+    checked = []
+    individualize, descend = _Search.individualize, _Search.descend
+
+    def snapshot(search, at, cell_of, ncells, s, v):
+        parents.append((at, cell_of, [c and list(c) for c in at], list(cell_of)))
+        return individualize(search, at, cell_of, ncells, s, v)
+
+    def compared(search, at, cell_of, ncells, prefix):
+        level = descend(search, at, cell_of, ncells, prefix)
+        if prefix:
+            parent_at, parent_cell_of, at_then, cell_of_then = parents.pop()
+            assert [c and list(c) for c in parent_at] == at_then
+            assert parent_cell_of == cell_of_then
+            checked.append(len(prefix))
+        return level
+
+    monkeypatch.setattr(_Search, "individualize", snapshot)
+    monkeypatch.setattr(_Search, "descend", compared)
+    for g in _search_corpus():
+        _Search(g).run()
+        assert not parents
+    assert len(checked) > 1000 and max(checked) > 2
 
 
 def _fresh_analysis(graph: Graph, leaves: list, known=()):
@@ -305,7 +398,8 @@ def _fresh_analysis(graph: Graph, leaves: list, known=()):
     and first path; ``leaves`` lists the search of every leaf reached, so this
     one's last."""
     symmetry._ANALYZED.pop(graph, None)
-    autos, order, cert, base = symmetry._analyzed(graph, known)
+    autos, cert, base = symmetry._analyzed(graph, known)
+    order = automorphism_group(graph).order()  # from the cached search
     labeling = leaves[-1].best[1]
     assert base == tuple(leaves[-1].first_path)
     roots = [min(orbit) for orbit in orbits(autos, graph.n)]
@@ -362,10 +456,10 @@ def test_one_root_branch_after_the_first_on_census_members(monkeypatch):
     roots = []
     descend = _Search.descend
 
-    def counted(search, cells, prefix):
+    def counted(search, at, cell_of, ncells, prefix):
         if len(prefix) == 1:
             roots.append(prefix[0])
-        return descend(search, cells, prefix)
+        return descend(search, at, cell_of, ncells, prefix)
 
     monkeypatch.setattr(_Search, "descend", counted)
     members = census.table1_instances(256) + census.table2_instances(256)
@@ -500,6 +594,18 @@ def test_automorphism_group_matches_brute_force():
         if g.n > 1:
             assert not aut.contains((0,) + tuple(range(g.n - 1))), g.edges  # 0 twice
     assert outsiders > 20
+
+
+def test_float_entries_are_no_permutation():
+    # sorted((2.0, 1.0, 0.0)) == [0, 1, 2], yet a float indexes no tuple:
+    # membership says no, and a seed with float entries is refused
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    aut = automorphism_group(path)
+    assert aut.contains((2, 1, 0)) and not aut.contains((2.0, 1.0, 0.0))
+    assert not aut.contains((0, 1.0, 2))
+    _Search(path, [(2, 1, 0)])
+    with pytest.raises(ValueError, match="is not an automorphism"):
+        _Search(path, [(2.0, 1.0, 0.0)])
 
 
 def test_automorphism_orders_of_named_graphs():
