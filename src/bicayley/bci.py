@@ -134,10 +134,10 @@ def _first_match(
         if frozenset(raw) in marked:
             continue
         marked |= _identity_translates(raw, autos, sums, neg)
-        spokes = tuple(map(elems.__getitem__, raw))
-        if group.size // len(subgroup_generated(group, spokes)) != components:
+        # <T> is the orbit of the identity under translation by T
+        if group.size // len(_orbit((0,), [sums[i] for i in raw])) != components:
             continue
-        b = build(BiCayleySpec.create(group, (), (), spokes))
+        b = build(BiCayleySpec.create(group, (), (), map(elems.__getitem__, raw)))
         if certificate(b.graph, known_automorphisms(b)) == target:
             return b.spec
     return None

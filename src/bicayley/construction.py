@@ -120,6 +120,8 @@ def predicted_connected(spec: BiCayleySpec) -> bool:
 
 def right_translation(b: BiCayleyGraph, h: GroupElement) -> tuple[int, ...]:
     """The permutation (x_i) -> (xh)_i, as an image tuple."""
+    if h.group != b.group:
+        raise ValueError(f"element {h} does not belong to {b.group}")
     size = b.group.size
     shifted = _shifted(b.group.orders, h.exponents)
     return tuple(shifted + [size + j for j in shifted])

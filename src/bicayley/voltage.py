@@ -1,9 +1,8 @@
 """Voltage assignments on graphs, derived covering graphs, and lift tests.
 
-Assignments are tree-reduced: arcs of the spanning tree given with the
-assignment carry the identity, so a closed walk's voltage is the product over
-its cotree arcs.  Whether an automorphism lifts is decided by propagating its
-lift over the derived cover.
+An assignment is the base graph, the voltage group and one voltage per arc;
+no spanning tree is fixed, so any arc may carry any voltage.  Whether a base
+automorphism lifts is decided by propagating its lift over the derived cover.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from dataclasses import dataclass
 from bicayley.abelian import AbelianGroup, GroupElement, make_group
 from bicayley.construction import _fibred_graph
 from bicayley.graphs import Graph, is_connected
+from bicayley.symmetry import _is_automorphism
 
 __all__ = [
     "VoltageAssignment",
@@ -27,46 +27,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VoltageAssignment:
-    """A tree-reduced voltage assignment into a finite abelian group.
+    """A voltage assignment into a finite abelian group: the base graph, the
+    group and the arc voltages.
 
     ``voltages`` maps every arc (ordered pair) of the base graph to a group
-    element, satisfying zeta(reverse arc) = zeta(arc)^-1, with tree arcs at
-    the identity.
+    element, satisfying zeta(reverse arc) = zeta(arc)^-1.  No arc is required
+    to carry the identity.
     """
 
     base: Graph
     group: AbelianGroup
-    tree: frozenset[tuple[int, int]]
     voltages: dict[tuple[int, int], GroupElement]
 
     @staticmethod
-    def create(
-        base: Graph,
-        group: AbelianGroup,
-        tree,
-        cotree_voltages: dict,
-    ) -> "VoltageAssignment":
-        tree = frozenset((min(u, v), max(u, v)) for u, v in tree)
-        edge_set = {(u, v) for u, v in base.edges}
-        for u, v in tree:
-            if (u, v) not in edge_set:
-                raise ValueError(f"tree edge ({u},{v}) is not an edge of the base graph")
-        if len(tree) != base.n - 1:
-            raise ValueError(f"{len(tree)} tree edges cannot span {base.n} vertices")
-        # acyclicity follows from the count once the tree is connected
-        if not is_connected(Graph.from_edges(base.n, tree)):
-            raise ValueError("tree edges do not span the graph")
-
+    def create(base: Graph, group: AbelianGroup, edge_voltages: dict) -> "VoltageAssignment":
+        """The assignment with one voltage per edge, given on either of its
+        arcs; the reverse arc carries the inverse."""
         voltages: dict[tuple[int, int], GroupElement] = {}
-        for u, v in tree:
-            voltages[(u, v)] = group.identity
-            voltages[(v, u)] = group.identity
-        for arc, value in cotree_voltages.items():
-            tail, head = arc
+        for (tail, head), value in edge_voltages.items():
             if not base.has_edge(tail, head):
                 raise ValueError(f"voltage on ({tail},{head}), which is not an edge")
-            if (min(arc), max(arc)) in tree:
-                raise ValueError(f"tree arc ({tail},{head}) must carry the identity")
             if value.group != group:
                 raise ValueError(f"voltage {value} does not belong to {group}")
             if (tail, head) in voltages:
@@ -75,8 +55,8 @@ class VoltageAssignment:
             voltages[(head, tail)] = value.inverse()
         for u, v in base.edges:
             if (u, v) not in voltages:
-                raise ValueError(f"cotree edge ({u},{v}) has no voltage")
-        return VoltageAssignment(base, group, tree, voltages)
+                raise ValueError(f"edge ({u},{v}) has no voltage")
+        return VoltageAssignment(base, group, voltages)
 
 
 def derive(va: VoltageAssignment) -> Graph:
@@ -99,9 +79,8 @@ def lifts(va: VoltageAssignment, sigma: tuple[int, ...]) -> tuple[int, ...] | No
     """
     if len(sigma) != va.base.n:
         raise ValueError(f"permutation degree {len(sigma)} != base order {va.base.n}")
-    for u, v in va.base.edges:
-        if not va.base.has_edge(sigma[u], sigma[v]):
-            raise ValueError(f"permutation is not a base automorphism: edge ({u},{v}) breaks")
+    if not _is_automorphism(va.base.adjacency, va.base.edges, sigma):
+        raise ValueError("permutation is not a base automorphism")
     cover = derive(va)
     if not is_connected(cover):
         raise ValueError(
@@ -130,7 +109,7 @@ def lifts(va: VoltageAssignment, sigma: tuple[int, ...]) -> tuple[int, ...] | No
 # The cube-shaped quotient of the 24-point 1-type graph: part-0 cosets 0..3 and
 # part-1 cosets 4..7, named e0, r0, s0, rs0, e1, r1, s1, rs1 in that order.
 _FIG_TREE = [(1, 0), (0, 4), (4, 6), (6, 2), (2, 3), (3, 7), (7, 5)]
-# cotree arcs with nontrivial voltage carry the designated generator
+# The tree and the flat edge carry the identity, the charged arcs the generator.
 _FIG_CHARGED = [(0, 7), (3, 4), (1, 6), (2, 5)]
 _FIG_FLAT = [(1, 5)]
 
@@ -145,10 +124,9 @@ def fig_assignment(order: int) -> VoltageAssignment:
     if order < 1:
         raise ValueError("voltage group order must be positive")
     group = make_group([order])
-    n1 = group.element(1)
-    cotree = {arc: n1 for arc in _FIG_CHARGED}
-    cotree[_FIG_FLAT[0]] = group.identity
-    return VoltageAssignment.create(fig_base(), group, _FIG_TREE, cotree)
+    voltages = {arc: group.identity for arc in _FIG_TREE + _FIG_FLAT}
+    voltages.update(dict.fromkeys(_FIG_CHARGED, group.element(1)))
+    return VoltageAssignment.create(fig_base(), group, voltages)
 
 
 def fig_alpha() -> tuple[int, ...]:

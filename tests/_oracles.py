@@ -788,16 +788,20 @@ def arc_voltage(va: VoltageAssignment, tail: int, head: int):
     return va.voltages[(tail, head)]
 
 
-def cotree_arcs(va: VoltageAssignment) -> list[tuple[int, int]]:
-    """One arc (u, v) with u < v per non-tree edge, sorted."""
-    return sorted((u, v) for u, v in va.base.edges if (u, v) not in va.tree)
+def cotree_arcs(va: VoltageAssignment, tree) -> list[tuple[int, int]]:
+    """One arc (u, v) with u < v per edge outside the spanning tree ``tree``
+    (a collection of edges, each in either orientation), sorted."""
+    tree = {(min(e), max(e)) for e in tree}
+    return sorted((u, v) for u, v in va.base.edges if (u, v) not in tree)
 
 
-def base_circuits(va: VoltageAssignment) -> list[BaseCircuit]:
-    """One directed circuit per cotree edge; count is |E| - |V| + 1."""
+def base_circuits(va: VoltageAssignment, tree) -> list[BaseCircuit]:
+    """One directed circuit per edge outside the spanning tree ``tree``: the
+    fundamental circuits, which generate the cycle space, so the criterion may
+    use any spanning tree.  The count is |E| - |V| + 1."""
     parent = {0: None}
     tree_adj: dict[int, list[int]] = {v: [] for v in range(va.base.n)}
-    for u, v in va.tree:
+    for u, v in tree:
         tree_adj[u].append(v)
         tree_adj[v].append(u)
     queue = deque([0])
@@ -815,7 +819,7 @@ def base_circuits(va: VoltageAssignment) -> list[BaseCircuit]:
         return path
 
     circuits = []
-    for u, v in cotree_arcs(va):
+    for u, v in cotree_arcs(va, tree):
         pu = path_to_root(u)
         pv = path_to_root(v)
         shared = None
@@ -848,10 +852,11 @@ def circuit_voltage(va: VoltageAssignment, circuit: BaseCircuit):
     return acc
 
 
-def circuit_pairs(va: VoltageAssignment, sigma: tuple[int, ...]) -> list[tuple]:
-    """(voltage of each base circuit, voltage of its image walk under sigma)."""
+def circuit_pairs(va: VoltageAssignment, tree, sigma: tuple[int, ...]) -> list[tuple]:
+    """(voltage of each base circuit of ``tree``, voltage of its image walk
+    under sigma)."""
     pairs = []
-    for c in base_circuits(va):
+    for c in base_circuits(va, tree):
         image = [sigma[v] for v in c.vertices]
         image.append(image[0])
         pairs.append((circuit_voltage(va, c), walk_voltage(va, image)))
@@ -868,11 +873,11 @@ def induced_automorphism(va: VoltageAssignment, lift: tuple[int, ...]):
     return _extend(va.group, images)
 
 
-def lift_exists_by_scan(va: VoltageAssignment, sigma: tuple[int, ...]) -> bool:
-    """Some voltage-group automorphism maps every base-circuit voltage onto the
-    voltage of the circuit's image walk: sigma lifts (Malnic, Nedela and
-    Skoviera 2000)."""
-    pairs = circuit_pairs(va, sigma)
+def lift_exists_by_scan(va: VoltageAssignment, tree, sigma: tuple[int, ...]) -> bool:
+    """Some voltage-group automorphism maps every base-circuit voltage (over
+    the spanning tree ``tree``) onto the voltage of the circuit's image walk:
+    sigma lifts (Malnic, Nedela and Skoviera 2000)."""
+    pairs = circuit_pairs(va, tree, sigma)
     return any(
         all(phi(z) == y for z, y in pairs) for phi in _automorphisms(va.group)
     )

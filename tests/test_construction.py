@@ -152,6 +152,14 @@ def test_right_translations_are_semiregular_on_parts():
     assert len(cycles) == 2 and all(len(c) == 3 for c in cycles)
 
 
+def test_right_translation_refuses_an_element_of_another_group():
+    heawood = _zero_type([7], [0, 1, 3])
+    with pytest.raises(ValueError, match="does not belong"):
+        right_translation(heawood, make_group([3, 5]).element((1, 4)))
+    with pytest.raises(ValueError, match="does not belong"):
+        right_translation(heawood, make_group([14]).element(1))
+
+
 def test_translations_and_iota_follow_the_layout():
     # right_translation(b, h): (x, i) -> (xh, i); iota: (x, i) -> (x^-1, 1-i)
     for orders in ([7], [6, 2], [2, 3, 2]):

@@ -39,13 +39,14 @@ from bicayley.voltage import (
 )
 
 
-def check_lift(va, sigma, lift) -> None:
+def check_lift(va, tree, sigma, lift) -> None:
     """The returned lift is the one the criterion fixes: the sigma* it induces
-    carries each base-circuit voltage to its image walk's, the lift takes
+    carries each base-circuit voltage (over the spanning tree ``tree``) to its
+    image walk's, the lift takes
     (0, 1) to (sigma(0), 1), and it maps each fiber w into the fiber sigma(w)."""
     sigma_star = induced_automorphism(va, lift)
     size = va.group.size
-    assert all(sigma_star(z) == y for z, y in circuit_pairs(va, sigma))
+    assert all(sigma_star(z) == y for z, y in circuit_pairs(va, tree, sigma))
     assert lift[0] == sigma[0] * size
     assert all(lift[v] // size == sigma[v // size] for v in range(len(lift)))
 
@@ -54,32 +55,27 @@ def test_assignment_validation():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     z2 = make_group([2])
     one = z2.element(1)
-    tree = [(0, 1), (1, 2), (2, 3)]
-    va = VoltageAssignment.create(g, z2, tree, {(3, 0): one})
+    path = {(0, 1): z2.identity, (1, 2): one, (2, 3): z2.identity}
+    va = VoltageAssignment.create(g, z2, {**path, (3, 0): one})
     assert arc_voltage(va, 3, 0) == one and arc_voltage(va, 0, 3) == one.inverse()
     assert arc_voltage(va, 0, 1).is_identity
-    assert cotree_arcs(va) == [(0, 3)]
+    # any arc may carry any voltage, tree or not
+    assert arc_voltage(va, 2, 1) == one
+    assert cotree_arcs(va, path) == [(0, 3)]
     with pytest.raises(ValueError, match="not an edge"):
-        VoltageAssignment.create(g, z2, [(0, 2), (1, 2), (2, 3)], {(3, 0): one})
-    with pytest.raises(ValueError, match="cannot span"):
-        VoltageAssignment.create(g, z2, tree[:2], {(3, 0): one})
+        VoltageAssignment.create(g, z2, {**path, (3, 0): one, (0, 2): one})
     with pytest.raises(ValueError, match="no voltage"):
-        VoltageAssignment.create(g, z2, tree, {})
-    with pytest.raises(ValueError, match="identity"):
-        VoltageAssignment.create(g, z2, tree, {(3, 0): one, (0, 1): one})
+        VoltageAssignment.create(g, z2, path)
     with pytest.raises(ValueError, match="conflicting"):
-        VoltageAssignment.create(g, z2, tree, {(3, 0): one, (0, 3): one})
+        VoltageAssignment.create(g, z2, {**path, (3, 0): one, (0, 3): one})
     with pytest.raises(ValueError, match="belong"):
-        VoltageAssignment.create(g, z2, tree, {(3, 0): make_group([3]).element(1)})
-    # three edges on four vertices that form a cycle span nothing
-    with_isolated = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(ValueError, match="span"):
-        VoltageAssignment.create(with_isolated, z2, [(0, 1), (1, 2), (2, 0)], {})
+        VoltageAssignment.create(g, z2, {**path, (3, 0): make_group([3]).element(1)})
 
 
 def test_base_circuits_structure():
     va = fig_assignment(3)
-    circuits = base_circuits(va)
+    tree = {(min(e), max(e)) for e in _FIG_TREE}
+    circuits = base_circuits(va, _FIG_TREE)
     assert len(circuits) == va.base.edge_count - va.base.n + 1 == 5
     seen_arcs = set()
     for c in circuits:
@@ -88,16 +84,17 @@ def test_base_circuits_structure():
         for u, v in arcs:
             assert va.base.has_edge(u, v)
         assert arcs[-1] == c.cotree_arc
-        assert all((min(a), max(a)) in va.tree for a in arcs[:-1])
-        assert (min(c.cotree_arc), max(c.cotree_arc)) not in va.tree
+        assert all((min(a), max(a)) in tree for a in arcs[:-1])
+        assert (min(c.cotree_arc), max(c.cotree_arc)) not in tree
         seen_arcs.add(frozenset(c.cotree_arc))
         # the whole voltage sits on the closing arc
         assert circuit_voltage(va, c) == arc_voltage(va, *c.cotree_arc)
     assert len(seen_arcs) == 5
     # a tree has no circuits
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    tree_va = VoltageAssignment.create(path, make_group([2]), [(0, 1), (1, 2)], {})
-    assert base_circuits(tree_va) == []
+    z2 = make_group([2])
+    tree_va = VoltageAssignment.create(path, z2, dict.fromkeys(path.edges, z2.element(1)))
+    assert base_circuits(tree_va, path.edges) == []
 
 
 def test_fig_fixture_shape():
@@ -105,9 +102,11 @@ def test_fig_fixture_shape():
     assert base.n == 8 and base.is_regular(3)
     assert certificate(base) == certificate(hypercube())
     va = fig_assignment(3)
-    charged = [a for a in cotree_arcs(va) if not arc_voltage(va, *a).is_identity]
+    # the fixture is reduced to its tree: every tree edge carries the identity
+    assert all(arc_voltage(va, *e).is_identity for e in _FIG_TREE)
+    charged = [a for a in cotree_arcs(va, _FIG_TREE) if not arc_voltage(va, *a).is_identity]
     assert len(charged) == 4
-    assert len(cotree_arcs(va)) == 5
+    assert len(cotree_arcs(va, _FIG_TREE)) == 5
     alpha = fig_alpha()
     assert perm_order(alpha) == 3
     assert alpha[0] == 0 and alpha[2] == 2
@@ -166,10 +165,9 @@ def test_derive_follows_the_layout():
     # derive joins (w, k) to (w', zeta(w, w') k)
     rng = random.Random(29)
     base = fig_base()
-    tree = {(min(e), max(e)) for e in _FIG_TREE}
     group = make_group([2, 4])
-    cotree = {e: rng.choice(group.elements()) for e in base.edges if e not in tree}
-    for va in (VoltageAssignment.create(base, group, tree, cotree), fig_assignment(6)):
+    voltages = {e: rng.choice(group.elements()) for e in base.edges}
+    for va in (VoltageAssignment.create(base, group, voltages), fig_assignment(6)):
         elems = va.group.elements()
         expected = {
             frozenset((layout_id(k, u), layout_id(arc_voltage(va, u, v) * k, v)))
@@ -194,7 +192,7 @@ def test_alpha_lifts_exactly_over_one_and_three():
         lift = lifts(va, alpha)
         assert (lift is not None) == (order in (1, 3))
         if lift is not None:
-            check_lift(va, alpha, lift)
+            check_lift(va, _FIG_TREE, alpha, lift)
             cover = derive(va)
             for u, v in cover.edges:
                 assert cover.has_edge(lift[u], lift[v])
@@ -209,9 +207,9 @@ def test_lift_decision_matches_automorphism_scan():
         for sigma in sorted(_mul_close(base_aut.generators, 8, 48)):
             lift = lifts(va, sigma)
             got = lift is not None
-            assert got == lift_exists_by_scan(va, sigma)
+            assert got == lift_exists_by_scan(va, _FIG_TREE, sigma)
             if got:
-                check_lift(va, sigma, lift)
+                check_lift(va, _FIG_TREE, sigma, lift)
             agreed += got
         if order == 3:
             assert agreed == 48  # every cube automorphism survives mod 3
@@ -231,13 +229,12 @@ def test_lift_decision_matches_scan_on_random_assignments():
                 if w not in seen:
                     seen.append(w)
                     tree.append((min(u, w), max(u, w)))
-        cotree = {
-            (u, v): rng.choice(group.elements())
+        voltages = {
+            (u, v): group.identity if (u, v) in tree else rng.choice(group.elements())
             for u, v in g.edges
-            if (u, v) not in tree
         }
-        va = VoltageAssignment.create(g, group, tree, cotree)
-        gens = [circuit_voltage(va, c) for c in base_circuits(va)]
+        va = VoltageAssignment.create(g, group, voltages)
+        gens = [circuit_voltage(va, c) for c in base_circuits(va, tree)]
         whole = len(subgroup_generated(group, gens)) == group.size
         aut = automorphism_group(g)
         for sigma in sorted(_mul_close(aut.generators, g.n, aut.order()))[:8]:
@@ -246,10 +243,45 @@ def test_lift_decision_matches_scan_on_random_assignments():
                     lifts(va, sigma)
                 continue
             lift = lifts(va, sigma)
-            assert (lift is not None) == lift_exists_by_scan(va, sigma)
+            assert (lift is not None) == lift_exists_by_scan(va, tree, sigma)
             if lift is not None:
-                check_lift(va, sigma, lift)
+                check_lift(va, tree, sigma, lift)
         checked += 1
+
+
+def test_lift_decision_matches_scan_when_tree_edges_carry_voltages():
+    # no spanning tree is reduced to the identity: a random voltage on every
+    # edge, and the fixture switched at every vertex w by a random f(w),
+    # zeta'(w, w') = zeta(w, w') f(w') f(w)^-1, whose cover is the same up to
+    # relabeling each fiber, so its lift decisions are the fixture's
+    rng = random.Random(71)
+    base = fig_base()
+    base_aut = automorphism_group(base)
+    sigmas = sorted(_mul_close(base_aut.generators, 8, 48))
+    for order in (3, 4, 5):
+        fixture = fig_assignment(order)
+        group = fixture.group
+        f = [rng.choice(group.elements()) for _ in range(8)]
+        switched = VoltageAssignment.create(
+            base, group, {(u, v): fixture.voltages[(u, v)] * f[v] * f[u].inverse() for u, v in base.edges}
+        )
+        random_va = VoltageAssignment.create(
+            base, group, {e: rng.choice(group.elements()) for e in base.edges}
+        )
+        for va in (switched, random_va):
+            assert not all(arc_voltage(va, *e).is_identity for e in _FIG_TREE)
+            assert is_connected(derive(va))
+            agreed = 0
+            for sigma in sigmas:
+                lift = lifts(va, sigma)
+                assert (lift is not None) == lift_exists_by_scan(va, _FIG_TREE, sigma)
+                if va is switched:
+                    assert (lift is not None) == (lifts(fixture, sigma) is not None)
+                if lift is not None:
+                    check_lift(va, _FIG_TREE, sigma, lift)
+                agreed += lift is not None
+            if va is switched and order == 3:
+                assert agreed == 48
 
 
 def test_lifts_rejects_non_automorphisms():
@@ -257,5 +289,12 @@ def test_lifts_rejects_non_automorphisms():
     not_auto = (1, 0) + tuple(range(2, 8))
     with pytest.raises(ValueError, match="not a base automorphism"):
         lifts(va, not_auto)
+    # the fold onto the edge {0, 1} takes every edge to an edge but is no
+    # permutation; a float entry, even 0.0, is no vertex
+    fold = (0, 1, 1, 0, 1, 0, 0, 1)
+    assert all(va.base.has_edge(fold[u], fold[v]) for u, v in va.base.edges)
+    for sigma in (fold, (0.0, 1, 2, 3, 4, 5, 6, 7)):
+        with pytest.raises(ValueError, match="not a base automorphism"):
+            lifts(va, sigma)
     with pytest.raises(ValueError, match="degree"):
         lifts(va, tuple(range(5)))
