@@ -5,7 +5,7 @@ Elements are exponent vectors reduced mod the factor orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product as _cartesian
 from math import gcd, lcm, prod
@@ -23,11 +23,10 @@ __all__ = [
 _MAX_AUT_ORDER = 16
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "orders")):
     """Direct product of cyclic groups Z_d for d in ``orders``."""
 
-    orders: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -74,15 +73,13 @@ class AbelianGroup:
         return "Z" + "xZ".join(str(d) for d in self.orders)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(namedtuple("GroupElement", "group exponents")):
     """An element of an :class:`AbelianGroup`, stored as a reduced exponent vector."""
 
-    group: AbelianGroup
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
     def _check_same_group(self, other: "GroupElement") -> None:
-        # identity first: the dataclass comparison costs several times more
+        # identity first: it is cheaper than comparing the groups' orders
         if self.group is not other.group and self.group != other.group:
             raise ValueError(f"elements of different groups: {self.group} vs {other.group}")
 

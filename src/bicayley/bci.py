@@ -10,7 +10,7 @@ automorphisms and translations, for small groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import combinations
 
 from bicayley.abelian import (
@@ -40,18 +40,24 @@ __all__ = ["BciVerdict", "bci_by_criterion", "bci_oracle", "cross_check", "verdi
 _ORACLE_LIMIT = _MAX_AUT_ORDER  # the oracle lists Aut(H)
 
 
-@dataclass(frozen=True)
-class BciVerdict:
-    """Outcome of a BCI decision, with the evidence the method produced."""
+class BciVerdict(
+    namedtuple(
+        "BciVerdict",
+        "group_orders spokes is_bci method normalizer_transitive semiregular_count "
+        "conjugacy_class_count counterexample",
+        defaults=(None, None, None, None),
+    )
+):
+    """Outcome of a BCI decision, with the evidence the method produced.
 
-    group_orders: tuple[int, ...]
-    spokes: tuple[tuple[int, ...], ...]
-    is_bci: bool
-    method: str
-    normalizer_transitive: bool | None = None
-    semiregular_count: int | None = None
-    conjugacy_class_count: int | None = None
-    counterexample: tuple[tuple[int, ...], ...] | None = None
+    ``group_orders`` and ``spokes`` name the graph, ``spokes`` as exponent
+    tuples; ``method`` is "criterion", "oracle" or "cross".  The criterion
+    fills ``normalizer_transitive``, ``semiregular_count`` and
+    ``conjugacy_class_count``; the oracle fills ``counterexample`` when the
+    graph is not BCI.  A field a method does not fill is None.
+    """
+
+    __slots__ = ()
 
 
 def _require_spoke_only(b: BiCayleyGraph) -> None:
@@ -186,7 +192,7 @@ def cross_check(b: BiCayleyGraph) -> BciVerdict:
             f"BCI deciders disagree on {b.spec}: "
             f"criterion={verdict.is_bci} oracle={other.is_bci}"
         )
-    return replace(verdict, method="cross", counterexample=other.counterexample)
+    return verdict._replace(method="cross", counterexample=other.counterexample)
 
 
 def verdict_payload(v: BciVerdict) -> dict:

@@ -12,7 +12,7 @@ verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import takewhile
 from math import inf, prod
@@ -54,8 +54,9 @@ SCOPE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CensusInstance:
+class CensusInstance(
+    namedtuple("CensusInstance", "table row description bigraph expected_k claimed_k")
+):
     """One census member: the graph, its table row, and the expected arc type.
 
     ``expected_k`` is the exact arc-regularity type; ``claimed_k`` is the
@@ -63,12 +64,7 @@ class CensusInstance:
     is a lower bound rather than the exact type.
     """
 
-    table: int
-    row: int
-    description: str
-    bigraph: BiCayleyGraph
-    expected_k: int
-    claimed_k: int
+    __slots__ = ()
 
 
 def _family_spec(r: int, m: int, u: int) -> BiCayleySpec:

@@ -10,9 +10,7 @@ parallel spokes, so it shares one vertex order with ``voltage.derive``: vertex
 
 from __future__ import annotations
 
-import ast
-import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from bicayley.abelian import AbelianGroup, GroupElement, _shifted, make_group, subgroup_generated
 from bicayley.graphs import Graph
@@ -37,18 +35,15 @@ def _sorted_elements(elems) -> tuple[GroupElement, ...]:
     return tuple(sorted(elems, key=lambda g: g.exponents))
 
 
-@dataclass(frozen=True)
-class BiCayleySpec:
-    """Connection data (group, right set, left set, spoke set).
+class BiCayleySpec(namedtuple("BiCayleySpec", "group right left spokes")):
+    """Connection data (group, right set, left set, spoke set), each set a
+    sorted tuple of elements.
 
     The right and left sets must be inverse-closed and identity-free; the
     spoke set is unrestricted (it may contain the identity).
     """
 
-    group: AbelianGroup
-    right: tuple[GroupElement, ...]
-    left: tuple[GroupElement, ...]
-    spokes: tuple[GroupElement, ...]
+    __slots__ = ()
 
     @staticmethod
     def create(group: AbelianGroup, right=(), left=(), spokes=()) -> "BiCayleySpec":
@@ -73,12 +68,10 @@ class BiCayleySpec:
         return BiCayleySpec(group, right, left, spokes)
 
 
-@dataclass(frozen=True)
-class BiCayleyGraph:
+class BiCayleyGraph(namedtuple("BiCayleyGraph", "spec graph")):
     """A built bi-Cayley graph: the spec and the plain graph."""
 
-    spec: BiCayleySpec
-    graph: Graph
+    __slots__ = ()
 
     @property
     def group(self) -> AbelianGroup:
@@ -198,9 +191,6 @@ def generalized_petersen(n: int, k: int) -> BiCayleyGraph:
 
 # --- textual spec format ------------------------------------------------------
 
-_SPEC_KEY = re.compile(r"^\s*([HRLS])\s*=\s*(.*?)\s*$")
-
-
 def _plain_ints(value) -> tuple[int, ...] | None:
     """An int, or a tuple or list of ints, as a tuple; None otherwise (bools too)."""
     items = (value,) if type(value) is int else value
@@ -215,11 +205,15 @@ def parse_spec(text: str) -> BiCayleySpec:
     Connection elements are exponent tuples (bare ints allowed for rank 1);
     R, L, S default to empty when omitted.
     """
+    # only this parser needs them, and a library import should not pay for them
+    import ast
+    import re
+
     fields: dict[str, str] = {}
     for chunk in text.split(";"):
         if not chunk.strip():
             continue
-        m = _SPEC_KEY.match(chunk)
+        m = re.match(r"^\s*([HRLS])\s*=\s*(.*?)\s*$", chunk)
         if not m:
             raise ValueError(f"unparseable spec fragment: {chunk.strip()!r}")
         key, value = m.group(1), m.group(2)

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import base64
 import math
-from collections import deque
-from dataclasses import dataclass
+from binascii import b2a_base64
+from collections import deque, namedtuple
 
 __all__ = [
     "Graph",
@@ -16,12 +15,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Graph:
-    """An undirected simple graph on vertices 0..n-1."""
+class Graph(namedtuple("Graph", "n adjacency")):
+    """An undirected simple graph on vertices 0..n-1; ``adjacency[v]`` is the
+    sorted tuple of v's neighbours."""
 
-    n: int
-    adjacency: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -39,7 +37,8 @@ class Graph:
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
+        adjacency = self.adjacency
+        return [(u, v) for u in range(self.n) for v in adjacency[u] if u < v]
 
     @property
     def edge_count(self) -> int:
@@ -52,8 +51,16 @@ class Graph:
         return v in self.adjacency[u]
 
     def relabel(self, perm) -> "Graph":
-        """Image graph under the vertex map v -> perm[v]."""
-        return Graph.from_edges(self.n, [(perm[u], perm[v]) for u, v in self.edges])
+        """Image graph under the vertex map v -> perm[v]; ``perm`` must be a
+        permutation of 0..n-1."""
+        n = self.n
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"relabeling is not a permutation of 0..{n - 1}")
+        rows = [()] * n
+        image = perm.__getitem__
+        for u, row in enumerate(self.adjacency):
+            rows[image(u)] = tuple(sorted(map(image, row)))
+        return Graph(n, tuple(rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -62,13 +69,14 @@ class Graph:
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
+    adjacency = g.adjacency
     seen = [False] * g.n
     seen[0] = True
     queue = deque([0])
     count = 1
     while queue:
         u = queue.popleft()
-        for w in g.adjacency[u]:
+        for w in adjacency[u]:
             if not seen[w]:
                 seen[w] = True
                 count += 1
@@ -85,6 +93,7 @@ def girth(g: Graph, roots=None) -> int | float:
     of automorphisms: a shortest cycle maps onto one through any vertex of
     its orbit, so the minimum stays exact.
     """
+    adjacency = g.adjacency
     best = math.inf
     for root in range(g.n) if roots is None else roots:
         dist = [-1] * g.n
@@ -95,7 +104,7 @@ def girth(g: Graph, roots=None) -> int | float:
             u = queue.popleft()
             if 2 * dist[u] >= best - 1:
                 break
-            for w in g.adjacency[u]:
+            for w in adjacency[u]:
                 if dist[w] == -1:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -113,6 +122,7 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     Components are colored in order of their smallest vertex; the class
     containing that vertex joins side 0, so the output is deterministic.
     """
+    adjacency = g.adjacency
     color = [-1] * g.n
     for root in range(g.n):
         if color[root] != -1:
@@ -121,7 +131,7 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for w in g.adjacency[u]:
+            for w in adjacency[u]:
                 if color[w] == -1:
                     color[w] = 1 - color[u]
                     queue.append(w)
@@ -161,7 +171,7 @@ def _graph6(n: int, keys) -> str:
     # padded to whole 24-bit groups, base64 packs six bits per character
     bits += b"0" * (-len(bits) % 24)
     packed = int(bits, 2).to_bytes(len(bits) // 8, "big")
-    data = base64.b64encode(packed).translate(_BASE64_TO_GRAPH6)[:nchars]
+    data = b2a_base64(packed, newline=False).translate(_BASE64_TO_GRAPH6)[:nchars]
     return _encode_size(n) + data.decode("ascii")
 
 

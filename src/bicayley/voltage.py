@@ -7,8 +7,7 @@ automorphism lifts is decided by propagating its lift over the derived cover.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from bicayley.abelian import AbelianGroup, GroupElement, make_group
 from bicayley.construction import _fibred_graph
@@ -25,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VoltageAssignment:
+class VoltageAssignment(namedtuple("VoltageAssignment", "base group voltages")):
     """A voltage assignment into a finite abelian group: the base graph, the
     group and the arc voltages.
 
@@ -35,9 +33,7 @@ class VoltageAssignment:
     to carry the identity.
     """
 
-    base: Graph
-    group: AbelianGroup
-    voltages: dict[tuple[int, int], GroupElement]
+    __slots__ = ()
 
     @staticmethod
     def create(base: Graph, group: AbelianGroup, edge_voltages: dict) -> "VoltageAssignment":

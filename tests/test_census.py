@@ -6,7 +6,6 @@ powers of t and against subgroup closure, the pattern enumeration against a
 scan over every group, and the closed-walk sieve against walks listed in the
 built graphs."""
 
-import dataclasses
 import re
 from functools import cache
 
@@ -448,7 +447,7 @@ def test_theorem_b_raises_when_criterion_and_oracle_disagree(monkeypatch):
 
     def flipped(b):
         verdict = real(b)
-        return dataclasses.replace(verdict, is_bci=not verdict.is_bci)
+        return verdict._replace(is_bci=not verdict.is_bci)
 
     monkeypatch.setattr(bci, "bci_oracle", flipped)
     with pytest.raises(RuntimeError, match="disagree"):

@@ -2,13 +2,18 @@
 entry in ``__all__`` for ``from bicayley.<module> import *`` to trip over,
 every function the benchmark's tracer wraps by name still exists (and the
 BCI oracle's Aut(H) listing is one of them), no
-import, function, class or method in ``src/`` is left that nothing uses, and
-every permutation handed out is a plain image tuple."""
+import, function, class or method in ``src/`` is left that nothing uses,
+every permutation handed out is a plain image tuple, and ``import bicayley``
+loads none of ``dataclasses``, ``inspect``, ``ast`` and ``base64``, which the
+library does not need."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -34,6 +39,26 @@ def test_every_export_resolves():
         module = importlib.import_module(name)
         missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
         assert not missing, f"{name}.__all__ names missing attributes {missing}"
+
+
+def test_import_surface():
+    """A fresh interpreter's modules before and after ``import bicayley``: the
+    difference leaves out whatever site preloads."""
+    code = (
+        "import sys; before = set(sys.modules); import bicayley; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(bicayley.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    added = set(out.split())
+    assert "bicayley.voltage" in added
+    assert not added & {"dataclasses", "inspect", "ast", "base64"}, sorted(added)
 
 
 def _tracing():

@@ -56,6 +56,31 @@ def test_relabel_preserves_structure():
             assert h.has_edge(perm[u], perm[v])
 
 
+def test_relabel_matches_the_mapped_edges():
+    """``relabel`` writes each row directly; ``from_edges`` on the mapped edge
+    list is the reference, on random graphs and every census member to 256
+    vertices."""
+    rng = random.Random(31)
+    graphs = small_corpus(40, 10)
+    graphs += [random_graph(rng, rng.randint(0, 12), rng.uniform(0.1, 0.6)) for _ in range(40)]
+    members = census.table1_instances(256) + census.table2_instances(256)
+    graphs += [inst.bigraph.graph for inst in members]
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        expected = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        assert g.relabel(perm) == expected
+        assert g.relabel(tuple(perm)) == expected
+
+
+def test_relabel_refuses_a_non_permutation():
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    # a repeated image, one entry too many, one too few
+    for perm in ([0, 2, 0], [0, 1, 2, 3], [0, 1]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            path.relabel(perm)
+
+
 def test_girth_known_graphs():
     k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert girth(k4) == 3
