@@ -27,9 +27,9 @@ from bicayley.construction import (
     known_automorphisms,
     right_translations,
 )
+from bicayley.search import _orbit
 from bicayley.symmetry import (
     _conjugates,
-    _orbit,
     automorphism_group,
     certificate,
     enumerate_semiregular,

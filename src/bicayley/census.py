@@ -296,18 +296,23 @@ _WALK_LENGTH = 8
 def _closed_base_walks() -> tuple[dict, ...]:
     """Per walk length 1..8: (a mod 2, b mod 2, c) -> the number of closed
     non-backtracking base walks with that voltage starting at each dart."""
+    # each dart's two successors, every dart from its head but its reverse, with their steps
+    after = [
+        [(e, step) for e, (tail, _, _, step) in enumerate(_DARTS) if tail == head and e != back]
+        for _, head, back, _ in _DARTS
+    ]
+    closes = [[head == tail for tail, *_ in _DARTS] for _, head, *_ in _DARTS]
     table = []
     walks = {(d, d, *_DARTS[d][3]): 1 for d in range(len(_DARTS))}
     for _ in range(_WALK_LENGTH):
         buckets: dict[tuple, list[int]] = {}
         grown: dict[tuple, int] = {}
         for (first, d, a, b, c), count in walks.items():
-            if _DARTS[d][1] == _DARTS[first][0]:
+            if closes[d][first]:
                 buckets.setdefault((a, b, c), [0] * len(_DARTS))[first] += count
-            for e, (tail, _, _, (da, db, dc)) in enumerate(_DARTS):
-                if tail == _DARTS[d][1] and e != _DARTS[d][2]:
-                    step = (first, e, (a + da) % 2, (b + db) % 2, c + dc)
-                    grown[step] = grown.get(step, 0) + count
+            for e, (da, db, dc) in after[d]:
+                step = (first, e, (a + da) % 2, (b + db) % 2, c + dc)
+                grown[step] = grown.get(step, 0) + count
         table.append(buckets)
         walks = grown
     return tuple(table)

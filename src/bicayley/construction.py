@@ -14,7 +14,8 @@ from collections import namedtuple
 
 from bicayley.abelian import AbelianGroup, GroupElement, _shifted, make_group, subgroup_generated
 from bicayley.graphs import Graph
-from bicayley.symmetry import _closure, _identity_images
+from bicayley.search import _identity_images
+from bicayley.symmetry import _closure
 
 __all__ = [
     "BiCayleySpec",

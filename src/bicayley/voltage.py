@@ -12,7 +12,7 @@ from collections import deque, namedtuple
 from bicayley.abelian import AbelianGroup, GroupElement, make_group
 from bicayley.construction import _fibred_graph
 from bicayley.graphs import Graph, is_connected
-from bicayley.symmetry import _is_automorphism
+from bicayley.search import _is_automorphism
 
 __all__ = [
     "VoltageAssignment",

@@ -8,11 +8,12 @@ layout, the classical LCF and Kneser constructions, the Smith
 normal form with its transform kept as a separate matrix, abelian
 isomorphism types combined from one partition per prime exponent, abelian
 automorphisms from every tuple of generator images that spans the group, and the
-Theorem A lattice key from a walk over every power of t, and closed
-non-backtracking walks by listing every walk from every arc.  The
+Theorem A lattice key from a walk over every power of t, closed
+non-backtracking walks by listing every walk from every arc, and the table of
+closed base walks by scanning every dart at each step.  The
 exceptions are the straightforward refinement and branching of the
 individualization-refinement search, its big-integer leaf certificate and
-its leaf handling that certifies every leaf, written as methods to patch into ``bicayley.symmetry._Search`` in place of the
+its leaf handling that certifies every leaf, written as methods to patch into ``bicayley.search._Search`` in place of the
 fast ones, the unreduced Theorem A scan, the full-scan BCI oracle and the
 oracle's first-match scan without its component-count filter, which build
 and certify graphs through the package, and the orbit and
@@ -429,6 +430,27 @@ def reference_closed_walks(g: Graph, max_length: int) -> dict[tuple[int, int], t
                     stack.extend((cur, w, length + 1) for w in adj[cur] if w != prev)
             out[(u, v)] = tuple(counts)
     return out
+
+
+def reference_closed_base_walks(darts, max_length: int) -> tuple[dict, ...]:
+    """``census._closed_base_walks`` for the base darts ``darts`` (tail, head,
+    reverse dart, voltage step), each walk extended by scanning every dart for
+    the ones that leave its head other than its reverse."""
+    table = []
+    walks = {(d, d, *darts[d][3]): 1 for d in range(len(darts))}
+    for _ in range(max_length):
+        buckets: dict[tuple, list[int]] = {}
+        grown: dict[tuple, int] = {}
+        for (first, d, a, b, c), count in walks.items():
+            if darts[d][1] == darts[first][0]:
+                buckets.setdefault((a, b, c), [0] * len(darts))[first] += count
+            for e, (tail, _, _, (da, db, dc)) in enumerate(darts):
+                if tail == darts[d][1] and e != darts[d][2]:
+                    step = (first, e, (a + da) % 2, (b + db) % 2, c + dc)
+                    grown[step] = grown.get(step, 0) + count
+        table.append(buckets)
+        walks = grown
+    return tuple(table)
 
 
 def reference_theorem_a_scan(max_group_order: int) -> dict:

@@ -14,7 +14,10 @@ import pytest
 from bicayley import bci, census
 from bicayley.abelian import make_group, subgroup_generated
 from bicayley.census import (
+    _DARTS,
+    _WALK_LENGTH,
     SCOPE_NOTE,
+    _closed_base_walks,
     _closed_walk_counts,
     _generated_order,
     _key_group,
@@ -37,6 +40,7 @@ from _oracles import (
     complete_bipartite_33,
     layout_id,
     lcf_graph,
+    reference_closed_base_walks,
     reference_closed_walks,
     reference_isomorphism_types,
     reference_lattice_key,
@@ -291,6 +295,12 @@ def _dart_arcs(group, r, s, t):
         (layout_id(one, 1), layout_id(one, 0)),
         (layout_id(one, 1), layout_id(t.inverse(), 0)),
     ]
+
+
+def test_base_walk_table_matches_the_dart_scan():
+    # each dart's two successors are precomputed; the reference scans all six
+    assert _closed_base_walks() == reference_closed_base_walks(_DARTS, _WALK_LENGTH)
+    assert len(_closed_base_walks()) == _WALK_LENGTH
 
 
 def test_key_walk_counts_match_the_cover():

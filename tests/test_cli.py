@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface through main()."""
 
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,8 @@ from _oracles import graph6_reference
 from bicayley import census, cli
 from bicayley.cli import main
 from bicayley.construction import build, parse_spec
+from bicayley.graphs import _graph6
+from bicayley.search import _Search
 from bicayley.symmetry import certificate
 
 GP125 = "H=[6,2]; R={(0,1)}; L={(3,0)}; S={(0,0),(1,1)}"
@@ -44,6 +47,30 @@ def test_analyze_with_selfcheck(capsys):
     assert payload["order_formula_ok"]
     assert payload["relabel_selfcheck"]
     assert payload["certificate"] == certificate(build(parse_spec("H=3; S={0,1,2}")).graph)
+
+
+# the specs of the three relabeling self-checks in CI, at 1016, 968 and 1014 vertices
+CI_SELFCHECK_SPECS = (
+    "H=[254,2]; S={(0,0),(1,0),(147,1)}",
+    "H=[22,22]; S={(0,0),(1,0),(0,1)}",
+    "H=[39,13]; S={(0,0),(1,0),(38,1)}",
+)
+
+
+@pytest.mark.parametrize("spec", CI_SELFCHECK_SPECS)
+def test_selfcheck_relabelings_at_the_search_bound_without_carried_seeds(spec):
+    # `analyze SPEC --seed 7` certifies five relabelings after the original,
+    # so each of its searches takes the original's generators as late seeds;
+    # a direct search takes none, and must reach the same certificate
+    g = build(parse_spec(spec)).graph
+    cert = certificate(g)
+    rng = random.Random(7)
+    for _ in range(5):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        search = _Search(g.relabel(perm))
+        search.run()
+        assert _graph6(g.n, search.best[0]) == cert
 
 
 def test_iso_exit_codes(capsys):

@@ -34,7 +34,7 @@ from bicayley.voltage import fig_alpha, fig_assignment, lifts
 
 def test_every_export_resolves():
     names = ["bicayley"] + [f"bicayley.{m.name}" for m in pkgutil.iter_modules(bicayley.__path__)]
-    assert "bicayley.symmetry" in names
+    assert {"bicayley.search", "bicayley.symmetry"} <= set(names)
     for name in names:
         module = importlib.import_module(name)
         missing = [attr for attr in module.__all__ if not hasattr(module, attr)]

@@ -67,6 +67,7 @@ def _check_census_certificates(bound: int) -> None:
     rng = random.Random(golden["relabeling_seed"])
     members = census.table1_instances(bound) + census.table2_instances(bound)
     found = []
+    symmetry._INDEX.clear()  # no member's earlier generators carried into its new search
     for inst in members:
         g = inst.bigraph.graph
         symmetry._ANALYZED.pop(g, None)  # search again, seeded as verify_instance seeds it

@@ -51,6 +51,7 @@ from bicayley.construction import (
     right_translations,
 )
 from bicayley.graphs import Graph, encode_graph6
+from bicayley.search import _is_automorphism
 from bicayley.symmetry import (
     _arc_type,
     _closure,
@@ -292,7 +293,8 @@ def test_regular_graph_root_is_not_refined(monkeypatch):
 
 
 def _orbit_walks(monkeypatch) -> list[set[int]]:
-    """Every orbit ``symmetry._orbit`` walks from now on, in call order."""
+    """Every orbit ``_orbit`` walks from now on, in call order, whether for
+    ``PermGroup`` or for the search's pruning."""
     walks = []
     walk = symmetry._orbit
 
@@ -302,6 +304,7 @@ def _orbit_walks(monkeypatch) -> list[set[int]]:
         return reach
 
     monkeypatch.setattr(symmetry, "_orbit", counted)
+    monkeypatch.setattr("bicayley.search._orbit", counted)
     return walks
 
 
@@ -357,6 +360,7 @@ def test_certificate_alone_never_computes_the_order(monkeypatch):
         searched = len(walks)
         walks.clear()
         symmetry._ANALYZED.pop(g, None)
+        symmetry._INDEX.clear()  # no isomorphic graph's generators carried in
         certificate(g, known)
         assert len(walks) == searched, inst.description
     assert not calls
@@ -398,6 +402,7 @@ def _fresh_analysis(graph: Graph, leaves: list, known=()):
     and first path; ``leaves`` lists the search of every leaf reached, so this
     one's last."""
     symmetry._ANALYZED.pop(graph, None)
+    symmetry._INDEX.clear()  # no isomorphic graph's generators carried in
     autos, cert, base = symmetry._analyzed(graph, known)
     order = automorphism_group(graph).order()  # from the cached search
     labeling = leaves[-1].best[1]
@@ -446,6 +451,116 @@ def test_seeded_search_gives_the_unseeded_output(monkeypatch):
     for bad in ((1, 0, *range(2, g.n)), (0, 0, *range(2, g.n))):
         with pytest.raises(ValueError, match="is not an automorphism"):
             _Search(g, [bad])
+
+
+def _empty_caches(monkeypatch) -> None:
+    """Fresh ``_analyzed`` cache and certificate index, restored after the test."""
+    monkeypatch.setattr(symmetry, "_ANALYZED", {})
+    monkeypatch.setattr(symmetry, "_INDEX", {})
+
+
+def _outcome(graph: Graph):
+    """Certificate, first path, |Aut| and orbit roots, through the cache."""
+    _, cert, base = symmetry._analyzed(graph)
+    aut = automorphism_group(graph)
+    return cert, base, aut.order(), aut.orbit_roots()
+
+
+def test_carried_generators_change_no_output(monkeypatch):
+    # an analyzed isomorphic graph's generators, conjugated into this one,
+    # only prune: each graph's outcome is that of a search with an empty
+    # index, and every generator carried in is an automorphism
+    carried = []
+    carry = _Search.carry
+
+    def recorded(search, cells):
+        before = len(search.autos)
+        carry(search, cells)
+        carried.extend((search.adj, search.edges, p) for p in search.autos[before:])
+
+    monkeypatch.setattr(_Search, "carry", recorded)
+    members = census.table1_instances(256) + census.table2_instances(256)
+    graphs = _relabeled([inst.bigraph.graph for inst in members], 12, 1) + _search_corpus()
+    fresh = []
+    for g in graphs:
+        _empty_caches(monkeypatch)
+        fresh.append(_outcome(g))
+    assert not carried
+    _empty_caches(monkeypatch)
+    for g, outcome in zip(graphs, fresh):
+        symmetry._ANALYZED.pop(g, None)  # an equal graph earlier in the list
+        assert _outcome(g) == outcome, g.edges
+    assert len(carried) > 200
+    assert all(_is_automorphism(adj, edges, p) for adj, edges, p in carried)
+
+
+def test_a_relabeled_member_after_its_original_refines_less(monkeypatch):
+    calls = []
+    refine = _Search.refine
+
+    def counted(search, at, cell_of, ncells, start):
+        calls.append(ncells)
+        return refine(search, at, cell_of, ncells, start)
+
+    monkeypatch.setattr(_Search, "refine", counted)
+    rng = random.Random(12)
+    for inst in census.table1_instances(256) + census.table2_instances(256):
+        g = inst.bigraph.graph
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        copy = g.relabel(perm)
+        _empty_caches(monkeypatch)
+        calls.clear()
+        cert = certificate(copy)
+        alone = len(calls)
+        _empty_caches(monkeypatch)
+        certificate(g)
+        calls.clear()
+        assert certificate(copy) == cert
+        assert len(calls) < alone, inst.description
+
+
+def test_index_keys_keep_graphs_of_different_sizes_apart(monkeypatch):
+    # edgeless graphs all have the empty edge-key tuple, and from two
+    # vertices on Aut is the symmetric group; graph6 starts with n, so no
+    # graph takes another size's generators, and n = 0 or 1 goes through
+    graphs = [Graph.from_edges(n, []) for n in (3, 2, 1, 0, 2, 3, 1, 4)]
+    fresh = []
+    for g in graphs:
+        _empty_caches(monkeypatch)
+        fresh.append(_outcome(g))
+    _empty_caches(monkeypatch)
+    for g, outcome in zip(graphs, fresh):
+        symmetry._ANALYZED.pop(g, None)
+        assert _outcome(g) == outcome, g.n
+    assert [outcome[2] for outcome in fresh] == [6, 2, 1, 1, 2, 6, 1, 24]
+    assert sorted(symmetry._INDEX) == sorted({certificate(g) for g in graphs if g.n > 1})
+
+
+def test_index_entries_leave_with_the_graph_that_made_them(monkeypatch):
+    _empty_caches(monkeypatch)
+    monkeypatch.setattr(symmetry, "_CACHE_SIZE", 3)
+    rng = random.Random(13)
+    bases = [K4, C5, C6, kneser_petersen(), hypercube(), ASYMMETRIC_TREE]
+    graphs = [g for g in _relabeled(bases, 14, 2) for _ in range(1 + rng.randrange(2))]
+    rng.shuffle(graphs)
+    made = {}  # certificate -> the graph whose analysis made its entry
+    makes = 0
+    for g in graphs:
+        had = set(symmetry._INDEX)
+        autos, cert, _ = symmetry._analyzed(g)
+        if cert not in had and cert in symmetry._INDEX:
+            made[cert] = g
+            makes += 1
+            assert symmetry._INDEX[cert][1] is autos
+        cached = symmetry._ANALYZED
+        assert len(cached) <= 3
+        # an entry stays exactly while the graph that made it is cached
+        assert set(symmetry._INDEX) == {c for c, maker in made.items() if maker in cached}
+        for c, (labeling, generators) in symmetry._INDEX.items():
+            assert cached[made[c]][0] is generators and len(labeling) == made[c].n
+    # the asymmetric tree makes none; the others' entries were made again after eviction
+    assert len(made) == len(bases) - 1 and makes > len(made)
 
 
 def test_one_root_branch_after_the_first_on_census_members(monkeypatch):
