@@ -25,6 +25,7 @@ from bicayley.construction import (
     BiCayleySpec,
     build,
     known_automorphisms,
+    right_translation,
     right_translations,
 )
 from bicayley.search import _orbit
@@ -78,7 +79,9 @@ def bci_by_criterion(b: BiCayleyGraph) -> BciVerdict:
     aut = automorphism_group(b.graph, known_automorphisms(b))
     trans = right_translations(b)
     members = enumerate_semiregular(aut, trans, group.orders)
-    reached, schreier = _conjugates(aut, trans)
+    # H_R is generated by the translations by H's standard generators
+    gens = [right_translation(b, g) for g in group.generators()]
+    reached, schreier = _conjugates(aut, trans, gens)
     if frozenset(trans) not in members:
         raise RuntimeError("internal error: translation group missing from its own class")
     transitive = len(_orbit((0,), schreier)) == b.graph.n

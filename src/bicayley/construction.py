@@ -138,11 +138,11 @@ def iota(b: BiCayleyGraph) -> tuple[int, ...]:
     return tuple([size + j for j in inverted] + inverted)
 
 
-def _group_automorphism(orders, gens, images) -> list[int] | None:
-    """The index table of the automorphism phi of H with phi(gens) = ``images``, or
-    None: x + g -> phi(x) + phi(g), breadth-first from 0, must reach all of H, and
-    then hold for every x and g and give each element one preimage."""
-    steps = [[_shifted(orders, x.exponents) for x in pair] for pair in zip(gens, images)]
+def _group_automorphism(steps) -> list[int] | None:
+    """The index table of the automorphism phi of H with phi(g) = h for each pair
+    (step, image) of index tables of x -> x + g and x -> x + h in ``steps``, or
+    None: x + g -> phi(x) + phi(g), breadth-first from 0, must reach all of H,
+    and then hold for every x and g and give each element one preimage."""
     phi: list = [0] + [None] * (len(steps[0][0]) - 1)
     for x in (reached := [0]):  # grows while walked
         for step, image_step in steps:
@@ -166,12 +166,18 @@ def known_automorphisms(b: BiCayleyGraph):
         yield iota(b)
     if spec.right or spec.left or len(spec.spokes) != 3 or not spec.spokes[0].is_identity:
         return
-    one, a, c = spec.spokes
-    for images, shift in (((c * a.inverse(), a.inverse()), a), ((c, a), one)):
-        phi = _group_automorphism(b.group.orders, (a, c), images)
+    _, a, c = spec.spokes
+    # the steps x -> x + g for g = a, c, c - a and -a, shared by rho and tau
+    plus_a, plus_c, plus_c_minus_a, minus_a = (
+        _shifted(b.group.orders, x.exponents) for x in (a, c, c * a.inverse(), a.inverse())
+    )
+    for steps, shift in (
+        (((plus_a, plus_c_minus_a), (plus_c, minus_a)), plus_a),
+        (((plus_a, plus_c), (plus_c, plus_a)), range(size)),
+    ):
+        phi = _group_automorphism(steps)
         if phi is not None:
-            shifted = _shifted(b.group.orders, shift.exponents)
-            yield tuple(phi + [size + shifted[x] for x in phi])
+            yield tuple(phi + [size + shift[x] for x in phi])
 
 
 def generalized_petersen(n: int, k: int) -> BiCayleyGraph:

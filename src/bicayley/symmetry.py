@@ -18,7 +18,8 @@ candidates off Aut_w and the right translations, so no step lists all of
 Aut; Aut_w is listed by closure over its generators.  The semiregular
 enumeration refuses an Aut of order above BICAYLEY_MAX_AUT (default
 100000).  A subgroup of Aut is its element set; normalizers and conjugacy
-come from its orbit under conjugation by Aut's generators.
+come from its orbit under conjugation by Aut's generators, each conjugate
+tested through the conjugates of its own generators.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 from array import array
 from collections import deque
 from math import prod
-from operator import eq, itemgetter
+from operator import itemgetter
 
 from bicayley.graphs import Graph, _graph6, is_connected
 from bicayley.search import _identity_images, _inverse, _is_automorphism, _orbit, _Search
@@ -254,30 +255,41 @@ def _arc_type(graph: Graph, aut: PermGroup) -> tuple[int | None, bool]:
 # --- subgroup-level operations ----------------------------------------------
 
 
-def _conjugates(group: PermGroup, sub):
-    """The conjugates of the element set ``sub`` in ``group``, and its normalizer's generators.
+def _conjugates(group: PermGroup, sub, gens=None):
+    """The conjugates of the element set ``sub`` in ``group``, and its
+    normalizer's generators; ``gens``, if given, generate the subgroup ``sub``.
 
     Breadth-first search over the element sets x^-1 sub x under the generators
     of ``group``; each conjugate maps to an x reaching it.  By Schreier's lemma
     the elements x s y^-1, for x reaching a conjugate C, s a generator and y
-    reaching s^-1 C s, generate the stabilizer of ``sub``: N_group(sub).
+    reaching s^-1 C s, generate the stabilizer of ``sub``: N_group(sub).  A
+    conjugate carries the conjugates of ``gens``, which generate it, so
+    s^-1 C s = C when C holds their images; only a conjugate that moves is
+    conjugated element by element.  Without ``gens`` every element is one, so
+    any element set is taken.
     """
-    # s^-1 h s sends v to s[h[s^-1[v]]]; x y is itemgetter(*x)(y)
-    gens = [(s, itemgetter(*_inverse(s))) for s in group.generators]
     start = frozenset(sub)
+    queue = deque([(start, start if gens is None else list(gens))])
     reach = {start: _identity_images(group.degree)}
-    queue = deque([start])
     schreier = []
+    # s^-1 h s sends v to s[h[s^-1[v]]]; x y is itemgetter(*x)(y)
+    by_inverse = [(s, itemgetter(*_inverse(s))) for s in group.generators]
     while queue:
-        conj = queue.popleft()
+        conj, conj_gens = queue.popleft()
         times = itemgetter(*reach[conj])  # times(s) is x s
-        for s, by_inverse in gens:
-            image = frozenset(by_inverse(itemgetter(*h)(s)) for h in conj)
+        for s, inverse_of in by_inverse:
+            images = [inverse_of(itemgetter(*h)(s)) for h in conj_gens]
+            if conj.issuperset(images):
+                image = conj
+            elif conj_gens is conj:  # the images are all of s^-1 C s
+                image = frozenset(images)
+            else:
+                image = frozenset(inverse_of(itemgetter(*h)(s)) for h in conj)
             if image in reach:
                 schreier.append(itemgetter(*times(s))(_inverse(reach[image])))
             else:
                 reach[image] = times(s)
-                queue.append(image)
+                queue.append((image, image if conj_gens is conj else images))
     return reach, schreier
 
 
@@ -291,7 +303,9 @@ def _grow(sub, orbit, v0: int, g: tuple[int, ...], d: int, cand_set):
     sub g^j (0 < j < d) is made of candidates, else None.  A g^j mapping v0
     into sub's ``orbit`` of it maps the orbit into itself, so h g^j fixes v0
     for some h in sub: that coset is rejected before any product tuple is
-    built.  The coset loop leaves g^d in ``power``, which settles the order."""
+    built.  The coset loop leaves g^d in ``power``, which settles the order.
+    ``sub`` and ``cand_set`` may hold keys, the images of one point tuple,
+    in place of elements: the key of h g^j is itemgetter(*key of h)(g^j)."""
     w = v0
     for _ in range(d - 1):
         w = g[w]
@@ -328,13 +342,20 @@ def enumerate_semiregular(group: PermGroup, translations, orders) -> list[frozen
     is found.  Tuples generating the same partial subgroup are merged: P grows
     once per group it reaches, since a g inside a group already grown from P
     would grow it to that same group, whose earlier tuple is kept.  Elements
-    are image tuples, x y = itemgetter(*x)(y).
+    are image tuples, x y = itemgetter(*x)(y), and the growth works on their
+    keys, the images of (w, *base): only the identity fixes a base, so a key
+    stands for one element, and the key of h x is itemgetter(*key of h)(x).
 
     The candidates come without listing the group.  With w = base[0], a
     part-preserving, fixed-point-free element x sends w to some u != w of w's
     part, and so does exactly one t in T other than the identity.  Then
     x t^-1 fixes w, so x = sigma t for one sigma in the stabilizer G_w, which
-    is listed by closure.
+    is listed by closure.  Such a sigma maps w's part into itself, and
+    sigma t fixes v exactly when t sends sigma[v] to v.  Since T is abelian
+    and regular on each part, with reference points w and r, the t sending
+    a to b sends w to t_b[t_a^-1[w]], where t_a is the t sending w or r to
+    a; so the t to skip are read off w's images, and ``translations`` may
+    come in any order.
     """
     m = prod(orders)
     if len(translations) != m:
@@ -348,41 +369,52 @@ def enumerate_semiregular(group: PermGroup, translations, orders) -> list[frozen
         )
     identity = _identity_images(group.degree)
     part = frozenset(t[w] for t in translations)  # w's part, its T-orbit
+    r = next(v for v in identity if v not in part)  # a point of the other part
+    back = [0] * group.degree  # back[t_a[w or r]] is t_a^-1[w]
+    for t in translations:
+        back[t[w]] = back[t[r]] = t.index(w)
     candidates = []
     for sigma in _closure(identity, fixing):
-        times = itemgetter(*sigma)  # times(t) is sigma t
-        for x in map(times, translations[1:]):
-            if not any(map(eq, x, identity)) and part.issuperset(map(x.__getitem__, part)):
-                candidates.append(x)
-    cand_set = frozenset(candidates)
+        if part.issuperset(map(sigma.__getitem__, part)):
+            fixing_t = {t[back[sigma[t[w]]]] for t in translations}
+            fixing_t.update(t[back[sigma[t[r]]]] for t in translations)
+            times = itemgetter(*sigma)  # times(t) is sigma t
+            candidates += [times(t) for t in translations if t[w] not in fixing_t]
+    points = (w, *group.base)  # w twice: a key has two points even for a base of one
+    element = {itemgetter(*points)(x): x for x in candidates}  # key -> candidate
+    cand_set = frozenset(element)
     # a usable g of order d has a cycle of length exactly d through w (a
     # shorter one makes some g^j, 0 < j < d, fix w, so it is no candidate),
     # so g is only tried for that length; _grow checks that g^d = 1
-    cyclic: dict[int, list[tuple[int, ...]]] = {}
-    for x in candidates:
+    cyclic: dict[int, list[tuple]] = {}
+    for key, x in element.items():
         d, v = 1, x[w]
         while v != w:
             d, v = d + 1, x[v]
         if d in orders:
-            cyclic.setdefault(d, []).append(x)
-    # partial subgroup -> the generators of the first tuple reaching it
-    layer = {frozenset({identity}): ()}
+            cyclic.setdefault(d, []).append((key, x))
+    # partial subgroup (keys) -> the (key, generator) picks first reaching it
+    layer: dict[frozenset, tuple] = {frozenset({points}): ()}
     for d in orders:
         if d == 1:
             continue  # the identity generates an order-1 factor
-        grown_layer: dict[frozenset[tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
+        grown_layer: dict[frozenset, tuple] = {}
         for sub, picks in layer.items():
-            orbit = {h[w] for h in sub}
+            orbit = {h[0] for h in sub}
             covered: set[tuple[int, ...]] = set()  # the groups grown from sub so far
-            for g in cyclic.get(d, ()):
-                if g in covered or any(itemgetter(*g)(p) != itemgetter(*p)(g) for p in picks):
+            for key, g in cyclic.get(d, ()):
+                # g p = p g exactly when their keys agree
+                if key in covered or any(
+                    itemgetter(*key)(p) != itemgetter(*p_key)(g) for p_key, p in picks
+                ):
                     continue
                 grown = _grow(sub, orbit, w, g, d, cand_set)
                 if grown is not None:
                     covered |= grown
-                    grown_layer.setdefault(frozenset(grown), picks + (g,))
+                    grown_layer.setdefault(frozenset(grown), picks + ((key, g),))
         layer = grown_layer
-    return sorted(layer, key=sorted)
+    element[points] = identity
+    return sorted((frozenset(map(element.__getitem__, sub)) for sub in layer), key=sorted)
 
 
 def are_conjugate(group: PermGroup, a, b) -> tuple[int, ...] | None:

@@ -6,12 +6,13 @@ powers of t and against subgroup closure, the pattern enumeration against a
 scan over every group, and the closed-walk sieve against walks listed in the
 built graphs."""
 
+import random
 import re
 from functools import cache
 
 import pytest
 
-from bicayley import bci, census
+from bicayley import bci, census, symmetry
 from bicayley.abelian import make_group, subgroup_generated
 from bicayley.census import (
     _DARTS,
@@ -462,6 +463,35 @@ def test_theorem_b_raises_when_criterion_and_oracle_disagree(monkeypatch):
     monkeypatch.setattr(bci, "bci_oracle", flipped)
     with pytest.raises(RuntimeError, match="disagree"):
         theorem_b_verify(20)
+
+
+def test_results_do_not_depend_on_analysis_order(monkeypatch):
+    # the generators a search keeps, which the conjugacy walk and the
+    # enumeration start from, depend on which isomorphic graph was analyzed
+    # first (a relabeled copy carries its generators into the original's
+    # search); the verdicts, records and certificates must not
+    rng = random.Random(0)
+    members = table1_instances(256) + table2_instances(256)
+    graphs = [inst.bigraph.graph for inst in members]
+    relabeled = [g.relabel(rng.sample(range(g.n), g.n)) for g in graphs]
+    tasks = [(bci.bci_by_criterion, inst.bigraph) for inst in table1_instances(128)]
+    tasks += [(verify_instance, inst) for inst in members]
+    tasks += [(certificate, graph) for graph in relabeled]
+
+    def run(order):
+        monkeypatch.setattr(symmetry, "_ANALYZED", {})
+        monkeypatch.setattr(symmetry, "_INDEX", {})
+        results = {i: tasks[i][0](tasks[i][1]) for i in order}
+        return sorted(results.items()), dict(symmetry._ANALYZED)
+
+    want, analyzed = run(range(len(tasks)))
+    carried = 0
+    for seed in (1, 2, 3):
+        got, shuffled = run(random.Random(seed).sample(range(len(tasks)), len(tasks)))
+        assert got == want, seed
+        carried += sum(analyzed[g][0] != shuffled[g][0] for g in analyzed)
+    assert carried  # some graph kept other generators in another order
+    assert all(v.is_bci for _, v in want[: len(table1_instances(128))])
 
 
 def test_negative_controls():

@@ -19,7 +19,7 @@ from _oracles import (
     orbits,
     semiregular_with_orbits,
 )
-from bicayley import census, symmetry
+from bicayley import census, construction, symmetry
 from bicayley.abelian import make_group
 from bicayley.construction import (
     BiCayleySpec,
@@ -220,6 +220,25 @@ def _affine_seeds(b):
     size = b.group.size
     fixing = [p for p in known_automorphisms(b) if p[0] == 0]
     return [p for p in fixing if p[size] != size], [p for p in fixing if p[size] == size]
+
+
+def test_affine_seeds_build_each_step_table_once(monkeypatch):
+    # rho and tau share the tables of x -> x + g for g = a, c, c - a and -a;
+    # the rest are one per translation generator and iota's
+    calls = []
+
+    def recorded(orders, exponents, sign=1):
+        calls.append((orders, tuple(exponents), sign))
+        return shifted(orders, exponents, sign)
+
+    shifted = construction._shifted
+    monkeypatch.setattr(construction, "_shifted", recorded)
+    for inst in census.table1_instances(64):
+        b = inst.bigraph
+        calls.clear()
+        list(known_automorphisms(b))
+        translations = sum(not g.is_identity for g in b.group.generators())
+        assert len(calls) == translations + 1 + 4, inst.description
 
 
 def test_known_automorphisms_hold_on_every_census_member_to_512_vertices():

@@ -898,6 +898,80 @@ def test_enumerate_semiregular():
     assert trivial == frozenset({tuple(range(7))})
 
 
+def test_enumerate_semiregular_takes_translations_in_any_order():
+    # the identity is skipped by value, as a translation t for which sigma t
+    # fixes w, not by its place in the list
+    heawood = _zero_type([7], [0, 1, 3])
+    aut = automorphism_group(heawood.graph)
+    trans = right_translations(heawood)
+    subs = enumerate_semiregular(aut, trans, (7,))
+    assert len(subs) == 8
+    for reordered in (trans[::-1], trans[3:] + trans[:3]):
+        assert reordered[0] != tuple(range(14))
+        assert enumerate_semiregular(aut, reordered, (7,)) == subs
+    rng = random.Random(11)
+    for inst in census.table1_instances(64):
+        b = inst.bigraph
+        aut = automorphism_group(b.graph)
+        trans = right_translations(b)
+        shuffled = rng.sample(trans, len(trans))
+        want = enumerate_semiregular(aut, trans, b.spec.group.orders)
+        assert enumerate_semiregular(aut, shuffled, b.spec.group.orders) == want, b.spec
+
+
+def test_conjugates_of_a_normal_translation_group_are_one():
+    # H_R normal: one conjugate, reached by the identity, and each generator of
+    # Aut its own Schreier generator, from H_R's generators or its elements
+    checked = 0
+    for inst in census.table1_instances(64):
+        b = inst.bigraph
+        if bci_by_criterion(b).semiregular_count != 1:
+            continue
+        aut = automorphism_group(b.graph, known_automorphisms(b))
+        trans = right_translations(b)
+        gens = [construction.right_translation(b, g) for g in b.group.generators()]
+        for reach, schreier in (_conjugates(aut, trans), _conjugates(aut, trans, gens)):
+            assert reach == {frozenset(trans): tuple(range(b.graph.n))}, b.spec
+            assert schreier == list(aut.generators), b.spec
+        checked += 1
+    assert checked >= 10
+
+
+def test_conjugates_of_a_sylow_subgroup_reach_all_eight():
+    heawood = _zero_type([7], [0, 1, 3])
+    aut = automorphism_group(heawood.graph)
+    subs = enumerate_semiregular(aut, right_translations(heawood), (7,))
+    first = subs[0]
+    generator = next(h for h in first if h != tuple(range(14)))  # Z_7: any but 1
+    results = [_conjugates(aut, first), _conjugates(aut, first, [generator])]
+    assert results[0] == results[1]
+    reach, _ = results[0]
+    assert sorted(reach, key=sorted) == subs
+    for sub, x in reach.items():
+        assert frozenset(_conjugate(x, h) for h in first) == sub
+
+
+def test_normalizer_and_conjugacy_take_any_element_set():
+    # a set that is not a subgroup is taken element by element, as any set
+    # is: the normalizer is its stabilizer under conjugation, and
+    # are_conjugate finds an element conjugating it onto another set
+    s4 = automorphism_group(K4)
+    s4_elements = _elements(s4)
+    identity = tuple(range(4))
+    for odd in (
+        frozenset({identity, (1, 2, 0, 3)}),  # a 3-cycle without its square
+        frozenset({(1, 0, 2, 3), (0, 1, 3, 2)}),  # no identity
+        frozenset(),
+    ):
+        want = set(reference_normalizer(odd, s4_elements))
+        assert _mul_close(normalizer(odd, s4), 4, len(want)) == want
+        for other in (frozenset(_conjugate(x, h) for h in odd) for x in s4_elements):
+            x = are_conjugate(s4, odd, other)
+            assert x is not None and frozenset(_conjugate(x, h) for h in odd) == other
+        assert are_conjugate(s4, odd, {(1, 0, 2, 3)}) is None
+        assert are_conjugate(s4, odd, {identity, (1, 0, 2, 3), (0, 1, 3, 2)}) is None
+
+
 def test_enumerate_semiregular_matches_lattice_search():
     graphs = [inst.bigraph for inst in census.table1_instances(64)]  # every spoke-only member
     assert len(graphs) == 14
