@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from binascii import b2a_base64
 from collections import deque, namedtuple
+from operator import index
 
 __all__ = [
     "Graph",
@@ -54,7 +55,7 @@ class Graph(namedtuple("Graph", "n adjacency")):
         """Image graph under the vertex map v -> perm[v]; ``perm`` must be a
         permutation of 0..n-1."""
         n = self.n
-        if sorted(perm) != list(range(n)):
+        if not _is_permutation(perm, n):
             raise ValueError(f"relabeling is not a permutation of 0..{n - 1}")
         rows = [()] * n
         image = perm.__getitem__
@@ -64,6 +65,15 @@ class Graph(namedtuple("Graph", "n adjacency")):
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _is_permutation(p, n: int) -> bool:
+    """Whether ``p`` lists 0..n-1, each once.  A permutation's entries are
+    ints: a float, even 1.0, is no vertex."""
+    try:
+        return sorted(map(index, p)) == [*range(n)]
+    except TypeError:
+        return False
 
 
 def is_connected(g: Graph) -> bool:

@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from itertools import filterfalse
-from operator import index, itemgetter
+from operator import itemgetter
+from struct import pack
 
-from bicayley.graphs import Graph, _graph6
+from bicayley.graphs import Graph, _is_permutation
 
 __all__: list[str] = []
 
@@ -33,13 +34,8 @@ def _inverse(x: tuple[int, ...]) -> tuple[int, ...]:
 
 def _is_automorphism(adj, edges, p) -> bool:
     """Whether ``p`` is a permutation of the vertices of the graph with
-    adjacency ``adj`` and edge list ``edges`` taking every edge to an edge.
-    A permutation's entries are ints: a float, even 1.0, is no vertex."""
-    try:
-        images = sorted(map(index, p))
-    except TypeError:
-        return False
-    return images == [*range(len(adj))] and all(p[w] in adj[p[u]] for u, w in edges)
+    adjacency ``adj`` and edge list ``edges`` taking every edge to an edge."""
+    return _is_permutation(p, len(adj)) and all(p[w] in adj[p[u]] for u, w in edges)
 
 
 def _orbit(points, images) -> set[int]:
@@ -98,10 +94,10 @@ class _Search:
     skip more and change nothing: a skipped subtree is the image of an
     explored one, and the first-path orbits still grow to Aut's.
 
-    Carried seeds: given an ``index`` (graph6 certificate -> best-leaf
+    Carried seeds: given an ``index`` ((n, certificate) -> best-leaf
     labeling, each vertex's position, and kept generators of an analyzed
-    graph; only ``symmetry._analyzed`` passes one), the search encodes its
-    first leaf, ``first_cert``.  An indexed graph with that certificate
+    graph; only ``symmetry._analyzed`` passes one), the search looks up its
+    first leaf's certificate.  An indexed graph with that certificate
     relabels, by its labeling, to the graph this leaf relabels to, so the
     map between the two labelings is an isomorphism, and that graph's
     generators conjugated through it are automorphisms here, with no edge
@@ -120,16 +116,15 @@ class _Search:
         # kept as record_if_automorphism keeps those found: no identity, no repeat
         self.autos = [p for p in dict.fromkeys(known) if p != _identity_images(self.n)]
         self.index = index
-        self.first_cert: str | None = None
-        self.first: tuple[tuple[int, ...], list[int]] | None = None
+        self.first: tuple[bytes, list[int]] | None = None
         self.first_path: list[int] = []
-        self.best: tuple[tuple[int, ...], list[int]] | None = None
+        self.best: tuple[bytes, list[int]] | None = None
         self.cnt = [0] * self.n  # refine's counts; every multi-vertex pop restores the zeros
 
     def run(self) -> None:
         n = self.n
         if n == 0:
-            self.best = ((), [])
+            self.best = (b"", [])
             return
         at: list = [None] * n
         at[0] = list(range(n))
@@ -310,13 +305,13 @@ class _Search:
             cell_of[u] = s + 1
         return at, cell_of, self.refine(at, cell_of, ncells + 1, s)
 
-    def leaf_certificate(self, cells: list[list[int]]) -> tuple[tuple[int, ...], list[int]]:
+    def leaf_certificate(self, cells: list[list[int]]) -> tuple[bytes, list[int]]:
         """Each vertex's position, and the relabeled edges as keys j(j-1)/2 + i
-        (positions i < j), largest first; ``cells`` is a leaf's ``at``, its
-        singleton cells in position order.  Every leaf has the graph's edge
-        count, and for key sets of one size the descending tuples compare as
-        the bit masks they index: the largest key in the symmetric difference
-        decides."""
+        (positions i < j), largest first, packed as big-endian 4-byte words;
+        ``cells`` is a leaf's ``at``, its singleton cells in position order.
+        Every leaf has the graph's edge count, and for key sets of one size the
+        packed words compare as the bit masks they index: the largest key in
+        the symmetric difference decides."""
         position = [0] * self.n
         for i, cell in enumerate(cells):
             position[cell[0]] = i
@@ -327,7 +322,7 @@ class _Search:
                 i, j = j, i
             keys.append(j * (j - 1) // 2 + i)
         keys.sort(reverse=True)
-        return tuple(keys), position
+        return pack(">%dI" % len(keys), *keys), position
 
     def descend(self, at: list, cell_of: list[int], ncells: int, prefix: list[int]) -> int | None:
         """Search below ``prefix``, whose refined partition is ``at`` and
@@ -389,12 +384,11 @@ class _Search:
         return None
 
     def carry(self, cells: list[list[int]]) -> None:
-        """Encode the first leaf, ``cells``, and take the generators indexed
-        under that certificate as late seeds.  Indexed generators are
+        """Take the generators indexed under the first leaf's certificate
+        as late seeds; ``cells`` is that leaf.  Indexed generators are
         distinct and none is the identity, so only a known seed can repeat
         one."""
-        self.first_cert = _graph6(self.n, self.first[0])
-        entry = self.index.get(self.first_cert)
+        entry = self.index.get((self.n, self.first[0]))
         if entry is None:
             return
         labeling, generators = entry

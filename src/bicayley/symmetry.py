@@ -29,6 +29,7 @@ from array import array
 from collections import deque
 from math import prod
 from operator import itemgetter
+from struct import unpack
 
 from bicayley.graphs import Graph, _graph6, is_connected
 from bicayley.search import _identity_images, _inverse, _is_automorphism, _orbit, _Search
@@ -49,7 +50,7 @@ _MAX_SEARCH_VERTICES = 1024
 _CACHE_SIZE = 4096
 _ANALYZED: dict[Graph, tuple] = {}  # the graphs last analyzed, least recent first
 # certificate -> (best-leaf labeling, generators) of a cached graph; see _analyzed
-_INDEX: dict[str, tuple] = {}
+_INDEX: dict[tuple[int, bytes], tuple] = {}
 
 
 def max_enumeration_bound() -> int:
@@ -151,30 +152,29 @@ def _check_search_bound(n: int, subject: str) -> None:
         raise ValueError(f"{subject} exceeds the search bound {_MAX_SEARCH_VERTICES}")
 
 
-def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], str, tuple]:
-    """Automorphism generators, certificate and the first path, cached on the
-    graph alone: ``known`` seeds only a search, so the cached generators are
-    those of the caller that came first, while the certificate and the first
-    path, always the leftmost, cannot differ.  |Aut| is not computed here:
-    ``PermGroup.order`` reads it off the generators and the path on first
-    call, so a ``certificate()`` alone never pays for it.
+def _analyzed(graph: Graph, known=()) -> tuple[tuple[tuple[int, ...], ...], tuple, tuple]:
+    """Automorphism generators, certificate (n and the best leaf's packed
+    keys) and the first path, cached on the graph alone: ``known`` seeds only
+    a search, so the cached generators are those of the caller that came
+    first, while the certificate and the first path, always the leftmost,
+    cannot differ.  |Aut| is not computed here: ``PermGroup.order`` reads it
+    off the generators and the path on first call, so a ``certificate()``
+    alone never pays for it; only ``certificate()`` encodes graph6.
 
     A search run here is given ``_INDEX``, so it takes the generators of a
     cached graph isomorphic to this one as late seeds, after ``known`` (see
     ``_Search``).  Seeds only prune, so the certificate, first path, |Aut|
     and orbits are those of an unseeded search; the kept generators depend on
-    which isomorphic graph came first.  The first leaf's certificate is the
-    final one when the best leaf is the first.  An index entry is made by the
-    first graph of its certificate with generators, and leaves the index
-    when that graph leaves the cache."""
+    which isomorphic graph came first.  An index entry is made by the first
+    graph of its certificate with generators, and leaves the index when that
+    graph leaves the cache."""
     result = _ANALYZED.pop(graph, None)
     if result is None:
         _check_search_bound(graph.n, f"graph on {graph.n} vertices")
         search = _Search(graph, known, _INDEX)
         search.run()
         keys, labeling = search.best
-        # the best leaf's keys are the graph6 bits of the relabeled graph
-        cert = search.first_cert if search.best is search.first else _graph6(graph.n, keys)
+        cert = graph.n, keys
         autos = tuple(search.autos)
         result = autos, cert, tuple(search.first_path)
         if autos and cert not in _INDEX:
@@ -196,7 +196,8 @@ def automorphism_group(graph: Graph, known=()) -> PermGroup:
 
 
 def certificate(graph: Graph, known=()) -> str:
-    return _analyzed(graph, known)[1]
+    n, keys = _analyzed(graph, known)[1]  # the keys are the relabeled graph's graph6 bits
+    return _graph6(n, unpack(">%dI" % (len(keys) // 4), keys))
 
 
 # --- k-arc machinery ---------------------------------------------------------

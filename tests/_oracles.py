@@ -14,7 +14,8 @@ closed base walks by scanning every dart at each step.  The
 exceptions are the straightforward refinement and branching of the
 individualization-refinement search, its big-integer leaf certificate and
 its leaf handling that certifies every leaf, written as methods to patch into ``bicayley.search._Search`` in place of the
-fast ones, the unreduced Theorem A scan, the full-scan BCI oracle and the
+fast ones, the whole-class check of the search on every small graph, the
+unreduced Theorem A scan, the full-scan BCI oracle and the
 oracle's first-match scan without its component-count filter, which build
 and certify graphs through the package, and the orbit and
 semiregularity tests, the arc type from orbits on every arc and k-arc, the
@@ -47,7 +48,7 @@ from bicayley.abelian import (
 from bicayley.bci import _identity_translates
 from bicayley.construction import BiCayleySpec, build, format_spec, known_automorphisms
 from bicayley.graphs import Graph
-from bicayley.symmetry import PermGroup, certificate
+from bicayley.symmetry import PermGroup, automorphism_group, certificate
 from bicayley.voltage import VoltageAssignment
 
 
@@ -238,6 +239,39 @@ def small_corpus(count: int, max_n: int = 8, seed: int = 2024) -> list[Graph]:
         n = rng.randint(4, max_n)
         graphs.append(random_graph(rng, n, rng.uniform(0.15, 0.7)))
     return graphs
+
+
+# OEIS A000088: the number of graphs on n unlabeled vertices, n = 0, 1, 2, ...
+GRAPHS_ON_N_VERTICES = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
+
+
+def check_whole_classes(max_n: int) -> list[int]:
+    """Check ``certificate`` and |Aut| on every graph of at most ``max_n``
+    vertices; return the class counts for n = 1..max_n.
+
+    Each class representative on n - 1 vertices is extended by every
+    neighbour set of a new vertex, and one graph is kept per certificate.
+    Every graph on n vertices, less its last vertex, is isomorphic to a
+    representative, so each class is reached: a split class raises the
+    count and two merged classes lower it.  The count must be A000088's,
+    and the sum of n!/|Aut(G)| over the representatives must be
+    2^(n(n-1)/2), the number of labeled graphs (orbit-stabilizer)."""
+    counts = []
+    reps = [Graph.from_edges(0, [])]
+    for n in range(1, max_n + 1):
+        kept = {}
+        for g in reps:
+            edges = g.edges
+            for k in range(n):
+                for near in combinations(range(n - 1), k):
+                    h = Graph.from_edges(n, edges + [(v, n - 1) for v in near])
+                    kept.setdefault(certificate(h), h)
+        reps = list(kept.values())
+        labeled = sum(math.factorial(n) // automorphism_group(g).order() for g in reps)
+        assert len(reps) == GRAPHS_ON_N_VERTICES[n], (n, len(reps))
+        assert labeled == 2 ** (n * (n - 1) // 2), (n, labeled)
+        counts.append(len(reps))
+    return counts
 
 
 def partition_cells(at: list) -> list[list[int]]:

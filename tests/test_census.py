@@ -12,7 +12,7 @@ from functools import cache
 
 import pytest
 
-from bicayley import bci, census, symmetry
+from bicayley import bci, census, graphs, search, symmetry
 from bicayley.abelian import make_group, subgroup_generated
 from bicayley.census import (
     _DARTS,
@@ -492,6 +492,33 @@ def test_results_do_not_depend_on_analysis_order(monkeypatch):
         carried += sum(analyzed[g][0] != shuffled[g][0] for g in analyzed)
     assert carried  # some graph kept other generators in another order
     assert all(v.is_bci for _, v in want[: len(table1_instances(128))])
+
+
+def test_census_and_criterion_paths_write_no_graph6(monkeypatch):
+    # the search, the cache and the index share the packed certificate;
+    # graph6 is written only when certificate() is called
+    members = table1_instances(128)
+    written = []
+    searches = []
+    real = graphs._graph6
+
+    def counted(n, keys):
+        written.append(n)
+        return real(n, keys)
+
+    for module in (graphs, search, symmetry):
+        if getattr(module, "_graph6", None) is real:
+            monkeypatch.setattr(module, "_graph6", counted)
+    run = search._Search.run
+    monkeypatch.setattr(search._Search, "run", lambda s: searches.append(s.n) or run(s))
+    monkeypatch.setattr(symmetry, "_ANALYZED", {})
+    monkeypatch.setattr(symmetry, "_INDEX", {})
+    for inst in members:
+        verify_instance(inst)
+        bci.bci_by_criterion(inst.bigraph)
+    assert len(searches) >= len(members) and not written
+    certificate(members[0].bigraph.graph)
+    assert len(written) == 1
 
 
 def test_negative_controls():

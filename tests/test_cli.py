@@ -9,9 +9,8 @@ from _oracles import graph6_reference
 from bicayley import census, cli
 from bicayley.cli import main
 from bicayley.construction import build, parse_spec
-from bicayley.graphs import _graph6
 from bicayley.search import _Search
-from bicayley.symmetry import certificate
+from bicayley.symmetry import _analyzed, certificate
 
 GP125 = "H=[6,2]; R={(0,1)}; L={(3,0)}; S={(0,0),(1,1)}"
 HEAWOOD = "H=7; S={0,1,3}"
@@ -61,16 +60,17 @@ CI_SELFCHECK_SPECS = (
 def test_selfcheck_relabelings_at_the_search_bound_without_carried_seeds(spec):
     # `analyze SPEC --seed 7` certifies five relabelings after the original,
     # so each of its searches takes the original's generators as late seeds;
-    # a direct search takes none, and must reach the same certificate
+    # a direct search takes none, and must reach the same certificate: n and
+    # the best leaf's packed edge keys, as the cache holds it
     g = build(parse_spec(spec)).graph
-    cert = certificate(g)
+    cert = _analyzed(g)[1]
     rng = random.Random(7)
     for _ in range(5):
         perm = list(range(g.n))
         rng.shuffle(perm)
         search = _Search(g.relabel(perm))
         search.run()
-        assert _graph6(g.n, search.best[0]) == cert
+        assert (g.n, search.best[0]) == cert
 
 
 def test_iso_exit_codes(capsys):

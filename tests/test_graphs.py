@@ -75,8 +75,8 @@ def test_relabel_matches_the_mapped_edges():
 
 def test_relabel_refuses_a_non_permutation():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    # a repeated image, one entry too many, one too few
-    for perm in ([0, 2, 0], [0, 1, 2, 3], [0, 1]):
+    # a repeated image, one entry too many, one too few, floats
+    for perm in ([0, 2, 0], [0, 1, 2, 3], [0, 1], [2.0, 1.0, 0.0]):
         with pytest.raises(ValueError, match="not a permutation"):
             path.relabel(perm)
 

@@ -14,6 +14,7 @@ from _oracles import (
     _mul_close,
     bicayley_parts,
     brute_automorphisms,
+    check_whole_classes,
     complete_bipartite_33,
     compose,
     hypercube,
@@ -186,6 +187,18 @@ def test_leaf_automorphism_test_matches_certificate_equality(monkeypatch):
         best_not_first += search.best is not search.first
     assert all(verdict == same for verdict, same in verdicts)
     assert {verdict for verdict, _ in verdicts} == {True, False} and best_not_first
+
+
+def test_packed_leaf_certificates_compare_as_bit_masks():
+    # leaves of a 40-vertex graph, whose keys pass 255, so a word's byte
+    # order decides comparisons that the small corpus leaves to its low byte
+    rng = random.Random(37)
+    search = _Search(random_graph(rng, 40, 0.3))
+    leaves = [[[v] for v in rng.sample(range(40), 40)] for _ in range(60)]
+    packed = [search.leaf_certificate(cells)[0] for cells in leaves]
+    masks = [reference_leaf_certificate(search, cells)[0] for cells in leaves]
+    assert len(set(masks)) == len(leaves)
+    assert sorted(range(60), key=packed.__getitem__) == sorted(range(60), key=masks.__getitem__)
 
 
 def test_census_searches_certify_only_the_first_leaf(monkeypatch):
@@ -521,9 +534,9 @@ def test_a_relabeled_member_after_its_original_refines_less(monkeypatch):
 
 
 def test_index_keys_keep_graphs_of_different_sizes_apart(monkeypatch):
-    # edgeless graphs all have the empty edge-key tuple, and from two
-    # vertices on Aut is the symmetric group; graph6 starts with n, so no
-    # graph takes another size's generators, and n = 0 or 1 goes through
+    # edgeless graphs all have empty packed edge keys, and from two
+    # vertices on Aut is the symmetric group; the index key starts with n, so
+    # no graph takes another size's generators, and n = 0 or 1 goes through
     graphs = [Graph.from_edges(n, []) for n in (3, 2, 1, 0, 2, 3, 1, 4)]
     fresh = []
     for g in graphs:
@@ -534,7 +547,15 @@ def test_index_keys_keep_graphs_of_different_sizes_apart(monkeypatch):
         symmetry._ANALYZED.pop(g, None)
         assert _outcome(g) == outcome, g.n
     assert [outcome[2] for outcome in fresh] == [6, 2, 1, 1, 2, 6, 1, 24]
-    assert sorted(symmetry._INDEX) == sorted({certificate(g) for g in graphs if g.n > 1})
+    assert sorted(symmetry._INDEX) == sorted({(g.n, b"") for g in graphs if g.n > 1})
+
+
+def test_whole_classes_of_graphs_to_seven_vertices(monkeypatch):
+    # every graph on at most 7 vertices (A000088); the 9,984 extensions at
+    # n = 7 overflow the cache, so index entries leave with evicted graphs
+    _empty_caches(monkeypatch)
+    assert check_whole_classes(7) == [1, 2, 4, 11, 34, 156, 1044]
+    assert len(symmetry._ANALYZED) == symmetry._CACHE_SIZE
 
 
 def test_index_entries_leave_with_the_graph_that_made_them(monkeypatch):
