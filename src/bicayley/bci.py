@@ -5,7 +5,11 @@ spoke set giving an isomorphic graph differs from it only by a group
 automorphism followed by a translation.  Two independent deciders are
 provided: a group-theoretic criterion on the automorphism group, and a
 brute-force scan over the candidate spoke sets, one per class under group
-automorphisms and translations, for small groups.
+automorphisms and translations, for small groups.  The scan builds and
+certifies a candidate's graph only when two exact necessary conditions for
+isomorphism hold: its number of connected components and its closed-walk
+counts at a vertex equal the target's.  Both are read off H's index tables,
+so a candidate that fails them is never built.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from bicayley.symmetry import (
 __all__ = ["BciVerdict", "bci_by_criterion", "bci_oracle", "cross_check", "verdict_payload"]
 
 _ORACLE_LIMIT = _MAX_AUT_ORDER  # the oracle lists Aut(H)
+_WALK_ROUNDS = 5  # closed walks of lengths 2, 4, ..., 10; chosen by measurement
 
 
 class BciVerdict(
@@ -116,23 +121,76 @@ def _identity_translates(spokes, autos, sums, neg) -> set[frozenset[int]]:
     return members
 
 
+def _closed_walks(graph) -> tuple[int, ...]:
+    """The numbers of closed walks of lengths 2, 4, ..., 2 * _WALK_ROUNDS at
+    vertex 0 of ``graph``: the diagonal entries of powers of its adjacency
+    matrix, counted one step at a time."""
+    adjacency = graph.adjacency
+    counts, out = {0: 1}, []
+    for step in range(2 * _WALK_ROUNDS):
+        grown: dict[int, int] = {}
+        for v, c in counts.items():
+            for w in adjacency[v]:
+                grown[w] = grown.get(w, 0) + c
+        counts = grown
+        if step % 2:
+            out.append(counts.get(0, 0))
+    return tuple(out)
+
+
+def _spoke_walks(raw, sums, neg):
+    """Yield the numbers of closed walks of lengths 2, 4, ..., 2 * _WALK_ROUNDS
+    at 0_0 of BC(H, T), T the element indices ``raw``, without the graph.
+
+    A walk x_0 -> (x + t)_1 -> (x + t - s)_0 crosses a spoke t and back along
+    a spoke s, so a closed walk of length 2j at 0_0 is t_1, s_1, ..., t_j, s_j
+    in T with sum(t_i - s_i) = 0: the j-th count is the weight at 0 of the
+    j-fold convolution of the differences t - s.  Counts come shortest first,
+    so a comparison can stop at the first that differs."""
+    steps: dict[int, int] = {}
+    for t in raw:
+        row = sums[t]
+        for s in raw:
+            d = row[neg[s]]
+            steps[d] = steps.get(d, 0) + 1
+    counts = {0: 1}
+    for _ in range(_WALK_ROUNDS):
+        grown: dict[int, int] = {}
+        for x, c in counts.items():
+            row = sums[x]
+            for d, m in steps.items():
+                y = row[d]
+                grown[y] = grown.get(y, 0) + c * m
+        counts = grown
+        yield counts.get(0, 0)
+
+
 def _first_match(
-    group: AbelianGroup, k: int, target: str, components: int, skip=()
+    group: AbelianGroup, k: int, target: str, components: int, walks, skip=()
 ) -> BiCayleySpec | None:
     """The first spoke-only spec with k spokes whose graph has certificate
-    ``target`` and ``components`` connected components, scanning the first
-    identity-containing k-subset of each Aut(H) x| H class in scan order and
-    passing over the class of ``skip``.
+    ``target``, scanning the first identity-containing k-subset of each
+    Aut(H) x| H class in scan order and passing over the class of ``skip``.
+    ``components`` is the target's number of connected components and
+    ``walks`` its ``_closed_walks`` at vertex 0.
 
     BC(H, T) is isomorphic to BC(H, h T^sigma), so the graphs of a class are
     all isomorphic to a given graph or none is.  Every class meets the sets
     containing the identity, which open the lexicographic scan of all
     k-subsets (the identity comes first in ``group.elements()``): a scan for a
-    graph finds the same first match among these representatives.  For T
-    containing the identity, BC(H, T) has |H| / |<T>| components; isomorphic
-    graphs have as many, so a set with another count is not certified.  The
-    scan runs on element indices; only a representative becomes group
-    elements."""
+    graph finds the same first match among these representatives.
+
+    Two exact filters pass over a set T before its graph is built, so neither
+    changes the first match.  For T containing the identity, BC(H, T) has
+    |H| / |<T>| components, and isomorphic graphs have as many.  And BC(H, T)
+    over abelian H is vertex-transitive: H_R is regular on each part, and
+    x_0 -> (-x)_1, x_1 -> (-x)_0 swaps the parts, sending the edge
+    {x_0, (x + s)_1} to {(-x)_1, (-x - s)_0}, an edge as (-x) - (-x - s) = s
+    is in T.  So every vertex has the closed-walk counts of 0_0
+    (``_spoke_walks``), and an isomorphism from the target takes its vertex 0
+    to a vertex with the target's counts: a T whose counts differ is not
+    certified.  The scan runs on element indices; only a certified set
+    becomes group elements."""
     if k == 0:
         return None  # no 0-subset contains the identity
     elems, sums, neg = _index_table(group)
@@ -146,6 +204,8 @@ def _first_match(
         # <T> is the orbit of the identity under translation by T
         if group.size // len(_orbit((0,), [sums[i] for i in raw])) != components:
             continue
+        if any(a != b for a, b in zip(_spoke_walks(raw, sums, neg), walks)):
+            continue
         b = build(BiCayleySpec.create(group, (), (), map(elems.__getitem__, raw)))
         if certificate(b.graph, known_automorphisms(b)) == target:
             return b.spec
@@ -158,10 +218,12 @@ def bci_oracle(b: BiCayleyGraph) -> BciVerdict:
 
     The admissible family {hS^sigma} is one Aut(H) x| H class, and the graphs
     of a class are isomorphic, so T is a counterexample iff every set in its
-    class is one.  One set per class is certified, the first identity-containing
-    one in scan order, skipping S's class (``_first_match``): the first
-    counterexample is the one the full scan reports.  An empty S is its own
-    only candidate, and admissible.
+    class is one.  One set per class is considered, the first
+    identity-containing one in scan order, skipping S's class
+    (``_first_match``), and it is certified only when its component count
+    and closed-walk counts equal the graph's, which isomorphic graphs share:
+    the first counterexample is the one the full scan reports.  An empty S is
+    its own only candidate, and admissible.
     """
     _require_spoke_only(b)
     group = b.spec.group
@@ -173,7 +235,8 @@ def bci_oracle(b: BiCayleyGraph) -> BciVerdict:
     shift = spokes[0].inverse() if spokes else group.identity
     components = group.size // len(subgroup_generated(group, [s * shift for s in spokes]))
     target = certificate(b.graph, known_automorphisms(b))
-    match = _first_match(group, len(spokes), target, components, spokes)
+    walks = _closed_walks(b.graph)
+    match = _first_match(group, len(spokes), target, components, walks, spokes)
     counterexample = None if match is None else _spoke_exponents(match)
     return BciVerdict(
         group_orders=group.orders,

@@ -18,7 +18,7 @@ from itertools import takewhile
 from math import inf, prod
 
 from bicayley.abelian import GroupElement, element_order, make_group
-from bicayley.bci import _ORACLE_LIMIT, _first_match, bci_by_criterion, cross_check
+from bicayley.bci import _ORACLE_LIMIT, _closed_walks, _first_match, bci_by_criterion, cross_check
 from bicayley.construction import (
     BiCayleyGraph,
     BiCayleySpec,
@@ -464,11 +464,13 @@ def negative_controls() -> dict:
 
     GP(10,3) is one-matching but must not match any spoke-only graph over the
     one abelian group of order 10 (isomorphic within an Aut(Z_10) x| Z_10 class,
-    so one spoke set per class is scanned, as in ``bci_oracle``); GP(7,2) and
-    GP(9,2) are cubic but not arc-transitive; GP(10,2) is the positive control.
+    so one spoke set per class is scanned, and certified only when its graph
+    is connected and has GP(10,3)'s closed-walk counts, as in ``bci_oracle``);
+    GP(7,2) and GP(9,2) are cubic but not arc-transitive; GP(10,2) is the
+    positive control.
     """
-    desargues = certificate(generalized_petersen(10, 3).graph)
-    match = _first_match(make_group([10]), 3, desargues, 1)  # GP(10,3) is connected
+    desargues = generalized_petersen(10, 3).graph
+    match = _first_match(make_group([10]), 3, certificate(desargues), 1, _closed_walks(desargues))
     clash = None if match is None else format_spec(match)
     not_transitive = {}
     for n, k in ((7, 2), (9, 2)):

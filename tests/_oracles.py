@@ -9,19 +9,22 @@ normal form with its transform kept as a separate matrix, abelian
 isomorphism types combined from one partition per prime exponent, abelian
 automorphisms from every tuple of generator images that spans the group, and the
 Theorem A lattice key from a walk over every power of t, closed
-non-backtracking walks by listing every walk from every arc, and the table of
+non-backtracking walks by listing every walk from every arc, closed walks
+at a vertex as entries of powers of the adjacency matrix, and the table of
 closed base walks by scanning every dart at each step.  The
 exceptions are the straightforward refinement and branching of the
 individualization-refinement search, its big-integer leaf certificate and
 its leaf handling that certifies every leaf, written as methods to patch into ``bicayley.search._Search`` in place of the
 fast ones, the whole-class check of the search on every small graph, the
 unreduced Theorem A scan, the full-scan BCI oracle and the
-oracle's first-match scan without its component-count filter, which build
-and certify graphs through the package, and the orbit and
-semiregularity tests, the arc type from orbits on every arc and k-arc, the
-subgroup-lattice and coset-by-coset enumerations of semiregular subgroups
-and the element scans for normalizers and conjugacy, which work on generator
-lists and on the element sets ``_mul_close`` lists, the base-circuit lift
+oracle's first-match scan without its component-count and closed-walk
+filters, and the check of the filtered oracle against that scan on every
+class of small spoke sets, which build and certify graphs through the
+package, and the orbit and semiregularity tests, the arc type from orbits
+on every arc and k-arc, the subgroup-lattice and coset-by-coset
+enumerations of semiregular subgroups and the element scans for normalizers
+and conjugacy, which work on generator lists and on the element sets
+``_mul_close`` lists, the base-circuit lift
 criterion and the voltage-group automorphism a lift induces, which read the
 package's voltage assignments and lifts, and the
 row-by-row Table 1 transcription, which forms its quotients through the
@@ -45,7 +48,7 @@ from bicayley.abelian import (
     make_group,
     subgroup_generated,
 )
-from bicayley.bci import _identity_translates
+from bicayley.bci import _identity_translates, bci_oracle
 from bicayley.construction import BiCayleySpec, build, format_spec, known_automorphisms
 from bicayley.graphs import Graph
 from bicayley.symmetry import PermGroup, automorphism_group, certificate
@@ -466,6 +469,17 @@ def reference_closed_walks(g: Graph, max_length: int) -> dict[tuple[int, int], t
     return out
 
 
+def reference_walk_counts(g: Graph, v: int, max_length: int) -> tuple[int, ...]:
+    """The numbers of closed walks of lengths 1..max_length at ``v``: entry v
+    of the row vector e_v A^m, A the adjacency matrix, for m = 1..max_length."""
+    row = [int(u == v) for u in range(g.n)]
+    out = []
+    for _ in range(max_length):
+        row = [sum(row[w] for w in g.adjacency[u]) for u in range(g.n)]
+        out.append(row[v])
+    return tuple(out)
+
+
 def reference_closed_base_walks(darts, max_length: int) -> tuple[dict, ...]:
     """``census._closed_base_walks`` for the base darts ``darts`` (tail, head,
     reverse dart, voltage step), each walk extended by scanning every dart for
@@ -738,9 +752,10 @@ def reference_bci_oracle(b) -> tuple[bool, tuple | None]:
 
 
 def reference_first_match(group, k: int, target: str, skip=()):
-    """``bci._first_match`` without its component-count filter: the first
-    identity-containing k-subset of each Aut(H) x| H class in scan order, past
-    the class of ``skip``, is certified whatever its graph's component count."""
+    """``bci._first_match`` without its component-count and closed-walk
+    filters: the first identity-containing k-subset of each Aut(H) x| H class
+    in scan order, past the class of ``skip``, is certified whatever its
+    graph's component count and closed-walk counts."""
     if k == 0:
         return None
     elems, sums, neg = _index_table(group)
@@ -755,6 +770,36 @@ def reference_first_match(group, k: int, target: str, skip=()):
         if certificate(b.graph, known_automorphisms(b)) == target:
             return b.spec
     return None
+
+
+def check_oracle_classes(max_order: int, sizes) -> tuple[int, int]:
+    """Compare ``bci_oracle`` with ``reference_first_match`` on one spoke set of
+    every Aut(H) x| H class of identity-containing k-subsets, k in ``sizes``,
+    of every abelian group of order at most ``max_order``; return the numbers
+    of classes and of non-BCI classes.  Verdict and counterexample must be
+    equal, so neither the component nor the closed-walk filter may change the
+    first match."""
+    classes = non_bci = 0
+    for orders in reference_isomorphism_types(max_order):
+        group = make_group(orders)
+        elems, sums, neg = _index_table(group)
+        autos = automorphism_group_of(group)
+        for k in sizes:
+            marked: set = set()
+            for rest in combinations(range(1, group.size), k - 1):
+                raw = (0, *rest)
+                if frozenset(raw) in marked:
+                    continue
+                marked |= _identity_translates(raw, autos, sums, neg)
+                b = build(BiCayleySpec.create(group, (), (), [elems[i] for i in raw]))
+                v = bci_oracle(b)
+                match = reference_first_match(group, k, certificate(b.graph), b.spec.spokes)
+                expected = None if match is None else tuple(s.exponents for s in match.spokes)
+                spec = format_spec(b.spec)
+                assert (v.is_bci, v.counterexample) == (match is None, expected), spec
+                classes += 1
+                non_bci += not v.is_bci
+    return classes, non_bci
 
 
 def reference_automorphism_images(group) -> list[tuple]:

@@ -6,9 +6,15 @@ from itertools import combinations
 import pytest
 
 import _oracles
-from _oracles import reference_bci_oracle, reference_first_match, reference_isomorphism_types
+from _oracles import (
+    check_oracle_classes,
+    reference_bci_oracle,
+    reference_first_match,
+    reference_isomorphism_types,
+    reference_walk_counts,
+)
 from bicayley import bci
-from bicayley.abelian import automorphism_group_of, make_group
+from bicayley.abelian import _index_table, automorphism_group_of, make_group
 from bicayley.bci import bci_by_criterion, bci_oracle, cross_check, verdict_payload
 from bicayley.census import table1_instances
 from bicayley.construction import (
@@ -134,7 +140,8 @@ def test_oracle_matches_full_scan():
 
 def test_oracle_certifies_one_spoke_set_per_class(monkeypatch):
     # The 3-subsets of Z_13 fall into classes under x -> a x + b; the oracle
-    # certifies the target and one set of every class but the target's own.
+    # counts the closed walks of one set of every class but the target's own,
+    # and certifies only the target: the other classes' counts differ from it.
     z13 = make_group([13])
     affine = [
         lambda t, table=table, h=h: frozenset(h * z13.element(table[x.exponents[0]]) for x in t)
@@ -148,22 +155,31 @@ def test_oracle_certifies_one_spoke_set_per_class(monkeypatch):
         unseen -= {act(t) for act in affine}
         classes += 1
     calls = []
+    walked = []
 
     def counting(graph, known=()):
         calls.append(graph)
         return certificate(graph, known)
 
+    def walking(raw, sums, neg):
+        walked.append(raw)
+        return spoke_walks(raw, sums, neg)
+
+    spoke_walks = bci._spoke_walks
     monkeypatch.setattr(bci, "certificate", counting)
+    monkeypatch.setattr(bci, "_spoke_walks", walking)
     v = bci_oracle(spoke_graph([13], (0, 1, 4)))
     assert v.is_bci
-    assert len(calls) == classes  # classes - 1 candidates, plus the target
+    assert len(walked) == classes - 1 == 2  # Z_13 is cyclic of prime order: all connected
+    assert len(calls) == 1  # the target's
 
 
 def test_oracle_component_filter_keeps_the_first_match(monkeypatch):
     # The oracle certifies a spoke set only when its graph has the target's
-    # number of components; the unfiltered scan gives the same verdict and
-    # counterexample, connected target or not, from more certificates.  The
-    # members are theorem_b_verify(56)'s within the oracle's order-16 limit.
+    # number of components and closed-walk counts; the unfiltered scan gives
+    # the same verdict and counterexample, connected target or not, from more
+    # certificates.  The members are theorem_b_verify(56)'s within the
+    # oracle's order-16 limit.
     members = [i.bigraph for i in table1_instances(56) if i.bigraph.spec.group.size <= 16]
     others = (
         "H=6; S={0,2,4}",
@@ -191,7 +207,36 @@ def test_oracle_component_filter_keeps_the_first_match(monkeypatch):
         assert (v.is_bci, v.counterexample) == (match is None, expected), b.spec
         verdicts.append(v.is_bci)
     assert verdicts.count(False) == 1  # H=8; S={0,1,2,5}
-    assert (calls[bci] - len(verdicts), calls[_oracles]) == (10, 28)
+    # the one candidate certified is the counterexample
+    assert (calls[bci] - len(verdicts), calls[_oracles]) == (1, 28)
+
+
+def test_spoke_walks_are_the_graphs_closed_walks():
+    # The counts the oracle reads off H's tables are those of the built graph
+    # at 0_0 and at |H|, the first vertex of part 1, which the part swap
+    # x_0 <-> (-x)_1 maps to it.
+    rounds = bci._WALK_ROUNDS
+    sets = 0
+    for orders in reference_isomorphism_types(12):
+        group = make_group(orders)
+        elems, sums, neg = _index_table(group)
+        for k in (3, 4):
+            for rest in combinations(range(1, group.size), k - 1):
+                raw = (0, *rest)
+                b = build(BiCayleySpec.create(group, (), (), [elems[i] for i in raw]))
+                walks = tuple(bci._spoke_walks(raw, sums, neg))
+                assert len(walks) == rounds
+                for v in (0, group.size):
+                    assert reference_walk_counts(b.graph, v, 2 * rounds)[1::2] == walks, raw
+                assert bci._closed_walks(b.graph) == walks
+                sets += 1
+    assert sets == 1135  # the sum of C(|H|, 3) over the groups
+
+
+def test_walk_filter_keeps_every_verdict_on_small_groups():
+    # every class of identity-containing 3- and 4-subsets of the abelian
+    # groups of order <= 12 (CI runs order <= 16 with k = 3..5)
+    assert check_oracle_classes(12, (3, 4)) == (116, 8)
 
 
 def test_cross_check_oracle_limit():
