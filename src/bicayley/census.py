@@ -280,7 +280,9 @@ def _key_group(key: tuple) -> tuple[int, ...]:
 # The two-vertex base graph of BC(H, {r}, {s}, {1, t}): vertex 0 carries the
 # semi-edge r, vertex 1 the semi-edge s, and the spokes 1 and t run from 0 to 1.
 # Per dart: tail, head, reverse dart and the step it adds to (a, b, c) in
-# the voltage r^a s^b t^c.
+# the voltage r^a s^b t^c.  _BASE_WALK_ROWS is computed from these darts and
+# from _WALK_LENGTH: changing either means regenerating the rows, and
+# test_base_walk_table_matches_the_dart_scan fails until then.
 _DARTS = (
     (0, 0, 0, (1, 0, 0)),
     (1, 1, 1, (0, 1, 0)),
@@ -291,31 +293,93 @@ _DARTS = (
 )
 _WALK_LENGTH = 8
 
+# The closed non-backtracking walks in the base graph, one row per walk length,
+# a mod 2, b mod 2 and c of the voltage r^a s^b t^c that occurs, then the number
+# of such walks starting at each dart in _DARTS order.  Rows are kept as text,
+# which compiles as one constant.  Regenerate them with
+# tests/_oracles.reference_closed_base_walks(census._DARTS, census._WALK_LENGTH).
+_BASE_WALK_ROWS = """
+1 0 1  0  0 1 0 0 0 0
+1 1 0  0  1 0 0 0 0 0
+2 0 0 -1  0 0 1 0 0 1
+2 0 0  1  0 0 0 1 1 0
+3 0 1 -1  0 1 1 0 0 1
+3 0 1  0  0 0 1 1 0 0
+3 0 1  1  0 1 0 1 1 0
+3 1 0 -1  1 0 1 0 0 1
+3 1 0  0  0 0 0 0 1 1
+3 1 0  1  1 0 0 1 1 0
+4 0 0 -2  0 0 1 0 0 1
+4 0 0 -1  1 1 0 0 0 0
+4 0 0  1  1 1 0 0 0 0
+4 0 0  2  0 0 0 1 1 0
+4 1 1 -1  1 1 1 0 0 1
+4 1 1  0  2 2 1 1 1 1
+4 1 1  1  1 1 0 1 1 0
+5 0 1 -2  0 1 2 0 0 2
+5 0 1 -1  1 0 1 1 0 0
+5 0 1  0  2 0 0 0 1 1
+5 0 1  1  1 0 1 1 0 0
+5 0 1  2  0 1 0 2 2 0
+5 1 0 -2  1 0 2 0 0 2
+5 1 0 -1  0 1 0 0 1 1
+5 1 0  0  0 2 1 1 0 0
+5 1 0  1  0 1 0 0 1 1
+5 1 0  2  1 0 0 2 2 0
+6 0 0 -3  0 0 1 0 0 1
+6 0 0 -2  2 2 2 0 0 2
+6 0 0 -1  0 0 1 1 1 1
+6 0 0  0  2 2 2 2 2 2
+6 0 0  1  0 0 1 1 1 1
+6 0 0  2  2 2 0 2 2 0
+6 0 0  3  0 0 0 1 1 0
+6 1 1 -2  2 2 4 0 0 4
+6 1 1 -1  2 2 4 2 2 4
+6 1 1  0  0 0 2 2 2 2
+6 1 1  1  2 2 2 4 4 2
+6 1 1  2  2 2 0 4 4 0
+7 0 1 -3  0 1 3 0 0 3
+7 0 1 -2  4 2 3 1 0 2
+7 0 1 -1  6 2 3 1 3 5
+7 0 1  0  4 4 3 3 4 4
+7 0 1  1  6 2 1 3 5 3
+7 0 1  2  4 2 1 3 2 0
+7 0 1  3  0 1 0 3 3 0
+7 1 0 -3  1 0 3 0 0 3
+7 1 0 -2  2 4 2 0 1 3
+7 1 0 -1  2 6 5 3 1 3
+7 1 0  0  4 4 4 4 3 3
+7 1 0  1  2 6 3 5 3 1
+7 1 0  2  2 4 0 2 3 1
+7 1 0  3  1 0 0 3 3 0
+8 0 0 -4  0 0 1 0 0 1
+8 0 0 -3  3 3 6 0 0 6
+8 0 0 -2  2 2 3 2 2 3
+8 0 0 -1  8 8 8 4 4 8
+8 0 0  0  8 8 5 5 5 5
+8 0 0  1  8 8 4 8 8 4
+8 0 0  2  2 2 2 3 3 2
+8 0 0  3  3 3 0 6 6 0
+8 0 0  4  0 0 0 1 1 0
+8 1 1 -3  3 3 9 0 0 9
+8 1 1 -2  4 4 7 3 3 7
+8 1 1 -1  4 4 3 3 3 3
+8 1 1  0  6 6 5 5 5 5
+8 1 1  1  4 4 3 3 3 3
+8 1 1  2  4 4 3 7 7 3
+8 1 1  3  3 3 0 9 9 0
+"""
+
 
 @cache
 def _closed_base_walks() -> tuple[dict, ...]:
     """Per walk length 1..8: (a mod 2, b mod 2, c) -> the number of closed
     non-backtracking base walks with that voltage starting at each dart."""
-    # each dart's two successors, every dart from its head but its reverse, with their steps
-    after = [
-        [(e, step) for e, (tail, _, _, step) in enumerate(_DARTS) if tail == head and e != back]
-        for _, head, back, _ in _DARTS
-    ]
-    closes = [[head == tail for tail, *_ in _DARTS] for _, head, *_ in _DARTS]
-    table = []
-    walks = {(d, d, *_DARTS[d][3]): 1 for d in range(len(_DARTS))}
-    for _ in range(_WALK_LENGTH):
-        buckets: dict[tuple, list[int]] = {}
-        grown: dict[tuple, int] = {}
-        for (first, d, a, b, c), count in walks.items():
-            if closes[d][first]:
-                buckets.setdefault((a, b, c), [0] * len(_DARTS))[first] += count
-            for e, (da, db, dc) in after[d]:
-                step = (first, e, (a + da) % 2, (b + db) % 2, c + dc)
-                grown[step] = grown.get(step, 0) + count
-        table.append(buckets)
-        walks = grown
-    return tuple(table)
+    table = tuple({} for _ in range(_WALK_LENGTH))
+    for row in _BASE_WALK_ROWS.strip().splitlines():
+        length, a, b, c, *counts = map(int, row.split())
+        table[length - 1][a, b, c] = counts
+    return table
 
 
 def _closed_walk_counts(key: tuple):
