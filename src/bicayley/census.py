@@ -42,6 +42,7 @@ __all__ = [
     "analysis",
     "verify_instance",
     "theorem_a_search",
+    "THEOREM_A_GRAPHS",
     "theorem_b_verify",
     "negative_controls",
     "SCOPE_NOTE",
@@ -412,6 +413,16 @@ def _passes_sieve(key: tuple) -> bool:
     return all(len(set(counts)) == 1 for counts in _closed_walk_counts(key))
 
 
+# Theorem A's graphs as (certificate, name, vertices).  Canonical certificates
+# are constants; tests/test_census.py checks each against its construction.
+THEOREM_A_GRAPHS = (
+    ("C~", "K_4", 4),
+    ("G?]uf?", "Q_3", 8),
+    ("O?????JKQICoU?c_P_F??", "GP(8,3)", 16),
+    ("W???????????@ECD?W_QOGH@?g?L?@O_@P??a_?Cg??[???", "GP(12,5)", 24),
+)
+
+
 def theorem_a_search(max_group_order: int = 24) -> list[dict]:
     """Exhaustive search for connected arc-transitive one-matching graphs with
     single right and left connection elements.
@@ -463,7 +474,7 @@ def theorem_a_search(max_group_order: int = 24) -> list[dict]:
                     g = build(spec).graph
                     by_cert.setdefault(certificate(g), (spec, g))
 
-    named = _known_certificates()
+    named = {cert: name for cert, name, _ in THEOREM_A_GRAPHS}
     results = []
     for cert, (spec, g) in by_cert.items():
         k, regular = k_arc_regularity(g)
@@ -480,16 +491,6 @@ def theorem_a_search(max_group_order: int = 24) -> list[dict]:
         )
     results.sort(key=lambda rec: (rec["vertices"], rec["certificate"]))
     return results
-
-
-def _known_certificates() -> dict[str, str]:
-    k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    return {
-        certificate(k4): "K_4",
-        certificate(generalized_petersen(4, 1).graph): "Q_3",
-        certificate(generalized_petersen(8, 3).graph): "GP(8,3)",
-        certificate(generalized_petersen(12, 5).graph): "GP(12,5)",
-    }
 
 
 def theorem_b_verify(max_vertices: int = 64, oracle_limit: int = _ORACLE_LIMIT) -> list[dict]:

@@ -12,6 +12,7 @@ from bicayley import __version__
 from bicayley.bci import bci_by_criterion, bci_oracle, cross_check, verdict_payload
 from bicayley.census import (
     SCOPE_NOTE,
+    THEOREM_A_GRAPHS,
     analysis,
     negative_controls,
     table1_instances,
@@ -20,7 +21,7 @@ from bicayley.census import (
     theorem_b_verify,
     verify_instance,
 )
-from bicayley.construction import build, generalized_petersen, parse_spec, predicted_connected
+from bicayley.construction import build, parse_spec, predicted_connected
 from bicayley.graphs import bipartition, encode_graph6, is_connected
 from bicayley.symmetry import _check_search_bound, certificate
 from bicayley.voltage import derive, fig_alpha, fig_assignment, fig_base, lifts
@@ -157,8 +158,7 @@ def cmd_theorem_a(args) -> int:
         return _refuse_empty(args, f"within --max-group-order {args.max_group_order}")
     results = theorem_a_search(args.max_group_order)
     # Theorem A's graphs by vertex count; one over H has 2|H| vertices
-    theorem = {"K_4": 4, "Q_3": 8, "GP(8,3)": 16, "GP(12,5)": 24}
-    expected = sorted(name for name, n in theorem.items() if n <= 2 * args.max_group_order)
+    expected = sorted(name for _, name, n in THEOREM_A_GRAPHS if n <= 2 * args.max_group_order)
     passed = sorted(rec["name"] for rec in results) == expected
     lines = [
         f"{rec['name']}: n={rec['vertices']} k={rec['arc_type']} example {rec['example']}"
@@ -188,10 +188,9 @@ def cmd_voltage_fig(args) -> int:
     orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
     if not orders:
         return _refuse_empty(args, f"in --orders {args.orders!r}")
-    base = fig_base()
-    base_ok = certificate(base) == certificate(generalized_petersen(4, 1).graph)
+    known = {name: cert for cert, name, _ in THEOREM_A_GRAPHS}
+    base_ok = certificate(fig_base()) == known["Q_3"]
     alpha = fig_alpha()
-    target = certificate(generalized_petersen(12, 5).graph)
     records = []
     passed = base_ok
     for order in orders:
@@ -209,7 +208,7 @@ def cmd_voltage_fig(args) -> int:
             "ok": lifted == expected,
         }
         if order == 3:
-            rec["cover_is_gp_12_5"] = certificate(cover) == target
+            rec["cover_is_gp_12_5"] = certificate(cover) == known["GP(12,5)"]
             rec["ok"] = rec["ok"] and rec["cover_is_gp_12_5"]
         passed = passed and rec["ok"]
         records.append(rec)

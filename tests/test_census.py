@@ -18,6 +18,7 @@ from bicayley.census import (
     _DARTS,
     _WALK_LENGTH,
     SCOPE_NOTE,
+    THEOREM_A_GRAPHS,
     _closed_base_walks,
     _closed_walk_counts,
     _generated_order,
@@ -33,8 +34,8 @@ from bicayley.census import (
     theorem_b_verify,
     verify_instance,
 )
-from bicayley.construction import BiCayleySpec, build, format_spec, parse_spec
-from bicayley.graphs import bipartition, girth
+from bicayley.construction import BiCayleySpec, build, format_spec, generalized_petersen, parse_spec
+from bicayley.graphs import Graph, bipartition, girth
 from bicayley.symmetry import certificate, k_arc_regularity
 
 from _oracles import (
@@ -299,7 +300,7 @@ def _dart_arcs(group, r, s, t):
 
 
 def test_base_walk_table_matches_the_dart_scan():
-    # each dart's two successors are precomputed; the reference scans all six
+    # the constant rows of census._BASE_WALK_ROWS against the reference walk
     assert _closed_base_walks() == reference_closed_base_walks(_DARTS, _WALK_LENGTH)
     assert len(_closed_base_walks()) == _WALK_LENGTH
 
@@ -425,6 +426,21 @@ def test_theorem_a_search_order_96():
 def test_theorem_a_search_order_4096():
     results = theorem_a_search(4096)
     assert [(rec["name"], rec["vertices"], rec["arc_type"]) for rec in results] == _THEOREM_A_GRAPHS
+
+
+def test_theorem_a_names_match_the_constructed_graphs():
+    # theorem_a_search and the CLI read certificates and vertex counts from the
+    # table alone, so it is checked here against the graphs it names
+    k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    built = {
+        "K_4": k4,
+        "Q_3": generalized_petersen(4, 1).graph,
+        "GP(8,3)": generalized_petersen(8, 3).graph,
+        "GP(12,5)": generalized_petersen(12, 5).graph,
+    }
+    assert [name for _, name, _ in THEOREM_A_GRAPHS] == list(built)
+    for cert, name, n in THEOREM_A_GRAPHS:
+        assert (certificate(built[name]), built[name].n) == (cert, n), name
 
 
 def test_theorem_b_small_bound():
